@@ -1,47 +1,24 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels of the CZ-basis search, in plain numpy.
 
 The optimizer evaluates the graph reduction and the GKP error probability
-hundreds of thousands of times per squeezing point, so the inner objective
-and the simplex driver are jitted.  Set ``CVMBQC_DISABLE_NUMBA=1`` to force
-the pure-numpy implementations (same code, undecorated); the benchmark in
-``benchmarks/bench_kernels.py`` compares the two paths.
+tens of thousands of times per local descent.  :func:`reduce_metrics` scores
+one free-angle vector against the angle-independent arrays of a
+``FrozenRegion``; :func:`nelder_mead` descends any scalar objective.  Time
+them with ``python3 perfbench/run.py --trace 1`` (``kernels.eval_us``,
+``kernels.descent_s``).
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-_DISABLE = os.environ.get("CVMBQC_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled by CVMBQC_DISABLE_NUMBA")
-    from numba import njit
-
-    BACKEND = "numba"
-except ImportError:  # pragma: no cover - exercised via subprocess in the benchmark
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-    BACKEND = "numpy"
 
 _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
 BAD_VALUE = 1e12
 
 
-@njit(cache=True)
-def reduce_metrics(x, theta_base, a_map, s0x_ma, s0p_ma, s0x_mi, s0p_mi, y, z,
-                   target, n_real, n_dummy, delta, eps_half):
+def reduce_metrics(x, frozen):
     """Gate residual and GKP error probability for free angles ``x``.
 
     The input columns of the reduced map are ordered [real inputs (xxpp) |
@@ -52,18 +29,20 @@ def reduce_metrics(x, theta_base, a_map, s0x_ma, s0p_ma, s0x_mi, s0p_mi, y, z,
     noise (variance ``eps_half``) through the rest.  Degenerate bases give
     ``(BAD_VALUE, 1.0)``.
     """
-    theta = theta_base + a_map @ x
+    theta = frozen.theta_base + frozen.a_map @ x
     c = np.cos(theta).reshape(-1, 1)
     s = np.sin(theta).reshape(-1, 1)
-    u = c * s0x_ma + s * s0p_ma
-    v = c * s0x_mi + s * s0p_mi
+    u = c * frozen.s0x_ma + s * frozen.s0p_ma
+    v = c * frozen.s0x_mi + s * frozen.s0p_mi
     det = np.linalg.det(u)
     if not np.isfinite(det) or abs(det) < 1e-250:
         return BAD_VALUE, 1.0
     w = np.linalg.solve(u, v)
-    m = z - y @ w
+    m = frozen.z - frozen.y @ w
     if not np.all(np.isfinite(m)):
         return BAD_VALUE, 1.0
+    target, delta, eps_half = frozen.target_full, frozen.delta, frozen.eps_half
+    n_real, n_in = frozen.n_real, frozen.n_real + frozen.n_dummy
     resid = 0.0
     prod = 1.0
     for i in range(m.shape[0]):
@@ -71,10 +50,10 @@ def reduce_metrics(x, theta_base, a_map, s0x_ma, s0p_ma, s0x_mi, s0p_mi, y, z,
         for j in range(n_real):
             resid += abs(m[i, j] - target[i, j])
             spikes += delta * m[i, j] * m[i, j]
-        for j in range(n_real, n_real + n_dummy):
+        for j in range(n_real, n_in):
             resid += abs(m[i, j])
             spikes += 0.5 * m[i, j] * m[i, j]
-        for j in range(n_real + n_dummy, m.shape[1]):
+        for j in range(n_in, m.shape[1]):
             spikes += eps_half * m[i, j] * m[i, j]
         prod *= math.erf(_HALF_SQRT_PI / math.sqrt(2.0 * (spikes + delta)))
     perr = 1.0 - prod
@@ -83,21 +62,8 @@ def reduce_metrics(x, theta_base, a_map, s0x_ma, s0p_ma, s0x_mi, s0p_mi, y, z,
     return resid, perr
 
 
-@njit(cache=True)
-def objective(x, wlog, theta_base, a_map, s0x_ma, s0p_ma, s0x_mi, s0p_mi, y, z,
-              target, n_real, n_dummy, delta, eps_half):
-    """Search objective: gate residual plus ``wlog * log(perr)``."""
-    resid, perr = reduce_metrics(x, theta_base, a_map, s0x_ma, s0p_ma, s0x_mi,
-                                 s0p_mi, y, z, target, n_real, n_dummy, delta, eps_half)
-    if resid >= BAD_VALUE:
-        return BAD_VALUE
-    return resid + wlog * math.log(perr)
-
-
-@njit(cache=True)
-def nelder_mead(x0, step, wlog, theta_base, a_map, s0x_ma, s0p_ma, s0x_mi, s0p_mi,
-                y, z, target, n_real, n_dummy, delta, eps_half, maxiter, ftol):
-    """Derivative-free simplex descent of :func:`objective` from ``x0``.
+def nelder_mead(f, x0, step, maxiter, ftol):
+    """Derivative-free simplex descent of ``f`` from ``x0`` (Nelder & Mead 1965).
 
     Standard reflection/expansion/contraction/shrink steps; terminates when
     the simplex function spread drops below ``ftol`` or after ``maxiter``
@@ -108,13 +74,10 @@ def nelder_mead(x0, step, wlog, theta_base, a_map, s0x_ma, s0p_ma, s0x_mi, s0p_m
     sim = np.empty((npts, ndim))
     fval = np.empty(npts)
     for i in range(npts):
-        for j in range(ndim):
-            sim[i, j] = x0[j]
+        sim[i] = x0
         if i > 0:
             sim[i, i - 1] += step
-        fval[i] = objective(sim[i], wlog, theta_base, a_map, s0x_ma, s0p_ma,
-                            s0x_mi, s0p_mi, y, z, target, n_real, n_dummy,
-                            delta, eps_half)
+        fval[i] = f(sim[i])
     nev = npts
 
     while nev < maxiter:
@@ -124,45 +87,36 @@ def nelder_mead(x0, step, wlog, theta_base, a_map, s0x_ma, s0p_ma, s0x_mi, s0p_m
         if fval[-1] - fval[0] < ftol:
             break
         centroid = np.zeros(ndim)
-        for i in range(npts - 1):
-            centroid += sim[i]
+        for p in sim[:-1]:
+            centroid += p
         centroid /= npts - 1
 
         xr = centroid + (centroid - sim[-1])
-        fr = objective(xr, wlog, theta_base, a_map, s0x_ma, s0p_ma, s0x_mi,
-                       s0p_mi, y, z, target, n_real, n_dummy, delta, eps_half)
+        fr = f(xr)
         nev += 1
         if fr < fval[0]:
             xe = centroid + 2.0 * (centroid - sim[-1])
-            fe = objective(xe, wlog, theta_base, a_map, s0x_ma, s0p_ma, s0x_mi,
-                           s0p_mi, y, z, target, n_real, n_dummy, delta, eps_half)
+            fe = f(xe)
             nev += 1
             if fe < fr:
-                sim[-1] = xe
-                fval[-1] = fe
+                sim[-1], fval[-1] = xe, fe
             else:
-                sim[-1] = xr
-                fval[-1] = fr
+                sim[-1], fval[-1] = xr, fr
         elif fr < fval[-2]:
-            sim[-1] = xr
-            fval[-1] = fr
+            sim[-1], fval[-1] = xr, fr
         else:
             if fr < fval[-1]:
                 xc = centroid + 0.5 * (xr - centroid)
             else:
                 xc = centroid + 0.5 * (sim[-1] - centroid)
-            fc = objective(xc, wlog, theta_base, a_map, s0x_ma, s0p_ma, s0x_mi,
-                           s0p_mi, y, z, target, n_real, n_dummy, delta, eps_half)
+            fc = f(xc)
             nev += 1
             if fc < min(fr, fval[-1]):
-                sim[-1] = xc
-                fval[-1] = fc
+                sim[-1], fval[-1] = xc, fc
             else:
                 for i in range(1, npts):
                     sim[i] = sim[0] + 0.5 * (sim[i] - sim[0])
-                    fval[i] = objective(sim[i], wlog, theta_base, a_map, s0x_ma,
-                                        s0p_ma, s0x_mi, s0p_mi, y, z, target,
-                                        n_real, n_dummy, delta, eps_half)
+                    fval[i] = f(sim[i])
                 nev += npts - 1
 
     best = int(np.argmin(fval))

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, gates, gkp, lattice as lat, optimizer, oracle
+from . import __version__, gates, gkp, lattice as lat, optimizer
 from .errors import CacheMissError
 from .reduction import noise_factors
 
@@ -172,6 +172,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle  # scipy.signal is slow to import; only verify needs it
+
     reports = []
     ok = True
     for r in args.r:

@@ -39,10 +39,12 @@ def error_probability(delta_prime, delta: float) -> float:
     total = delta_prime + delta
     if np.any(total <= 0):
         raise ValueError("spike variances must be positive")
-    prod = 1.0
+    # 1 - prod(erf) as -expm1(sum log1p(-erfc)): small probabilities keep
+    # their digits instead of cancelling against 1 at high squeezing
+    log_ok = 0.0
     for v in total:
-        prod *= math.erf(SQRT_PI / (2.0 * math.sqrt(2.0 * v)))
-    return 1.0 - prod
+        log_ok += math.log1p(-math.erfc(SQRT_PI / (2.0 * math.sqrt(2.0 * v))))
+    return -math.expm1(log_ok)
 
 
 def correction_shift(m: float) -> float:

@@ -19,7 +19,7 @@ from . import _kernels
 from . import gates
 from . import lattice as lat
 from .gkp import error_probability
-from .reduction import noise_factors, premeasurement_symplectic
+from .reduction import noise_factors, premeasurement_symplectic, restrict
 from .reduction import reduce as reduce_region
 
 __all__ = ["OptimizerConfig", "OptResult", "FrozenRegion", "freeze_region",
@@ -27,6 +27,10 @@ __all__ = ["OptimizerConfig", "OptResult", "FrozenRegion", "freeze_region",
            "evaluate_free_angles"]
 
 DEFAULT_WEIGHTS = (1e-8, 1e-6, 1e-4, 1e-2, 1.0)
+
+# The QRL CZ region carries two computation modes: these outputs are compared
+# and these inputs are real; the other inputs are dummies.
+_QRL_KEEP = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -98,16 +102,17 @@ class FrozenRegion:
     def n_free(self) -> int:
         return self.a_map.shape[1]
 
-    def kernel_args(self, w: float):
-        return (w, self.theta_base, self.a_map, self.s0x_ma, self.s0p_ma,
-                self.s0x_mi, self.s0p_mi, self.y, self.z, self.target_full,
-                self.n_real, self.n_dummy, self.delta, self.eps_half)
-
     def metrics(self, x) -> tuple:
-        return _kernels.reduce_metrics(
-            np.asarray(x, dtype=float), self.theta_base, self.a_map, self.s0x_ma,
-            self.s0p_ma, self.s0x_mi, self.s0p_mi, self.y, self.z, self.target_full,
-            self.n_real, self.n_dummy, self.delta, self.eps_half)
+        return _kernels.reduce_metrics(np.asarray(x, dtype=float), self)
+
+    def objective(self, w: float):
+        """x -> |G - T|_1 + w log P_err, or ``BAD_VALUE`` at a degenerate basis."""
+        def f(x):
+            resid, perr = _kernels.reduce_metrics(x, self)
+            if resid >= _kernels.BAD_VALUE:
+                return _kernels.BAD_VALUE
+            return resid + w * math.log(perr)
+        return f
 
 
 def freeze_region(graph, target, r, out_sel=None, in_real=None,
@@ -175,10 +180,8 @@ def objective(angles, graph, target, w: float, r: float, out_sel=None,
               in_real=None) -> float:
     """f = |G - T|_1 + w log P_err; +inf at measurement-degenerate bases."""
     frozen = freeze_region(graph, target, r, out_sel=out_sel, in_real=in_real)
-    resid, perr = frozen.metrics(angles)
-    if resid >= _kernels.BAD_VALUE:
-        return math.inf
-    return resid + w * math.log(perr)
+    f = frozen.objective(w)(np.asarray(angles, dtype=float))
+    return math.inf if f >= _kernels.BAD_VALUE else f
 
 
 def _wrap(x):
@@ -189,15 +192,14 @@ def _local_descent(frozen: FrozenRegion, x0, w: float, config: OptimizerConfig):
     """Simplex descent with re-initialization rounds, then a feasibility
     polish at the smallest weight (nearly pure gate residual)."""
     x = np.asarray(x0, dtype=float)
+    f = frozen.objective(w)
     for rd in range(config.rounds):
-        x, _, _ = _kernels.nelder_mead(
-            x, config.step / 2.0 ** rd, *frozen.kernel_args(w),
-            config.max_evals, config.local_tol)
-    w_min = min(config.weight_grid)
+        x, _, _ = _kernels.nelder_mead(f, x, config.step / 2.0 ** rd,
+                                       config.max_evals, config.local_tol)
+    f = frozen.objective(min(config.weight_grid))
     for rd in range(config.polish_rounds):
-        x, _, _ = _kernels.nelder_mead(
-            x, config.polish_step / 2.0 ** rd, *frozen.kernel_args(w_min),
-            config.max_evals, config.local_tol)
+        x, _, _ = _kernels.nelder_mead(f, x, config.polish_step / 2.0 ** rd,
+                                       config.max_evals, config.local_tol)
     return x
 
 
@@ -251,7 +253,7 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
 def evaluate_free_angles(lattice: str, r: float, angles, theta_c: float | None = None):
     """Reference-path (residual, perr) of a CZ free-angle vector.
 
-    Runs the plain reduction instead of the jitted kernel; used to re-verify
+    Runs the plain reduction instead of the search kernel; used to re-verify
     accepted optimizer results and cached table rows.
     """
     params = lat.LatticeParams.from_r(lattice, r)
@@ -262,14 +264,12 @@ def evaluate_free_angles(lattice: str, r: float, angles, theta_c: float | None =
     delta = math.exp(-2.0 * r) / 2.0
     eps_half = 0.5 * lat.effective_epsilon(r)
     if lattice == "QRL":
-        rows = [0, 1, 4, 5]
-        g = out.G[rows, :]
-        real_cols, dummy_cols = [0, 1, 4, 5], [2, 3, 6, 7]
-        resid = float(np.abs(g[:, real_cols] - target).sum()
-                      + np.abs(g[:, dummy_cols]).sum())
-        spikes = (delta * (g[:, real_cols] ** 2).sum(axis=1)
-                  + 0.5 * (g[:, dummy_cols] ** 2).sum(axis=1)
-                  + eps_half * (out.N[rows, :] ** 2).sum(axis=1))
+        real = restrict(out, _QRL_KEEP, _QRL_KEEP)
+        leak = restrict(out, _QRL_KEEP,
+                        [k for k in range(out.n_inputs) if k not in _QRL_KEEP]).G
+        resid = float(np.abs(real.G - target).sum() + np.abs(leak).sum())
+        spikes = (delta * (real.G ** 2).sum(axis=1) + 0.5 * (leak ** 2).sum(axis=1)
+                  + eps_half * noise_factors(real))
     else:
         resid = float(np.abs(out.G - target).sum())
         spikes = delta * (out.G ** 2).sum(axis=1) + eps_half * noise_factors(out)
@@ -281,7 +281,7 @@ def _region(lattice: str, r: float, variable_theta_c=False) -> FrozenRegion:
     graph = lat.cz_region_graph(params, parity=0)
     target = gates.target_symplectic("FFCZ", gates.FFCZ_EXPONENTS[(lattice, 0)])
     if lattice == "QRL":
-        return freeze_region(graph, target, r, out_sel=(0, 1), in_real=(0, 1))
+        return freeze_region(graph, target, r, out_sel=_QRL_KEEP, in_real=_QRL_KEEP)
     return freeze_region(graph, target, r, variable_theta_c=variable_theta_c)
 
 

@@ -175,7 +175,10 @@ def reduce(graph, basis) -> GateResult:
 
 
 def chain(first: GateResult, second: GateResult) -> GateResult:
-    """Compose two computation steps: G = G2 G1, N = [G2 N1 | N2], D likewise."""
+    """Compose two computation steps: G = G2 G1, N = [G2 N1 | N2], D likewise.
+
+    The composite keeps the smaller rcond of the two steps (NaN if either is
+    unknown)."""
     if second.G.shape[1] != first.G.shape[0]:
         raise ValueError(
             f"cannot chain: first step outputs {first.n_outputs} modes, "
@@ -188,6 +191,7 @@ def chain(first: GateResult, second: GateResult) -> GateResult:
         contributing_modes=first.contributing_modes + second.contributing_modes,
         measured_labels=first.measured_labels + second.measured_labels,
         epsilon=second.epsilon if np.isnan(first.epsilon) else first.epsilon,
+        rcond=float(np.min([first.rcond, second.rcond])),
     )
 
 
@@ -217,7 +221,8 @@ def restrict(result: GateResult, out_keep, in_keep) -> GateResult:
 
 
 def tensor(results) -> GateResult:
-    """Direct sum of parallel one-region results, keeping xxpp ordering."""
+    """Direct sum of parallel one-region results, keeping xxpp ordering and
+    the smallest rcond of the parts."""
     results = list(results)
     n_out = sum(r.n_outputs for r in results)
     n_in = sum(r.n_inputs for r in results)
@@ -243,6 +248,7 @@ def tensor(results) -> GateResult:
         contributing_modes=tuple(m for r in results for m in r.contributing_modes),
         measured_labels=tuple(m for r in results for m in r.measured_labels),
         epsilon=results[0].epsilon,
+        rcond=float(np.min([r.rcond for r in results])),
     )
 
 

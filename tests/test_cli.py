@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -175,3 +178,12 @@ def test_noise_curve_swap_gate(capsys):
     code, _, err = run_cli(["noise-curve", "--lattice", "QRL", "--gate", "SWAP",
                             "--db-min", "10", "--db-max", "10", "--db-step", "1"], capsys)
     assert code == cli.EXIT_USAGE
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # the oracle (and with it scipy.signal) is imported by `verify` alone
+    code = "import sys, cvmbqc.cli; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

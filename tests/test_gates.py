@@ -7,7 +7,7 @@ from cvmbqc import gates
 from cvmbqc import lattice as lat
 from cvmbqc import symplectic as sp
 from cvmbqc.errors import CacheMissError
-from cvmbqc.reduction import noise_factors
+from cvmbqc.reduction import noise_factors, reduce
 
 ALL_LATTICES = ("TELEPORT", "DBSL", "BSL", "MBSL", "QRL")
 DB_GRID = (0.5, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0)
@@ -205,3 +205,12 @@ def test_iter_catalog_contents():
     kinds = {(p.lattice, p.gate_id) for p in plans}
     assert ("DBSL", "I") in kinds and ("QRL", "FFCZ") in kinds and ("DBSL", "SWAP") in kinds
     assert len(plans) == 14
+
+
+def test_multi_step_plans_keep_the_smallest_rcond():
+    r = lat.db_to_r(15.0)
+    for plan in (gates.qrl_cz_plan(r), gates.basis_for("DBSL", "F", r)):
+        parts = [reduce(track.graph, track.angles).rcond
+                 for step in plan.steps for track in step.tracks]
+        assert len(parts) > 1
+        assert gates.realize(plan).rcond == min(parts)

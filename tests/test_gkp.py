@@ -56,6 +56,14 @@ class TestErrorProbability:
         assert got == pytest.approx(1 - math.erf(SQRT_PI / (2 * math.sqrt(2 * v))),
                                     rel=1e-12)
 
+    def test_deep_tail_keeps_its_digits(self):
+        # far in the tail 1 - erf(a) rounds to 0 while erfc(a) keeps every digit
+        v = 0.01
+        a = SQRT_PI / (2 * math.sqrt(2 * v))
+        assert math.erfc(a) < 1e-17
+        got = gkp.error_probability([v / 2], v / 2)
+        assert got == pytest.approx(math.erfc(a), rel=1e-12, abs=0.0)
+
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ValueError):
             gkp.error_probability([-0.2], 0.1)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvmbqc import _kernels, gates, gkp
+from cvmbqc import gates, gkp
 from cvmbqc import lattice as lat
 from cvmbqc import optimizer as opt
 from cvmbqc.reduction import reduce as reduce_region
@@ -137,7 +137,3 @@ def test_variable_theta_c_beats_or_matches_fixed():
     assert var.accepted
     assert var.theta_c == pytest.approx(math.pi / 4, abs=0.6)
     assert var.perr <= fixed.perr * 1.0 + 1e-12
-
-
-def test_backend_reports():
-    assert _kernels.BACKEND in ("numba", "numpy")
