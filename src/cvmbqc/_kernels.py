@@ -2,64 +2,47 @@
 
 The optimizer evaluates the graph reduction and the GKP error probability
 tens of thousands of times per local descent.  :func:`reduce_metrics` scores
-one free-angle vector against the angle-independent arrays of a
-``FrozenRegion``; :func:`nelder_mead` descends any scalar objective.  Time
-them with ``python3 perfbench/run.py --trace 1`` (``kernels.eval_us``,
-``kernels.descent_s``).
+one free-angle vector against the angle-independent S0 blocks of a
+``FrozenRegion`` through the same elimination and error-probability
+functions as the reference path; :func:`nelder_mead` descends any scalar
+objective.  Time them with ``python3 perfbench/run.py --trace 1``
+(``kernels.eval_us``, ``kernels.descent_s``).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-_HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
+from .errors import MeasurementDegenerateError
+from .gkp import error_probability
+from .reduction import eliminate
+
 BAD_VALUE = 1e12
 
 
 def reduce_metrics(x, frozen):
     """Gate residual and GKP error probability for free angles ``x``.
 
-    The input columns of the reduced map are ordered [real inputs (xxpp) |
-    dummy inputs (xxpp) | cluster momenta].  The residual is the entrywise
-    1-norm of (G_real - target) plus any leakage from dummy inputs; the
-    error probability budget counts encoded spikes (variance ``delta``)
-    through the real columns, vacuum through the dummy columns, and cluster
-    noise (variance ``eps_half``) through the rest.  Degenerate bases give
-    ``(BAD_VALUE, 1.0)``.
+    The free angles set the measured rows c S0x + s S0p of the region's
+    ``FrozenRegion``; :func:`reduction.eliminate` then gives the reduced map
+    M, with input columns ordered [real inputs (xxpp) | dummy inputs (xxpp) |
+    cluster momenta].  The residual is |M[:, :n_in] - [T | 0]|_1, the gate
+    error plus any leakage from dummy inputs.  The spike variances are
+    (M o M) w with the frozen per-column weights (delta through real inputs,
+    vacuum 1/2 through dummies, eps/2 through cluster momenta), and perr is
+    :func:`gkp.error_probability` of them.  A basis whose elimination block
+    has rcond below ``reduction.RCOND_MIN``, the rule ``reduce()`` applies,
+    gives ``(BAD_VALUE, 1.0)``.
     """
-    theta = frozen.theta_base + frozen.a_map @ x
-    c = np.cos(theta).reshape(-1, 1)
-    s = np.sin(theta).reshape(-1, 1)
-    u = c * frozen.s0x_ma + s * frozen.s0p_ma
-    v = c * frozen.s0x_mi + s * frozen.s0p_mi
-    det = np.linalg.det(u)
-    if not np.isfinite(det) or abs(det) < 1e-250:
+    theta = (frozen.theta_base + frozen.a_map @ x).reshape(-1, 1)
+    try:
+        m, _ = eliminate(np.cos(theta) * frozen.s0x + np.sin(theta) * frozen.s0p,
+                         frozen.out)
+    except MeasurementDegenerateError:
         return BAD_VALUE, 1.0
-    w = np.linalg.solve(u, v)
-    m = frozen.z - frozen.y @ w
-    if not np.all(np.isfinite(m)):
-        return BAD_VALUE, 1.0
-    target, delta, eps_half = frozen.target_full, frozen.delta, frozen.eps_half
-    n_real, n_in = frozen.n_real, frozen.n_real + frozen.n_dummy
-    resid = 0.0
-    prod = 1.0
-    for i in range(m.shape[0]):
-        spikes = 0.0
-        for j in range(n_real):
-            resid += abs(m[i, j] - target[i, j])
-            spikes += delta * m[i, j] * m[i, j]
-        for j in range(n_real, n_in):
-            resid += abs(m[i, j])
-            spikes += 0.5 * m[i, j] * m[i, j]
-        for j in range(n_in, m.shape[1]):
-            spikes += eps_half * m[i, j] * m[i, j]
-        prod *= math.erf(_HALF_SQRT_PI / math.sqrt(2.0 * (spikes + delta)))
-    perr = 1.0 - prod
-    if perr < 1e-300:
-        perr = 1e-300
-    return resid, perr
+    target = frozen.target_full
+    resid = float(np.abs(m[:, :target.shape[1]] - target).sum())
+    return resid, error_probability((m * m) @ frozen.spike_weights, frozen.delta)
 
 
 def nelder_mead(f, x0, step, maxiter, ftol):

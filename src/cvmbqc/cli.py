@@ -172,7 +172,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import oracle  # scipy.signal is slow to import; only verify needs it
+    from . import oracle  # only verify needs it; keeps the curve commands' import lean
 
     reports = []
     ok = True

@@ -19,7 +19,7 @@ from . import _kernels
 from . import gates
 from . import lattice as lat
 from .gkp import error_probability
-from .reduction import noise_factors, premeasurement_symplectic, restrict
+from .reduction import noise_factors, restrict, split_s0
 from .reduction import reduce as reduce_region
 
 __all__ = ["OptimizerConfig", "OptResult", "FrozenRegion", "freeze_region",
@@ -28,9 +28,9 @@ __all__ = ["OptimizerConfig", "OptResult", "FrozenRegion", "freeze_region",
 
 DEFAULT_WEIGHTS = (1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 
-# The QRL CZ region carries two computation modes: these outputs are compared
-# and these inputs are real; the other inputs are dummies.
-_QRL_KEEP = (0, 1)
+# Every CZ region compares these outputs against the target and carries
+# encoded states on these inputs; the QRL region's further inputs are dummies.
+_KEEP = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -81,22 +81,24 @@ class OptResult:
 
 @dataclass(frozen=True, eq=False)
 class FrozenRegion:
-    """Constant arrays of one region reduction, ready for the hot kernel."""
+    """The angle-independent S0 blocks of one region, ready for the hot kernel.
+
+    ``s0x``, ``s0p`` and ``out`` are the :func:`reduction.split_s0` blocks
+    with the compared output rows picked and the input columns reordered to
+    [real (xxpp) | dummy (xxpp)]; ``target_full`` is [T | 0] over the input
+    columns and ``spike_weights`` the spike variance each column of M
+    carries into the error-probability budget.
+    """
 
     graph: object
     target_full: np.ndarray
-    n_real: int
-    n_dummy: int
     delta: float
-    eps_half: float
+    spike_weights: np.ndarray
     theta_base: np.ndarray
     a_map: np.ndarray
-    s0x_ma: np.ndarray
-    s0p_ma: np.ndarray
-    s0x_mi: np.ndarray
-    s0p_mi: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
+    s0x: np.ndarray
+    s0p: np.ndarray
+    out: np.ndarray
 
     @property
     def n_free(self) -> int:
@@ -111,7 +113,7 @@ class FrozenRegion:
             resid, perr = _kernels.reduce_metrics(x, self)
             if resid >= _kernels.BAD_VALUE:
                 return _kernels.BAD_VALUE
-            return resid + w * math.log(perr)
+            return resid + w * math.log(max(perr, 1e-300))
         return f
 
 
@@ -125,55 +127,41 @@ def freeze_region(graph, target, r, out_sel=None, in_real=None,
     ``variable_theta_c`` the last free variable scales every preset control
     basis by its alternation sign.
     """
-    n = graph.n_modes
-    inputs = list(graph.input_modes)
-    cluster = [m for m in range(n) if m not in set(inputs)]
+    s0x, s0p, out = split_s0(graph)
+    k = s0x.shape[0]
+    n_in, n_out = len(graph.input_modes), len(graph.output_modes)
+    out_sel = list(range(n_out)) if out_sel is None else list(out_sel)
+    in_real = list(range(n_in)) if in_real is None else list(in_real)
+    in_dummy = [i for i in range(n_in) if i not in in_real]
+    ins = ([k + i for i in in_real] + [k + n_in + i for i in in_real]
+           + [k + i for i in in_dummy] + [k + n_in + i for i in in_dummy])
+    cols = list(range(k)) + ins + list(range(k + 2 * n_in, s0x.shape[1]))
+    rows = out_sel + [n_out + i for i in out_sel]
+
     measured = list(graph.measured_modes)
-    outputs = list(graph.output_modes)
-    out_sel = list(range(len(outputs))) if out_sel is None else list(out_sel)
-    in_real = list(range(len(inputs))) if in_real is None else list(in_real)
-    in_dummy = [i for i in range(len(inputs)) if i not in in_real]
-
-    s0 = premeasurement_symplectic(graph, {m: 0.0 for m in measured})
-    anc_cols = cluster
-    in_cols = ([inputs[i] for i in in_real] + [n + inputs[i] for i in in_real]
-               + [inputs[i] for i in in_dummy] + [n + inputs[i] for i in in_dummy]
-               + [n + m for m in cluster])
-    sel = [outputs[i] for i in out_sel]
-    out_rows = sel + [n + o for o in sel]
-
-    s0x = s0[measured, :]
-    s0p = s0[[n + m for m in measured], :]
-
-    theta_base = np.zeros(len(measured))
+    theta_base = np.zeros(k)
     pos = {m: i for i, m in enumerate(measured)}
-    ctrl = dict(graph.control_modes)
     n_free = len(graph.free_modes) + (1 if variable_theta_c else 0)
-    a_map = np.zeros((len(measured), n_free))
+    a_map = np.zeros((k, n_free))
     for i, m in enumerate(graph.free_modes):
         a_map[pos[m], i] = 1.0
-    for m, sign in ctrl.items():
+    for m, sign in graph.control_modes:
         if variable_theta_c:
             a_map[pos[m], n_free - 1] = sign
         else:
             theta_base[pos[m]] = sign * graph.theta_c
 
-    n_real = 2 * len(in_real)
-    n_dummy = 2 * len(in_dummy)
-    target_full = np.asarray(target, dtype=float)
-    if target_full.shape != (len(out_rows), n_real):
-        raise ValueError(f"target shape {target_full.shape} does not match "
-                         f"{len(out_rows)} output quadratures x {n_real} real columns")
+    n_real, n_dummy = 2 * len(in_real), 2 * len(in_dummy)
+    target = np.asarray(target, dtype=float)
+    if target.shape != (len(rows), n_real):
+        raise ValueError(f"target shape {target.shape} does not match "
+                         f"{len(rows)} output quadratures x {n_real} real columns")
     delta = math.exp(-2.0 * r) / 2.0
-    eps_half = 0.5 * lat.effective_epsilon(r)
-    return FrozenRegion(graph, target_full, n_real, n_dummy, delta, eps_half,
-                        theta_base, a_map,
-                        np.ascontiguousarray(s0x[:, anc_cols]),
-                        np.ascontiguousarray(s0p[:, anc_cols]),
-                        np.ascontiguousarray(s0x[:, in_cols]),
-                        np.ascontiguousarray(s0p[:, in_cols]),
-                        np.ascontiguousarray(s0[out_rows, :][:, anc_cols]),
-                        np.ascontiguousarray(s0[out_rows, :][:, in_cols]))
+    weights = np.concatenate([np.full(n_real, delta), np.full(n_dummy, 0.5),
+                              np.full(k, 0.5 * lat.effective_epsilon(r))])
+    return FrozenRegion(graph, np.hstack([target, np.zeros((len(rows), n_dummy))]),
+                        delta, weights, theta_base, a_map,
+                        s0x[:, cols], s0p[:, cols], out[rows][:, cols])
 
 
 def objective(angles, graph, target, w: float, r: float, out_sel=None,
@@ -263,16 +251,11 @@ def evaluate_free_angles(lattice: str, r: float, angles, theta_c: float | None =
     target = gates.target_symplectic("FFCZ", nm)
     delta = math.exp(-2.0 * r) / 2.0
     eps_half = 0.5 * lat.effective_epsilon(r)
-    if lattice == "QRL":
-        real = restrict(out, _QRL_KEEP, _QRL_KEEP)
-        leak = restrict(out, _QRL_KEEP,
-                        [k for k in range(out.n_inputs) if k not in _QRL_KEEP]).G
-        resid = float(np.abs(real.G - target).sum() + np.abs(leak).sum())
-        spikes = (delta * (real.G ** 2).sum(axis=1) + 0.5 * (leak ** 2).sum(axis=1)
-                  + eps_half * noise_factors(real))
-    else:
-        resid = float(np.abs(out.G - target).sum())
-        spikes = delta * (out.G ** 2).sum(axis=1) + eps_half * noise_factors(out)
+    real = restrict(out, _KEEP, _KEEP)
+    leak = restrict(out, _KEEP, [k for k in range(out.n_inputs) if k not in _KEEP]).G
+    resid = float(np.abs(real.G - target).sum() + np.abs(leak).sum())
+    spikes = (delta * (real.G ** 2).sum(axis=1) + 0.5 * (leak ** 2).sum(axis=1)
+              + eps_half * noise_factors(real))
     return resid, error_probability(spikes, delta)
 
 
@@ -280,9 +263,8 @@ def _region(lattice: str, r: float, variable_theta_c=False) -> FrozenRegion:
     params = lat.LatticeParams.from_r(lattice, r)
     graph = lat.cz_region_graph(params, parity=0)
     target = gates.target_symplectic("FFCZ", gates.FFCZ_EXPONENTS[(lattice, 0)])
-    if lattice == "QRL":
-        return freeze_region(graph, target, r, out_sel=_QRL_KEEP, in_real=_QRL_KEEP)
-    return freeze_region(graph, target, r, variable_theta_c=variable_theta_c)
+    return freeze_region(graph, target, r, out_sel=_KEEP, in_real=_KEEP,
+                         variable_theta_c=variable_theta_c)
 
 
 def _warm_starts(lattice: str, r: float, extra=()):
@@ -304,17 +286,24 @@ def _warm_starts(lattice: str, r: float, extra=()):
     return starts
 
 
+def _crosscheck(res: OptResult, lattice: str, r: float) -> None:
+    """Re-score an accepted result on the reference path: the residual must
+    agree to 1e-10 absolute and perr to 1e-9 relative."""
+    if not res.accepted:
+        return
+    resid, perr = evaluate_free_angles(lattice, r, res.angles, theta_c=res.theta_c)
+    if abs(resid - res.residual) > 1e-10 or abs(perr - res.perr) > 1e-9 * perr:
+        raise AssertionError(
+            f"kernel/reference mismatch at {lattice} r={r} theta_c={res.theta_c}: "
+            f"residual {res.residual} vs {resid}, perr {res.perr} vs {perr}")
+
+
 def cz_search(lattice: str, r: float, config: OptimizerConfig,
               warm_starts=()) -> OptResult:
     """Optimize the Fourier-CZ basis on one lattice at squeezing r."""
     frozen = _region(lattice, r)
     res = search(frozen, config, warm_starts=_warm_starts(lattice, r, warm_starts))
-    if res.accepted:
-        resid, perr = evaluate_free_angles(lattice, r, res.angles)
-        if abs(resid - res.residual) > 1e-10 or abs(perr - res.perr) > 1e-10:
-            raise AssertionError(
-                f"kernel/reference mismatch at {lattice} r={r}: "
-                f"residual {res.residual} vs {resid}, perr {res.perr} vs {perr}")
+    _crosscheck(res, lattice, r)
     return res
 
 
@@ -332,8 +321,5 @@ def variable_theta_c_search(lattice: str, r: float, config: OptimizerConfig,
     res = search(frozen, config, warm_starts=starts)
     res.theta_c = float(res.angles[-1])
     res.angles = res.angles[:-1]
-    if res.accepted:
-        resid, perr = evaluate_free_angles(lattice, r, res.angles, theta_c=res.theta_c)
-        if abs(resid - res.residual) > 1e-10 or abs(perr - res.perr) > 1e-10:
-            raise AssertionError(f"kernel/reference mismatch at theta_c run r={r}")
+    _crosscheck(res, lattice, r)
     return res

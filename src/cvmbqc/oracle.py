@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from . import lattice as lat
 from . import symplectic as sp
@@ -288,6 +287,17 @@ def _gaussian_kernel(x: np.ndarray, delta: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _convolve_same(w: np.ndarray, kern: np.ndarray, axis: int) -> np.ndarray:
+    """Linear convolution of every line of ``w`` along ``axis`` with ``kern``,
+    cut to the centred ``n`` points of the full result (zero-padded FFT)."""
+    n = w.shape[axis]
+    size = 2 * n - 1
+    shape = (-1, 1) if axis == 0 else (1, -1)
+    spec = np.fft.rfft(w, size, axis=axis) * np.fft.rfft(kern, size).reshape(shape)
+    start = (n - 1) // 2
+    return np.fft.irfft(spec, size, axis=axis).take(range(start, start + n), axis=axis)
+
+
 def _apply_pipeline(w: np.ndarray, x: np.ndarray, ops) -> np.ndarray:
     """Sequentially apply ('conv'|'env', axis, delta) steps on the (x, p) grid.
 
@@ -304,9 +314,7 @@ def _apply_pipeline(w: np.ndarray, x: np.ndarray, ops) -> np.ndarray:
             if not np.isfinite(delta) or math.sqrt(0.5 * delta) > 10.0 * span:
                 w = np.repeat(w.mean(axis=axis, keepdims=True), npts, axis=axis)
                 continue
-            kern = _gaussian_kernel(x, delta)
-            shape = (npts, 1) if axis == 0 else (1, npts)
-            w = fftconvolve(w, kern.reshape(shape), mode="same")
+            w = _convolve_same(w, _gaussian_kernel(x, delta), axis)
         elif kind == "env":
             if not np.isfinite(delta):
                 continue

@@ -1,16 +1,20 @@
 """Turn a computation-region graph plus homodyne bases into the implemented
 gate G, the gate-noise matrix N, and the displacement matrix D.
 
-The engine builds the pre-measurement transformation S = S_R S_BS S_CZ,
-solves out the anti-squeezed x quadratures of the cluster modes against the
-measured quadratures, and reads off
+The core is the angle-independent pre-measurement transformation
+S0 = S_BS S_CZ of the region.  A homodyne basis theta only rotates the
+measured rows: the measured quadrature of mode m is the row
+cos(theta_m) S0x_m + sin(theta_m) S0p_m, while output rows stay unrotated.
+The engine solves out the anti-squeezed x quadratures of the cluster modes
+against the measured quadratures and reads off
 
     q_out = (Z - Y U^-1 V) q_in + Y U^-1 x_meas = (G | N) q_in + D x_meas
 
 where q_in stacks the input-mode quadratures (xxpp) followed by the p
 quadratures of all cluster modes.  The N columns therefore correspond to the
 cluster-mode momenta in ascending mode order; D columns follow the graph's
-measured-mode order.
+measured-mode order.  :func:`split_s0` and :func:`eliminate` are shared with
+the CZ-basis search kernel, so both paths judge degeneracy by one rule.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ __all__ = [
     "restrict",
     "noise_factors",
     "premeasurement_symplectic",
+    "split_s0",
+    "eliminate",
 ]
 
 RCOND_MIN = 1e-12
@@ -99,26 +105,53 @@ class GateResult:
         return doc
 
 
-def _angles_of(basis) -> Mapping[int, float]:
-    return basis.angles if isinstance(basis, BasisSetting) else basis
-
-
-def premeasurement_symplectic(graph, basis) -> np.ndarray:
-    """S_R S_BS S_CZ for the region, with output modes left unrotated."""
-    angles = _angles_of(basis)
+def premeasurement_symplectic(graph) -> np.ndarray:
+    """S0 = S_BS S_CZ for the region, before any homodyne basis rotation."""
     n = graph.n_modes
-    a = np.asarray(graph.adjacency, dtype=float)
-    s_cz = np.eye(2 * n)
-    s_cz[n:, :n] = a
-    s = s_cz
+    s = np.eye(2 * n)
+    s[n:, :n] = np.asarray(graph.adjacency, dtype=float)
     for i, j in graph.mixing_pairs:
         s = sp.embed(sp.beamsplitter(), [i, j], n) @ s
-    theta = np.zeros(n)
-    for m in graph.measured_modes:
-        theta[m] = angles[m]
-    c, si = np.cos(theta), np.sin(theta)
-    s_r = np.block([[np.diag(c), np.diag(si)], [np.diag(-si), np.diag(c)]])
-    return s_r @ s
+    return s
+
+
+def split_s0(graph):
+    """S0 cut into its measured x rows, measured p rows and output rows (xxpp).
+
+    All three blocks share the column order [cluster x | inputs (xxpp) |
+    cluster p]: the first k = len(measured_modes) columns are the quadratures
+    eliminated by the measurements.
+    """
+    n = graph.n_modes
+    inputs = list(graph.input_modes)
+    cluster = list(graph.cluster_modes)
+    measured = list(graph.measured_modes)
+    outputs = list(graph.output_modes)
+    if len(measured) != len(cluster):
+        raise ValueError(
+            f"ill-formed region: {len(measured)} measured modes cannot eliminate "
+            f"{len(cluster)} cluster quadratures")
+    cols = cluster + inputs + [n + i for i in inputs] + [n + m for m in cluster]
+    s0 = premeasurement_symplectic(graph)[:, cols]
+    return (s0[measured], s0[[n + m for m in measured]],
+            s0[outputs + [n + o for o in outputs]])
+
+
+def eliminate(meas: np.ndarray, out: np.ndarray):
+    """(M, rcond) with M = Z - Y U^-1 V for measured rows (U | V) and output
+    rows (Y | Z), both split after their first k = len(meas) columns.
+
+    Raises MeasurementDegenerateError when the reciprocal condition number
+    of U is below RCOND_MIN.
+    """
+    k = meas.shape[0]
+    u = meas[:, :k]
+    sv = np.linalg.svd(u, compute_uv=False)
+    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+    if rcond < RCOND_MIN:
+        raise MeasurementDegenerateError(
+            f"measurement basis is degenerate (rcond={rcond:.2e})")
+    return out[:, k:] - out[:, :k] @ np.linalg.solve(u, meas[:, k:]), rcond
 
 
 def reduce(graph, basis) -> GateResult:
@@ -126,48 +159,27 @@ def reduce(graph, basis) -> GateResult:
 
     ``basis`` must contain one angle per measured mode; output-mode angles are
     fixed at zero.  Raises MeasurementDegenerateError when the basis leaves
-    the elimination system singular (reciprocal condition number < 1e-12).
+    the elimination system singular (reciprocal condition number below
+    RCOND_MIN).
     """
-    angles = _angles_of(basis)
-    n = graph.n_modes
-    inputs = list(graph.input_modes)
+    angles = basis.angles if isinstance(basis, BasisSetting) else basis
     measured = list(graph.measured_modes)
-    outputs = list(graph.output_modes)
-    cluster = [m for m in range(n) if m not in set(inputs)]
     missing = [m for m in measured if m not in angles]
     if missing:
         raise ValueError(f"basis missing angles for measured modes {missing}")
-    if len(measured) != len(cluster):
-        raise ValueError(
-            f"ill-formed region: {len(measured)} measured modes cannot eliminate "
-            f"{len(cluster)} cluster quadratures")
-
-    s = premeasurement_symplectic(graph, angles)
-    meas_rows = s[measured, :]
-    out_rows = np.vstack([s[outputs, :], s[[n + o for o in outputs], :]])
-
-    anc_cols = cluster
-    in_cols = inputs + [n + i for i in inputs] + [n + m for m in cluster]
-    u = meas_rows[:, anc_cols]
-    v = meas_rows[:, in_cols]
-    y = out_rows[:, anc_cols]
-    z = out_rows[:, in_cols]
-
-    sv = np.linalg.svd(u, compute_uv=False)
-    rcond = 0.0 if sv[0] == 0 else float(sv[-1] / sv[0])
-    if rcond < RCOND_MIN:
-        raise MeasurementDegenerateError(
-            f"measurement basis is degenerate (rcond={rcond:.2e})")
-
-    m = z - y @ np.linalg.solve(u, v)
-    d = np.linalg.solve(u.T, y.T).T
-    k2 = 2 * len(inputs)
-    labels = getattr(graph, "labels", tuple(str(i) for i in range(n)))
+    s0x, s0p, out = split_s0(graph)
+    theta = np.array([angles[m] for m in measured], dtype=float).reshape(-1, 1)
+    meas = np.cos(theta) * s0x + np.sin(theta) * s0p
+    m, rcond = eliminate(meas, out)
+    k = len(measured)
+    d = np.linalg.solve(meas[:, :k].T, out[:, :k].T).T
+    k2 = 2 * len(graph.input_modes)
+    labels = getattr(graph, "labels", tuple(str(i) for i in range(graph.n_modes)))
     return GateResult(
         G=m[:, :k2],
         N=m[:, k2:],
         D=d,
-        contributing_modes=tuple(labels[m_] for m_ in cluster),
+        contributing_modes=tuple(labels[m_] for m_ in graph.cluster_modes),
         measured_labels=tuple(labels[m_] for m_ in measured),
         epsilon=getattr(graph, "epsilon", float("nan")),
         rcond=rcond,

@@ -181,7 +181,7 @@ def test_noise_curve_swap_gate(capsys):
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # the oracle (and with it scipy.signal) is imported by `verify` alone
+    # the oracle is imported by `verify` alone
     code = "import sys, cvmbqc.cli; print('scipy.signal' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], env=env,

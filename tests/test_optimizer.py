@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cvmbqc import gates, gkp
+from cvmbqc import _kernels, gates, gkp
 from cvmbqc import lattice as lat
 from cvmbqc import optimizer as opt
+from cvmbqc.errors import MeasurementDegenerateError
 from cvmbqc.reduction import reduce as reduce_region
 
 FAST = opt.OptimizerConfig(restarts=10, seed=2, weight_grid=(1e-8, 1e-3))
@@ -137,3 +138,28 @@ def test_variable_theta_c_beats_or_matches_fixed():
     assert var.accepted
     assert var.theta_c == pytest.approx(math.pi / 4, abs=0.6)
     assert var.perr <= fixed.perr * 1.0 + 1e-12
+
+
+def test_kernel_perr_matches_closed_form_qrl_at_25db():
+    # deep in the tail the kernel's perr keeps its digits: no cancellation
+    # against 1 and no clamp
+    r = lat.db_to_r(25.0)
+    frozen = opt._region("QRL", r)
+    _, perr = frozen.metrics(opt._warm_starts("QRL", r)[0])
+    closed = gkp.gate_error_probability(gates.qrl_cz_plan(r))
+    assert perr == pytest.approx(closed, rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [0.0, 1e-15, 1e-14, 1e-13, 1e-11])
+def test_kernel_and_reduce_agree_on_degeneracy(d):
+    r = 1.0
+    graph = lat.teleport_graph(math.tanh(2 * r))
+    frozen = opt.freeze_region(graph, np.eye(2), r)
+    angles = [0.3, 0.3 + d]
+    resid, _ = frozen.metrics(angles)
+    try:
+        reduce_region(graph, graph.full_basis(angles))
+        raised = False
+    except MeasurementDegenerateError:
+        raised = True
+    assert (resid == _kernels.BAD_VALUE) == raised

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -170,3 +173,22 @@ class TestWignerGrid:
         ff_var = 0.5 + 0.5 * graph.epsilon * noise_factors(res)
         assert cond.cov[0, 0] < ff_var[0]
         assert cond.cov[1, 1] < ff_var[1]
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_fft_convolution_matches_direct_same_mode(n):
+    rng = np.random.default_rng(n)
+    w = rng.normal(size=(n, n))
+    kern = rng.normal(size=n)
+    for axis in (0, 1):
+        direct = np.apply_along_axis(np.convolve, axis, w, kern, mode="same")
+        assert np.allclose(oracle._convolve_same(w, kern, axis), direct,
+                           rtol=0, atol=1e-12)
+
+
+def test_oracle_import_leaves_scipy_unloaded():
+    code = "import sys, cvmbqc.oracle; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oracle.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
