@@ -31,8 +31,10 @@ def reduce_metrics(x, frozen):
     (M o M) w with the frozen per-column weights (delta through real inputs,
     vacuum 1/2 through dummies, eps/2 through cluster momenta), and perr is
     :func:`gkp.error_probability` of them.  A basis whose elimination block
-    has rcond below ``reduction.RCOND_MIN``, the rule ``reduce()`` applies,
-    gives ``(BAD_VALUE, 1.0)``.
+    has an SVD rcond below ``reduction.RCOND_MIN``, the rule ``reduce()``
+    applies, gives ``(BAD_VALUE, 1.0)``; ``eliminate`` computes that SVD only
+    for the rare basis that its Frobenius bound on rcond cannot accept, so a
+    typical evaluation costs one LU solve and no SVD.
     """
     theta = (frozen.theta_base + frozen.a_map @ x).reshape(-1, 1)
     try:
@@ -69,10 +71,7 @@ def nelder_mead(f, x0, step, maxiter, ftol):
         fval = fval[order]
         if fval[-1] - fval[0] < ftol:
             break
-        centroid = np.zeros(ndim)
-        for p in sim[:-1]:
-            centroid += p
-        centroid /= npts - 1
+        centroid = sim[:-1].sum(axis=0) / (npts - 1)
 
         xr = centroid + (centroid - sim[-1])
         fr = f(xr)

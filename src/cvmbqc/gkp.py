@@ -35,14 +35,13 @@ def propagate_spikes(G: np.ndarray, sigma2, delta: float) -> np.ndarray:
 
 def error_probability(delta_prime, delta: float) -> float:
     """Probability that at least one of the 2n quadrature corrections misbins."""
-    delta_prime = np.asarray(delta_prime, dtype=float)
-    total = delta_prime + delta
-    if np.any(total <= 0):
-        raise ValueError("spike variances must be positive")
+    total = np.asarray(delta_prime, dtype=float) + delta
     # 1 - prod(erf) as -expm1(sum log1p(-erfc)): small probabilities keep
     # their digits instead of cancelling against 1 at high squeezing
     log_ok = 0.0
-    for v in total:
+    for v in total.tolist():
+        if v <= 0:
+            raise ValueError("spike variances must be positive")
         log_ok += math.log1p(-math.erfc(SQRT_PI / (2.0 * math.sqrt(2.0 * v))))
     return -math.expm1(log_ok)
 

@@ -11,7 +11,7 @@ lexicographic angle order as tie-breakers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,9 +49,16 @@ class OptimizerConfig:
     def __post_init__(self):
         if not self.weight_grid or any(w <= 0 for w in self.weight_grid):
             raise ValueError("weight grid must be nonempty and positive")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerConfig":
+        if not isinstance(d, dict):
+            raise ValueError("optimizer config must be a JSON object")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown optimizer config keys: {', '.join(unknown)}")
         return cls(**{k: (tuple(v) if k == "weight_grid" else v) for k, v in d.items()})
 
 

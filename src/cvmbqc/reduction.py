@@ -14,7 +14,10 @@ where q_in stacks the input-mode quadratures (xxpp) followed by the p
 quadratures of all cluster modes.  The N columns therefore correspond to the
 cluster-mode momenta in ascending mode order; D columns follow the graph's
 measured-mode order.  :func:`split_s0` and :func:`eliminate` are shared with
-the CZ-basis search kernel, so both paths judge degeneracy by one rule.
+the CZ-basis search kernel, so both paths judge degeneracy by one rule: a
+basis is rejected when the SVD reciprocal condition number of U is below
+RCOND_MIN.  :func:`eliminate` takes U^-1 V and U^-1 from one solve and runs
+the SVD only when the cheaper Frobenius bound on rcond cannot accept U.
 """
 
 from __future__ import annotations
@@ -41,6 +44,13 @@ __all__ = [
 ]
 
 RCOND_MIN = 1e-12
+# 1/(|U|_F |U^-1|_F) never exceeds the SVD rcond.  eliminate() accepts a
+# basis without an SVD when that bound is at least 100 RCOND_MIN, that is
+# when |U|_F^2 |U^-1|_F^2 is at most this.
+_MAX_NORM_PRODUCT_SQ = 1.0 / (100.0 * RCOND_MIN) ** 2
+# The balanced beam splitter acts by this 2x2 block on the x and on the p
+# quadratures of its pair.
+_BS = sp.beamsplitter()[:2, :2]
 
 
 @dataclass(frozen=True)
@@ -106,12 +116,16 @@ class GateResult:
 
 
 def premeasurement_symplectic(graph) -> np.ndarray:
-    """S0 = S_BS S_CZ for the region, before any homodyne basis rotation."""
+    """S0 = S_BS S_CZ for the region, before any homodyne basis rotation.
+
+    Each beam splitter mixes only the x rows and the p rows of its pair, so it
+    is applied as a 2x2 block to those rows, in mixing order."""
     n = graph.n_modes
     s = np.eye(2 * n)
     s[n:, :n] = np.asarray(graph.adjacency, dtype=float)
     for i, j in graph.mixing_pairs:
-        s = sp.embed(sp.beamsplitter(), [i, j], n) @ s
+        for rows in ([i, j], [n + i, n + j]):
+            s[rows] = _BS @ s[rows]
     return s
 
 
@@ -137,21 +151,42 @@ def split_s0(graph):
             s0[outputs + [n + o for o in outputs]])
 
 
-def eliminate(meas: np.ndarray, out: np.ndarray):
-    """(M, rcond) with M = Z - Y U^-1 V for measured rows (U | V) and output
-    rows (Y | Z), both split after their first k = len(meas) columns.
-
-    Raises MeasurementDegenerateError when the reciprocal condition number
-    of U is below RCOND_MIN.
-    """
-    k = meas.shape[0]
-    u = meas[:, :k]
+def _rcond(u: np.ndarray) -> float:
+    """SVD reciprocal condition number sigma_min / sigma_max (0 if U = 0)."""
     sv = np.linalg.svd(u, compute_uv=False)
-    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+    return float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+
+
+def _require_rcond(u: np.ndarray) -> None:
+    rcond = _rcond(u)
     if rcond < RCOND_MIN:
         raise MeasurementDegenerateError(
             f"measurement basis is degenerate (rcond={rcond:.2e})")
-    return out[:, k:] - out[:, :k] @ np.linalg.solve(u, meas[:, k:]), rcond
+
+
+def eliminate(meas: np.ndarray, out: np.ndarray):
+    """(M, U^-1) with M = Z - Y U^-1 V for measured rows (U | V) and output
+    rows (Y | Z), both split after their first k = len(meas) columns.
+
+    One solve against [V | I] gives U^-1 V and U^-1 together.  Raises
+    MeasurementDegenerateError when the SVD reciprocal condition number of U
+    is below RCOND_MIN.  The SVD runs only when the lower bound
+    1/(|U|_F |U^-1|_F) on that rcond is below 100 RCOND_MIN, not finite, or
+    U is exactly singular.
+    """
+    k = meas.shape[0]
+    u = meas[:, :k]
+    try:
+        sol = np.linalg.solve(u, np.hstack([meas[:, k:], np.eye(k)]))
+    except np.linalg.LinAlgError:
+        _require_rcond(u)
+        raise
+    u_inv = sol[:, -k:]
+    # Python floats overflow to inf without a numpy warning; "not <=" also
+    # sends a NaN bound to the SVD
+    if not float(np.vdot(u, u)) * float(np.vdot(u_inv, u_inv)) <= _MAX_NORM_PRODUCT_SQ:
+        _require_rcond(u)
+    return out[:, k:] - out[:, :k] @ sol[:, :-k], u_inv
 
 
 def reduce(graph, basis) -> GateResult:
@@ -170,9 +205,9 @@ def reduce(graph, basis) -> GateResult:
     s0x, s0p, out = split_s0(graph)
     theta = np.array([angles[m] for m in measured], dtype=float).reshape(-1, 1)
     meas = np.cos(theta) * s0x + np.sin(theta) * s0p
-    m, rcond = eliminate(meas, out)
+    m, u_inv = eliminate(meas, out)
     k = len(measured)
-    d = np.linalg.solve(meas[:, :k].T, out[:, :k].T).T
+    d = out[:, :k] @ u_inv
     k2 = 2 * len(graph.input_modes)
     labels = getattr(graph, "labels", tuple(str(i) for i in range(graph.n_modes)))
     return GateResult(
@@ -182,7 +217,7 @@ def reduce(graph, basis) -> GateResult:
         contributing_modes=tuple(labels[m_] for m_ in graph.cluster_modes),
         measured_labels=tuple(labels[m_] for m_ in measured),
         epsilon=getattr(graph, "epsilon", float("nan")),
-        rcond=rcond,
+        rcond=_rcond(meas[:, :k]),
     )
 
 

@@ -116,6 +116,23 @@ def test_optimize_writes_table_and_error_curve_consumes_it(capsys, tmp_path, mon
     assert len(vals) == 1 and 0 < vals[0] < 1
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"weight_grd": [1e-4]}, "unknown optimizer config keys: weight_grd"),
+    ({"restarts": 0}, "restarts must be at least 1"),
+    ([1e-4], "must be a JSON object"),
+])
+def test_optimize_bad_config_is_usage_error(capsys, tmp_path, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    table = tmp_path / "table.json"
+    code, _, err = run_cli(["optimize", "--lattice", "MBSL", "--db-min", "15",
+                            "--db-max", "15", "--db-step", "1",
+                            "--config", str(cfg), "--out", str(table)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert message in err
+    assert not table.exists()
+
+
 def test_csv_outputs_are_byte_stable(capsys):
     args = ["noise-curve", "--lattice", "MBSL", "--gate", "I", "P1",
             "--db-min", "4", "--db-max", "8", "--db-step", "2"]

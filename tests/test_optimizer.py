@@ -6,6 +6,7 @@ import pytest
 from cvmbqc import _kernels, gates, gkp
 from cvmbqc import lattice as lat
 from cvmbqc import optimizer as opt
+from cvmbqc import reduction as red
 from cvmbqc.errors import MeasurementDegenerateError
 from cvmbqc.reduction import reduce as reduce_region
 
@@ -21,6 +22,10 @@ def test_config_validation():
     assert cfg.restarts == 7
     assert cfg.weight_grid == (1e-4, 1.0)
     assert cfg.residual_tol == 1e-5
+    with pytest.raises(ValueError, match="restarts"):
+        opt.OptimizerConfig(restarts=0)
+    with pytest.raises(ValueError, match="unknown optimizer config keys: rounds_, weight_grd"):
+        opt.OptimizerConfig.from_dict({"weight_grd": [1e-4], "rounds_": 2, "seed": 1})
 
 
 def test_objective_value_and_degeneracy():
@@ -150,7 +155,7 @@ def test_kernel_perr_matches_closed_form_qrl_at_25db():
     assert perr == pytest.approx(closed, rel=1e-9)
 
 
-@pytest.mark.parametrize("d", [0.0, 1e-15, 1e-14, 1e-13, 1e-11])
+@pytest.mark.parametrize("d", [0.0, 1e-15, 1e-14, 1e-13, 1e-11, 1e-10, 1e-9])
 def test_kernel_and_reduce_agree_on_degeneracy(d):
     r = 1.0
     graph = lat.teleport_graph(math.tanh(2 * r))
@@ -163,3 +168,31 @@ def test_kernel_and_reduce_agree_on_degeneracy(d):
     except MeasurementDegenerateError:
         raised = True
     assert (resid == _kernels.BAD_VALUE) == raised
+
+
+@pytest.mark.parametrize("d, degenerate", [(3e-12, True), (1e-10, False), (1e-8, False)])
+def test_nearly_parallel_cz_rows_follow_the_svd_rule(d, degenerate):
+    # free angles 0 and 1 measure DBSL CZ modes 2 and 0, the two outputs of
+    # one beam splitter: at equal angles their measured rows are parallel
+    # and rcond grows about linearly with the difference d.  d = 1e-10 sits
+    # between RCOND_MIN and the margin of the Frobenius bound, where only the
+    # SVD can accept the basis.
+    r = lat.db_to_r(15.0)
+    frozen = opt._region("DBSL", r)
+    x = np.random.default_rng(5).uniform(-math.pi, math.pi, frozen.n_free)
+    x[1] = x[0] + d
+    theta = frozen.theta_base + frozen.a_map @ x
+    k = len(theta)
+    u = (np.cos(theta)[:, None] * frozen.s0x + np.sin(theta)[:, None] * frozen.s0p)[:, :k]
+    sv = np.linalg.svd(u, compute_uv=False)
+    assert (sv[-1] / sv[0] < red.RCOND_MIN) == degenerate
+    if d == 1e-10:
+        assert sv[-1] / sv[0] < 100 * red.RCOND_MIN
+    resid, _ = frozen.metrics(x)
+    assert (resid == _kernels.BAD_VALUE) == degenerate
+    basis = dict(zip(frozen.graph.measured_modes, theta))
+    if degenerate:
+        with pytest.raises(MeasurementDegenerateError):
+            reduce_region(frozen.graph, basis)
+    else:
+        assert reduce_region(frozen.graph, basis).rcond >= red.RCOND_MIN

@@ -324,3 +324,38 @@ def test_gate_result_json_roundtrip():
     assert np.allclose(np.array(doc["N"]), res.N)
     assert np.allclose(np.array(doc["D"]), res.D)
     assert doc["basis"]["0"] == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("lattice", ["DBSL", "BSL", "MBSL", "QRL"])
+@pytest.mark.parametrize("db", [0.25, 7.0, 25.0])
+def test_premeasurement_symplectic_matches_dense_product(lattice, db):
+    # the row-operation assembly equals the product of embedded 2n x 2n beam
+    # splitters bit for bit, so every reduction is unchanged by it
+    params = lat.LatticeParams.from_r(lattice, lat.db_to_r(db))
+    graphs = [lat.single_step_graph(params, parity=0),
+              lat.single_step_graph(params, parity=1),
+              lat.cz_region_graph(params)]
+    for graph in graphs:
+        n = graph.n_modes
+        dense = np.eye(2 * n)
+        dense[n:, :n] = np.asarray(graph.adjacency, dtype=float)
+        for i, j in graph.mixing_pairs:
+            dense = sp.embed(sp.beamsplitter(), [i, j], n) @ dense
+        assert np.array_equal(red.premeasurement_symplectic(graph), dense)
+
+
+@pytest.mark.parametrize("tiny, degenerate", [(0.0, True), (1e-310, True), (1e-300, True),
+                                              (1e-13, True), (1e-11, False), (1e-9, False)])
+def test_eliminate_degeneracy_at_extreme_scales(tiny, degenerate):
+    # U = diag(tiny, 1) has rcond = tiny; the norm bound overflows for the
+    # smallest values and must hand them to the SVD without a warning
+    u = np.diag([tiny, 1.0])
+    meas = np.hstack([u, np.ones((2, 2))])
+    out = np.ones((2, 4))
+    if degenerate:
+        with pytest.raises(MeasurementDegenerateError):
+            red.eliminate(meas, out)
+    else:
+        m, u_inv = red.eliminate(meas, out)
+        assert np.array_equal(u_inv, np.diag([1.0 / tiny, 1.0]))
+        assert np.array_equal(m, out[:, 2:] - out[:, :2] @ np.linalg.solve(u, meas[:, 2:]))
