@@ -177,8 +177,8 @@ def generate_thetac(path):
             warm.append(np.append(np.array(fixed[db]["angles"]), np.pi / 4))
         if db in results and results[db].accepted:
             warm.append(np.append(results[db].angles, results[db].theta_c))
-        return optimizer.variable_theta_c_search("DBSL", lat.db_to_r(db), cfg,
-                                                 warm_starts=warm)
+        return optimizer.cz_search("DBSL", lat.db_to_r(db), cfg, warm_starts=warm,
+                                   variable_theta_c=True)
 
     return run_section(path, "DBSL", True, THETAC_GRID, THETAC_SCHEDULE, solve)
 

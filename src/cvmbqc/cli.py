@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import json
 import math
 import sys
@@ -28,6 +30,8 @@ GATES = ("I", "F", "P1", "FFCZ")
 
 
 def _db_grid(args):
+    if not (math.isfinite(args.db_step) and args.db_step > 0):
+        raise ValueError(f"--db-step must be positive and finite, got {args.db_step:g}")
     n = int(round((args.db_max - args.db_min) / args.db_step))
     grid = [args.db_min + i * args.db_step for i in range(n + 1)]
     if not grid or grid[-1] > args.db_max + 1e-9:
@@ -55,9 +59,10 @@ def _write_csv(path, header, rows):
 
 
 def _plan_for(lattice, gate, db, table):
+    """``table()`` loads the basis table; only non-QRL FFCZ plans call it."""
     r = lat.db_to_r(db)
     if gate == "FFCZ":
-        return gates.cz_plan(lattice, db, table=table)
+        return gates.cz_plan(lattice, db, table=None if lattice == "QRL" else table())
     if gate == "SWAP":
         if lattice != "DBSL":
             raise ValueError("the swap-gate cost analysis is a DBSL plan")
@@ -67,7 +72,7 @@ def _plan_for(lattice, gate, db, table):
 
 def cmd_noise_curve(args) -> int:
     grid = _db_grid(args)
-    table = None
+    table = functools.cache(gates.load_basis_table)
     rows = []
     for db in grid:
         r = lat.db_to_r(db)
@@ -76,9 +81,6 @@ def cmd_noise_curve(args) -> int:
         rows.append(["reference", "effective", _fmt(db), "p", _fmt(eff)])
         for lattice in args.lattice:
             for gate in args.gate:
-                if gate == "FFCZ" and lattice != "QRL":
-                    if table is None:
-                        table = gates.load_basis_table()
                 plan = _plan_for(lattice, gate, db, table)
                 sigma2 = noise_factors(gates.realize(plan)) * lat.effective_epsilon(r) / 2.0
                 names = (["x", "p"] if len(sigma2) == 2 else ["x1", "x2", "p1", "p2"])
@@ -93,7 +95,7 @@ def cmd_noise_curve(args) -> int:
 
 def cmd_error_curve(args) -> int:
     grid = _db_grid(args)
-    table = None
+    table = functools.cache(gates.load_basis_table)
     rows = []
     for db in grid:
         r = lat.db_to_r(db)
@@ -103,9 +105,6 @@ def cmd_error_curve(args) -> int:
         rows.append(["baseline", "FFCZ", _fmt(db), _fmt_perr(baseline)])
         for lattice in args.lattice:
             for gate in args.gate:
-                if gate == "FFCZ" and lattice != "QRL":
-                    if table is None:
-                        table = gates.load_basis_table()
                 plan = _plan_for(lattice, gate, db, table)
                 rows.append([lattice, gate, _fmt(db),
                              _fmt_perr(gkp.gate_error_probability(plan))])
@@ -131,13 +130,12 @@ def cmd_compare(args) -> int:
 
 def cmd_optimize(args) -> int:
     grid = _db_grid(args)
+    cfg = optimizer.OptimizerConfig()
     if args.config:
         with open(args.config) as fh:
             cfg = optimizer.OptimizerConfig.from_dict(json.load(fh))
-    else:
-        cfg = optimizer.OptimizerConfig()
     if args.seed is not None:
-        cfg = optimizer.OptimizerConfig(**{**cfg.__dict__, "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     try:
         table = gates.load_basis_table(args.out)
     except CacheMissError:
@@ -149,10 +147,9 @@ def cmd_optimize(args) -> int:
     warm = []
     for db in grid:
         r = lat.db_to_r(db)
-        run = optimizer.variable_theta_c_search if args.variable_theta_c \
-            else optimizer.cz_search
         try:
-            res = run(args.lattice, r, cfg, warm_starts=warm)
+            res = optimizer.cz_search(args.lattice, r, cfg, warm_starts=warm,
+                                      variable_theta_c=args.variable_theta_c)
         except ValueError as exc:
             print(f"{args.lattice} {db:g} dB: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -252,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="optimize CZ bases and update the cache")
     p.add_argument("--lattice", required=True, choices=("DBSL", "BSL", "MBSL", "QRL"))
     _add_grid_args(p, db_min=15.0, db_max=15.0, db_step=0.5)
-    p.add_argument("--config", help="JSON file with OptimizerConfig fields")
+    p.add_argument("--config", help="JSON object with any of the optimizer keys "
+                   "restarts, weight_grid, seed")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--variable-theta-c", action="store_true")
     p.add_argument("--out", default=None,

@@ -78,8 +78,6 @@ class GatePlan:
     target: np.ndarray
     byproduct: np.ndarray | None = None
     parity: int = 0
-    expected_residual: float | None = None
-    expected_perr: float | None = None
 
 
 def realize(plan: GatePlan) -> GateResult:
@@ -101,8 +99,10 @@ def realize(plan: GatePlan) -> GateResult:
     return combined
 
 
-def _fourier_power(n: int) -> np.ndarray:
-    return sp.rotation(n * math.pi / 2)
+def _fourier_byproduct(n: int, m: int) -> np.ndarray:
+    """The two-mode Fourier byproduct F^n (+) F^m."""
+    return (sp.embed(sp.rotation(n * math.pi / 2), [0], 2)
+            @ sp.embed(sp.rotation(m * math.pi / 2), [1], 2))
 
 
 def target_symplectic(gate_id: str, signs=(1, 1)) -> np.ndarray:
@@ -117,9 +117,7 @@ def target_symplectic(gate_id: str, signs=(1, 1)) -> np.ndarray:
     if gate_id == "CZ":
         return sp.cz(1.0)
     if gate_id == "FFCZ":
-        n, m = signs
-        ff = sp.embed(_fourier_power(n), [0], 2) @ sp.embed(_fourier_power(m), [1], 2)
-        return ff @ sp.cz(1.0)
+        return _fourier_byproduct(*signs) @ sp.cz(1.0)
     if gate_id == "SWAP":
         x = np.zeros((4, 4))
         x[0, 1] = x[1, 0] = x[2, 3] = x[3, 2] = 1.0
@@ -237,10 +235,9 @@ def qrl_cz_plan(r: float) -> GatePlan:
         PlanTrack(lat.single_step_graph(params), comp, out_keep=(1,), in_keep=(1,)),
         PlanTrack(lat.single_step_graph(params), comp, out_keep=(0,), in_keep=(0,)),
     ))
-    n, m = FFCZ_EXPONENTS[("QRL", 0)]
-    byproduct = sp.embed(_fourier_power(n), [0], 2) @ sp.embed(_fourier_power(m), [1], 2)
+    nm = FFCZ_EXPONENTS[("QRL", 0)]
     return GatePlan("QRL", "FFCZ", r, (step1, step2),
-                    target_symplectic("FFCZ", (n, m)), byproduct=byproduct)
+                    target_symplectic("FFCZ", nm), byproduct=_fourier_byproduct(*nm))
 
 
 DBSL_SWAP_FREE_ANGLES = (math.pi / 4, -math.pi / 4, math.pi / 4, -math.pi / 4,
@@ -252,7 +249,7 @@ def dbsl_swap_plan(r: float) -> GatePlan:
     params = lat.LatticeParams.from_r("DBSL", r)
     graph = lat.cz_region_graph(params, parity=0)
     angles = graph.full_basis(DBSL_SWAP_FREE_ANGLES)
-    byproduct = sp.embed(_fourier_power(1), [0], 2) @ sp.embed(_fourier_power(1), [1], 2)
+    byproduct = _fourier_byproduct(1, 1)
     return GatePlan("DBSL", "SWAP", r, (PlanStep((PlanTrack(graph, angles),)),),
                     byproduct @ target_symplectic("SWAP"), byproduct=byproduct)
 
@@ -317,11 +314,10 @@ def cz_plan(lattice: str, db: float, parity: int = 0, table: dict | None = None,
             BSL_FLIP_POSITIONS if lattice == "BSL" else ())
         for i in flips:
             free[i] = -free[i]
-    n, m = FFCZ_EXPONENTS[(lattice, parity)]
-    byproduct = sp.embed(_fourier_power(n), [0], 2) @ sp.embed(_fourier_power(m), [1], 2)
+    nm = FFCZ_EXPONENTS[(lattice, parity)]
     return GatePlan(lattice, "FFCZ", r, (PlanStep((PlanTrack(graph, graph.full_basis(free)),)),),
-                    target_symplectic("FFCZ", (n, m)), byproduct=byproduct, parity=parity,
-                    expected_residual=row.get("residual"), expected_perr=row.get("perr"))
+                    target_symplectic("FFCZ", nm), byproduct=_fourier_byproduct(*nm),
+                    parity=parity)
 
 
 def iter_catalog(r: float):

@@ -2,15 +2,17 @@
 gate-residual / log-error-probability objective over the measured-mode angles.
 
 The search is a multistart derivative-free simplex descent over the region's
-free angles, repeated over a log-spaced grid of error-probability weights.
+free angles, repeated over a log-spaced grid of error-probability weights;
+:class:`OptimizerConfig` sets ``restarts``, ``weight_grid`` and ``seed``.
 Accepted solutions must implement the target to an entrywise 1-norm below
-1e-5; among those the lowest error probability wins, with residual and then
-lexicographic angle order as tie-breakers.
+:data:`RESIDUAL_TOL`; among those the lowest error probability wins, with
+residual and then lexicographic angle order as tie-breakers.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -23,34 +25,52 @@ from .reduction import noise_factors, restrict, split_s0
 from .reduction import reduce as reduce_region
 
 __all__ = ["OptimizerConfig", "OptResult", "FrozenRegion", "freeze_region",
-           "objective", "search", "cz_search", "variable_theta_c_search",
-           "evaluate_free_angles"]
+           "search", "cz_search", "evaluate_free_angles", "RESIDUAL_TOL"]
 
 DEFAULT_WEIGHTS = (1e-8, 1e-6, 1e-4, 1e-2, 1.0)
+
+# Acceptance: a solution implements the target when |G - T|_1 (plus any
+# dummy-input leakage) is below this; the basis table ships only such rows.
+RESIDUAL_TOL = 1e-5
+
+# Local descent: simplex re-initialization rounds k = 0, 1, ... at step
+# _STEP / 2**k and the search weight, then polish rounds from _POLISH_STEP at
+# the smallest weight; each simplex stops at _LOCAL_TOL or _MAX_EVALS.
+_STEP = 0.35
+_ROUNDS = 3
+_POLISH_STEP = 0.05
+_POLISH_ROUNDS = 2
+_LOCAL_TOL = 1e-13
+_MAX_EVALS = 20000
 
 # Every CZ region compares these outputs against the target and carries
 # encoded states on these inputs; the QRL region's further inputs are dummies.
 _KEEP = (0, 1)
 
 
+def _is_number(v, kind=numbers.Real) -> bool:
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     weight_grid: tuple = DEFAULT_WEIGHTS
     restarts: int = 200
-    residual_tol: float = 1e-5
-    local_tol: float = 1e-13
-    max_evals: int = 20000
     seed: int = 0
-    step: float = 0.35
-    rounds: int = 3          # simplex re-initializations per weighted descent
-    polish_rounds: int = 2   # final small-step rounds at the smallest weight
-    polish_step: float = 0.05
 
     def __post_init__(self):
-        if not self.weight_grid or any(w <= 0 for w in self.weight_grid):
-            raise ValueError("weight grid must be nonempty and positive")
+        grid = self.weight_grid
+        if not (isinstance(grid, (list, tuple)) and grid
+                and all(_is_number(w) and 0 < w < math.inf for w in grid)):
+            raise ValueError("weight_grid must be a nonempty list of finite positive "
+                             f"weights, got {grid!r}")
+        object.__setattr__(self, "weight_grid", tuple(grid))
+        if not _is_number(self.restarts, numbers.Integral):
+            raise ValueError(f"restarts must be an integer, got {self.restarts!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if not _is_number(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerConfig":
@@ -59,7 +79,7 @@ class OptimizerConfig:
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown optimizer config keys: {', '.join(unknown)}")
-        return cls(**{k: (tuple(v) if k == "weight_grid" else v) for k, v in d.items()})
+        return cls(**d)
 
 
 @dataclass
@@ -171,30 +191,18 @@ def freeze_region(graph, target, r, out_sel=None, in_real=None,
                         s0x[:, cols], s0p[:, cols], out[rows][:, cols])
 
 
-def objective(angles, graph, target, w: float, r: float, out_sel=None,
-              in_real=None) -> float:
-    """f = |G - T|_1 + w log P_err; +inf at measurement-degenerate bases."""
-    frozen = freeze_region(graph, target, r, out_sel=out_sel, in_real=in_real)
-    f = frozen.objective(w)(np.asarray(angles, dtype=float))
-    return math.inf if f >= _kernels.BAD_VALUE else f
-
-
 def _wrap(x):
     return (np.asarray(x) + math.pi) % (2 * math.pi) - math.pi
 
 
-def _local_descent(frozen: FrozenRegion, x0, w: float, config: OptimizerConfig):
+def _local_descent(frozen: FrozenRegion, x0, w: float, w_polish: float):
     """Simplex descent with re-initialization rounds, then a feasibility
-    polish at the smallest weight (nearly pure gate residual)."""
+    polish at the smallest weight ``w_polish`` (nearly pure gate residual)."""
     x = np.asarray(x0, dtype=float)
-    f = frozen.objective(w)
-    for rd in range(config.rounds):
-        x, _, _ = _kernels.nelder_mead(f, x, config.step / 2.0 ** rd,
-                                       config.max_evals, config.local_tol)
-    f = frozen.objective(min(config.weight_grid))
-    for rd in range(config.polish_rounds):
-        x, _, _ = _kernels.nelder_mead(f, x, config.polish_step / 2.0 ** rd,
-                                       config.max_evals, config.local_tol)
+    for weight, step, rounds in ((w, _STEP, _ROUNDS), (w_polish, _POLISH_STEP, _POLISH_ROUNDS)):
+        f = frozen.objective(weight)
+        for rd in range(rounds):
+            x, _, _ = _kernels.nelder_mead(f, x, step / 2.0 ** rd, _MAX_EVALS, _LOCAL_TOL)
     return x
 
 
@@ -225,7 +233,7 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
         nonlocal best, best_rejected
         resid, perr = frozen.metrics(x)
         key = (perr, resid, tuple(_wrap(x)))
-        if resid < config.residual_tol:
+        if resid < RESIDUAL_TOL:
             if best is None or key < best:
                 best = key
         elif best_rejected is None or (resid, perr) < best_rejected[:2]:
@@ -233,9 +241,10 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
 
     for x0 in starts[:len(warm_starts)]:
         score(x0)
+    w_polish = min(config.weight_grid)
     for w in config.weight_grid:
         for x0 in starts:
-            score(_local_descent(frozen, x0, w, config))
+            score(_local_descent(frozen, x0, w, w_polish))
 
     used = len(starts)
     if best is not None:
@@ -305,28 +314,24 @@ def _crosscheck(res: OptResult, lattice: str, r: float) -> None:
             f"residual {res.residual} vs {resid}, perr {res.perr} vs {perr}")
 
 
-def cz_search(lattice: str, r: float, config: OptimizerConfig,
-              warm_starts=()) -> OptResult:
-    """Optimize the Fourier-CZ basis on one lattice at squeezing r."""
-    frozen = _region(lattice, r)
-    res = search(frozen, config, warm_starts=_warm_starts(lattice, r, warm_starts))
-    _crosscheck(res, lattice, r)
-    return res
+def cz_search(lattice: str, r: float, config: OptimizerConfig, warm_starts=(),
+              variable_theta_c: bool = False) -> OptResult:
+    """Optimize the Fourier-CZ basis on one lattice at squeezing r.
 
-
-def variable_theta_c_search(lattice: str, r: float, config: OptimizerConfig,
-                            warm_starts=()) -> OptResult:
-    """Optimize the Fourier-CZ basis with the control basis theta_c free."""
-    if lattice != "DBSL":
+    With ``variable_theta_c`` the DBSL control basis theta_c is a further
+    free angle, returned in ``theta_c``; warm starts without it start at
+    theta_c = pi/4.
+    """
+    if variable_theta_c and lattice != "DBSL":
         raise ValueError("variable theta_c optimization targets the DBSL region")
-    frozen = _region(lattice, r, variable_theta_c=True)
-    starts = []
-    for w in _warm_starts(lattice, r, warm_starts):
-        if len(w) == frozen.n_free - 1:
-            w = np.append(w, math.pi / 4)
-        starts.append(w)
+    frozen = _region(lattice, r, variable_theta_c)
+    starts = _warm_starts(lattice, r, warm_starts)
+    if variable_theta_c:
+        starts = [np.append(w, math.pi / 4) if len(w) == frozen.n_free - 1 else w
+                  for w in starts]
     res = search(frozen, config, warm_starts=starts)
-    res.theta_c = float(res.angles[-1])
-    res.angles = res.angles[:-1]
+    if variable_theta_c:
+        res.theta_c = float(res.angles[-1])
+        res.angles = res.angles[:-1]
     _crosscheck(res, lattice, r)
     return res

@@ -71,6 +71,17 @@ def test_usage_error_exit_code(capsys):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("command, step", [
+    (["noise-curve"], "0"), (["error-curve"], "0"), (["compare"], "0"),
+    (["optimize", "--lattice", "DBSL"], "0"), (["noise-curve"], "-0.5"),
+    (["noise-curve"], "nan"), (["noise-curve"], "inf"),
+])
+def test_nonpositive_db_step_is_usage_error(capsys, command, step):
+    code, _, err = run_cli(command + ["--db-step", step], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "--db-step must be positive and finite" in err
+
+
 def test_unknown_lattice_is_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["noise-curve", "--lattice", "SQUARE"])
@@ -120,6 +131,14 @@ def test_optimize_writes_table_and_error_curve_consumes_it(capsys, tmp_path, mon
     ({"weight_grd": [1e-4]}, "unknown optimizer config keys: weight_grd"),
     ({"restarts": 0}, "restarts must be at least 1"),
     ([1e-4], "must be a JSON object"),
+    ({"restarts": "8"}, "restarts must be an integer"),
+    ({"restarts": 2.5}, "restarts must be an integer"),
+    ({"restarts": True}, "restarts must be an integer"),
+    ({"weight_grid": 5}, "weight_grid must be a nonempty list"),
+    ({"weight_grid": [1e-4, math.inf]}, "weight_grid must be a nonempty list"),
+    ({"weight_grid": [math.nan]}, "weight_grid must be a nonempty list"),
+    ({"seed": "x"}, "seed must be a non-negative integer"),
+    ({"step": 0.1}, "unknown optimizer config keys: step"),
 ])
 def test_optimize_bad_config_is_usage_error(capsys, tmp_path, doc, message):
     cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ def test_config_validation():
     cfg = opt.OptimizerConfig.from_dict({"restarts": 7, "weight_grid": [1e-4, 1.0]})
     assert cfg.restarts == 7
     assert cfg.weight_grid == (1e-4, 1.0)
-    assert cfg.residual_tol == 1e-5
+    assert opt.RESIDUAL_TOL == 1e-5
+    assert [f.name for f in fields(opt.OptimizerConfig)] == ["weight_grid", "restarts", "seed"]
     with pytest.raises(ValueError, match="restarts"):
         opt.OptimizerConfig(restarts=0)
     with pytest.raises(ValueError, match="unknown optimizer config keys: rounds_, weight_grd"):
@@ -30,21 +32,19 @@ def test_config_validation():
 
 def test_objective_value_and_degeneracy():
     r = 1.0
-    params = lat.LatticeParams.from_r("TELEPORT", r) if False else None
     graph = lat.teleport_graph(math.tanh(2 * r))
-    target = np.eye(2)
     tm = 2 * math.atan(1 / math.tanh(2 * r))
-    exact = [tm / 2, -tm / 2]
+    exact = np.array([tm / 2, -tm / 2])
     w = 1e-3
-    f = opt.objective(exact, graph, target, w, r)
-    frozen = opt.freeze_region(graph, target, r)
+    frozen = opt.freeze_region(graph, np.eye(2), r)
+    f = frozen.objective(w)
     resid, perr = frozen.metrics(exact)
     assert resid < 1e-12
-    assert f == pytest.approx(w * math.log(perr), rel=1e-9)
+    assert f(exact) == pytest.approx(w * math.log(perr), rel=1e-9)
     # perturbing one angle raises the first term above zero
-    assert opt.objective([exact[0] + 1e-3, exact[1]], graph, target, w, r) > f
+    assert f(np.array([exact[0] + 1e-3, exact[1]])) > f(exact)
     # degenerate basis (theta1 = theta2) is infeasible, not an exception
-    assert opt.objective([0.3, 0.3], graph, target, w, r) == math.inf
+    assert f(np.array([0.3, 0.3])) == _kernels.BAD_VALUE
 
 
 def test_kernel_matches_reference_reduction():
@@ -137,9 +137,10 @@ def test_variable_theta_c_beats_or_matches_fixed():
     r = lat.db_to_r(15.0)
     fixed = opt.cz_search("DBSL", r, opt.OptimizerConfig(restarts=12, seed=7,
                                                          weight_grid=(1e-8, 1e-3)))
-    var = opt.variable_theta_c_search(
+    var = opt.cz_search(
         "DBSL", r, opt.OptimizerConfig(restarts=12, seed=7, weight_grid=(1e-8, 1e-3)),
-        warm_starts=[np.array(list(fixed.angles))] if fixed.accepted else ())
+        warm_starts=[np.array(list(fixed.angles))] if fixed.accepted else (),
+        variable_theta_c=True)
     assert var.accepted
     assert var.theta_c == pytest.approx(math.pi / 4, abs=0.6)
     assert var.perr <= fixed.perr * 1.0 + 1e-12
