@@ -30,6 +30,9 @@ GATES = ("I", "F", "P1", "FFCZ")
 
 
 def _db_grid(args):
+    if not (math.isfinite(args.db_min) and math.isfinite(args.db_max)):
+        raise ValueError(f"--db-min and --db-max must be finite, got "
+                         f"{args.db_min:g} and {args.db_max:g}")
     if not (math.isfinite(args.db_step) and args.db_step > 0):
         raise ValueError(f"--db-step must be positive and finite, got {args.db_step:g}")
     n = int(round((args.db_max - args.db_min) / args.db_step))
@@ -128,42 +131,51 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def cmd_optimize(args) -> int:
-    grid = _db_grid(args)
-    cfg = optimizer.OptimizerConfig()
-    if args.config:
-        with open(args.config) as fh:
-            cfg = optimizer.OptimizerConfig.from_dict(json.load(fh))
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+def _warm_starts(args, db):
+    """Numerical continuation: the accepted angles of this section's rows at
+    db - step, db + step and db, then, for a variable theta_c run, the
+    fixed-basis row at db, all read from the table on disk."""
     try:
         table = gates.load_basis_table(args.out)
     except CacheMissError:
-        table = {"version": 1, "package": __version__, "entries": []}
-    entries = [row for row in table["entries"]
-               if not (row["lattice"] == args.lattice
-                       and bool(row.get("variable_theta_c")) == args.variable_theta_c
-                       and any(abs(row["squeezing_db"] - db) < 1e-9 for db in grid))]
-    warm = []
-    for db in grid:
-        r = lat.db_to_r(db)
+        return []
+    keys = [(d, args.variable_theta_c) for d in (db - args.db_step, db + args.db_step, db)]
+    if args.variable_theta_c:
+        keys.append((db, False))
+    rows = [gates.find_row(table, args.lattice, d, vtc) for d, vtc in keys]
+    return [np.array(row["angles"] + ([row["theta_c"]] if "theta_c" in row else []))
+            for row in rows if row]
+
+
+def cmd_optimize(args) -> int:
+    """Optimize each grid point and write its row to the table as soon as it
+    is found.  Rerunning from the first missing point resumes a run; rerunning
+    a whole grid can only improve its accepted rows, because every search
+    scores the row's own angles as a warm start."""
+    grid = _db_grid(args)
+    cfg = optimizer.OptimizerConfig()
+    if args.config:
         try:
-            res = optimizer.cz_search(args.lattice, r, cfg, warm_starts=warm,
+            with open(args.config) as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read --config {args.config}: {exc.strerror}") from exc
+        cfg = optimizer.OptimizerConfig.from_dict(doc)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    for db in grid:
+        try:
+            res = optimizer.cz_search(args.lattice, lat.db_to_r(db), cfg,
+                                      warm_starts=_warm_starts(args, db),
                                       variable_theta_c=args.variable_theta_c)
         except ValueError as exc:
             print(f"{args.lattice} {db:g} dB: {exc}", file=sys.stderr)
             return EXIT_USAGE
         flag = "accepted" if res.accepted else "INFEASIBLE"
         print(f"{args.lattice} {db:g} dB: {flag} residual={res.residual:.3e} "
-              f"perr={res.perr:.6e}")
-        entries.append(res.to_row(args.lattice, db, args.variable_theta_c))
-        if res.accepted:
-            full = list(res.angles) + ([res.theta_c] if args.variable_theta_c else [])
-            warm = [np.array(full)]
-    table["entries"] = sorted(
-        entries, key=lambda e: (e["lattice"], bool(e.get("variable_theta_c")),
-                                e["squeezing_db"]))
-    path = gates.save_basis_table(table, args.out)
+              f"perr={res.perr:.6e}", flush=True)
+        path = gates.update_basis_table(
+            res.to_row(args.lattice, db, args.variable_theta_c), args.out)
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -10,6 +10,7 @@ N = [G2 N1 | N2].
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import lattice as lat
 from . import symplectic as sp
 from .errors import CacheMissError
@@ -36,6 +38,8 @@ __all__ = [
     "iter_catalog",
     "load_basis_table",
     "save_basis_table",
+    "update_basis_table",
+    "find_row",
     "default_table_path",
 ]
 
@@ -283,17 +287,42 @@ def save_basis_table(table: dict, path: str | Path | None = None) -> Path:
     return p
 
 
-def _lookup(table, lattice, db, variable_theta_c=False):
+def _is_row(row, lattice, db, variable_theta_c):
+    """The table's row identity: (lattice, variable_theta_c, squeezing_db)."""
+    return (row["lattice"] == lattice
+            and bool(row.get("variable_theta_c")) == variable_theta_c
+            and abs(row["squeezing_db"] - db) < 1e-9)
+
+
+def update_basis_table(row: dict, path: str | Path | None = None) -> Path:
+    """Replace the row at ``row``'s (lattice, variable_theta_c, db) in the table
+    at ``path`` and save it, creating the table if needed.
+
+    The table is re-read under the ``<table>.lock`` file lock, so runs that
+    write different rows can share one table: every other row survives.
+    """
+    p = Path(path) if path is not None else default_table_path()
+    p.parent.mkdir(parents=True, exist_ok=True)
+    with open(f"{p}.lock", "w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        try:
+            table = load_basis_table(p)
+        except CacheMissError:
+            table = {"version": 1, "package": __version__, "entries": []}
+        table["entries"] = sorted(
+            [e for e in table["entries"] if not _is_row(
+                e, row["lattice"], row["squeezing_db"], bool(row.get("variable_theta_c")))]
+            + [row],
+            key=lambda e: (e["lattice"], bool(e.get("variable_theta_c")), e["squeezing_db"]))
+        return save_basis_table(table, p)
+
+
+def find_row(table, lattice, db, variable_theta_c=False) -> dict | None:
+    """The accepted row at (lattice, variable_theta_c, db), or None."""
     for row in table["entries"]:
-        if (row["lattice"] == lattice
-                and bool(row.get("variable_theta_c")) == variable_theta_c
-                and abs(row["squeezing_db"] - db) < 1e-9
-                and row.get("accepted", True)):
+        if _is_row(row, lattice, db, variable_theta_c) and row.get("accepted", True):
             return row
-    raise CacheMissError(
-        f"no cached CZ basis for {lattice} at {db:g} dB"
-        f"{' (variable theta_c)' if variable_theta_c else ''}; run "
-        f"`cvmbqc optimize --lattice {lattice} --db-min {db:g} --db-max {db:g}`")
+    return None
 
 
 def cz_plan(lattice: str, db: float, parity: int = 0, table: dict | None = None,
@@ -303,7 +332,14 @@ def cz_plan(lattice: str, db: float, parity: int = 0, table: dict | None = None,
         return qrl_cz_plan(lat.db_to_r(db))
     if table is None:
         table = load_basis_table()
-    row = _lookup(table, lattice, db, variable_theta_c)
+    row = find_row(table, lattice, db, variable_theta_c)
+    if row is None:
+        raise CacheMissError(
+            f"no cached CZ basis for {lattice} at {db:g} dB"
+            f"{' (variable theta_c)' if variable_theta_c else ''}; run "
+            f"`cvmbqc optimize --lattice {lattice}"
+            f"{' --variable-theta-c' if variable_theta_c else ''} "
+            f"--db-min {db:g} --db-max {db:g}`")
     r = lat.db_to_r(db)
     params = lat.LatticeParams.from_r(lattice, r)
     theta_c = row.get("theta_c")

@@ -2,13 +2,14 @@
 
 Criteria 5, 6 and 7 read the optimized-basis table shipped with the package;
 everything else is closed-form or oracle-backed and self-contained.  The table
-is regenerated section by section with the fixed base seed 20200527, DBSL
-before THETAC:
+is regenerated section by section with the fixed base seed 20200527, the DBSL
+before its variable theta_c rows:
 
-    python scripts/make_cache.py DBSL
-    python scripts/make_cache.py BSL
-    python scripts/make_cache.py MBSL
-    python scripts/make_cache.py THETAC
+    cvmbqc optimize --lattice DBSL --db-min 1 --db-max 25 --db-step 0.5 --seed 20200527
+    cvmbqc optimize --lattice BSL --db-min 1 --db-max 25 --db-step 0.5 --seed 20200527
+    cvmbqc optimize --lattice MBSL --db-min 1 --db-max 25 --db-step 0.5 --seed 20200527
+    cvmbqc optimize --lattice DBSL --variable-theta-c --db-min 5 --db-max 25 --db-step 1 \
+        --seed 20200527
 """
 
 import math

@@ -3,13 +3,16 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cvmbqc import cli, gates
+from cvmbqc import cli, gates, optimizer
 from cvmbqc import lattice as lat
 
 
@@ -82,6 +85,17 @@ def test_nonpositive_db_step_is_usage_error(capsys, command, step):
     assert "--db-step must be positive and finite" in err
 
 
+@pytest.mark.parametrize("command", [["noise-curve"], ["optimize", "--lattice", "DBSL"]])
+@pytest.mark.parametrize("flag, value", [
+    ("--db-min", "nan"), ("--db-max", "nan"), ("--db-max", "inf"), ("--db-min", "-inf"),
+])
+def test_nonfinite_db_bound_is_usage_error(capsys, command, flag, value):
+    code, _, err = run_cli(command + [f"{flag}={value}"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: --db-min and --db-max must be finite")
+    assert err.count("\n") == 1
+
+
 def test_unknown_lattice_is_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["noise-curve", "--lattice", "SQUARE"])
@@ -150,6 +164,194 @@ def test_optimize_bad_config_is_usage_error(capsys, tmp_path, doc, message):
     assert code == cli.EXIT_USAGE
     assert message in err
     assert not table.exists()
+
+
+def test_optimize_unreadable_config_is_usage_error(capsys, tmp_path):
+    table = tmp_path / "table.json"
+    code, _, err = run_cli(["optimize", "--lattice", "MBSL",
+                            "--config", str(tmp_path / "missing.json"),
+                            "--out", str(table)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: cannot read --config")
+    assert err.count("\n") == 1
+    assert not table.exists()
+
+
+# ---------------------------------------------- optimize: the table writer
+
+GRID = [2.0, 2.5, 3.0, 3.5]
+
+
+class Interrupted(Exception):
+    pass
+
+
+def _fake_perr(x, r):
+    return float(0.5 + 0.5 * np.mean(np.cos(np.asarray(x) + 50.0 * r)))
+
+
+@pytest.fixture
+def fake_search(monkeypatch):
+    """A cheap deterministic stand-in for ``optimizer.cz_search``.
+
+    Like the real search it depends on ``config.seed`` and on the warm starts
+    it receives: it scores each exact warm start and two seeded random points
+    and returns the best.  ``calls`` records the warm starts of every call;
+    setting ``stop_after`` interrupts the run at that call and ``hook(n)``
+    runs before call ``n``.
+    """
+    def search(lattice, r, config, warm_starts=(), variable_theta_c=False):
+        if len(search.calls) == search.stop_after:
+            raise Interrupted
+        search.hook(len(search.calls))
+        search.calls.append([np.array(w) for w in warm_starts])
+        n = 4 if variable_theta_c else 3
+        starts = [np.append(w, np.pi / 4) if len(w) == n - 1 else np.asarray(w, dtype=float)
+                  for w in warm_starts]
+        starts += list(np.random.default_rng(config.seed).uniform(-np.pi, np.pi, (2, n)))
+        x = min(starts, key=lambda x: _fake_perr(x, r))
+        perr = _fake_perr(x, r)
+        return optimizer.OptResult(x[:3], 1e-7, perr, perr < 0.6, config.restarts,
+                                   float(x[3]) if variable_theta_c else None)
+
+    search.calls, search.stop_after, search.hook = [], None, lambda n: None
+    monkeypatch.setattr(optimizer, "cz_search", search)
+    return search
+
+
+def optimize(path, *extra, lattice="DBSL", db_min=GRID[0], seed=1):
+    return cli.main(["optimize", "--lattice", lattice, "--db-min", f"{db_min:g}",
+                     "--db-max", f"{GRID[-1]:g}", "--db-step", "0.5", "--seed", str(seed),
+                     "--out", str(path), *extra])
+
+
+def entries(path):
+    return json.loads(path.read_text())["entries"]
+
+
+def _row(lattice, db, **extra):
+    return {"lattice": lattice, "squeezing_db": db, "angles": [0.1, 0.2, 0.3],
+            "residual": 0.0, "perr": 0.3, "accepted": True, **extra}
+
+
+def test_optimize_replaces_only_its_own_rows(tmp_path, fake_search):
+    path = tmp_path / "table.json"
+    kept = [_row("BSL", 2.0), _row("DBSL", 2.0, variable_theta_c=True, theta_c=0.7),
+            _row("DBSL", 9.0)]
+    stale = _row("DBSL", 2.5, accepted=False, perr=0.99)
+    path.write_text(json.dumps({"version": 1, "entries": kept + [stale]}))
+    written_meanwhile = _row("MBSL", 2.0)
+
+    def another_writer(n):
+        if n == 1:
+            doc = json.loads(path.read_text())
+            doc["entries"].append(written_meanwhile)
+            path.write_text(json.dumps(doc))
+
+    fake_search.hook = another_writer
+    assert optimize(path) == cli.EXIT_OK
+    rows = entries(path)
+    ours = [r for r in rows if r["lattice"] == "DBSL" and not r.get("variable_theta_c")
+            and r["squeezing_db"] in GRID]
+    assert [r["squeezing_db"] for r in ours] == GRID
+    assert stale not in ours
+    others = [r for r in rows if r not in ours]
+    assert sorted(others, key=str) == sorted(kept + [written_meanwhile], key=str)
+
+
+def test_resumed_optimize_matches_uninterrupted(tmp_path, fake_search):
+    straight = tmp_path / "straight.json"
+    assert optimize(straight) == cli.EXIT_OK
+    resumed = tmp_path / "resumed.json"
+    fake_search.stop_after = len(fake_search.calls) + 2
+    with pytest.raises(Interrupted):
+        optimize(resumed)
+    assert [r["squeezing_db"] for r in entries(resumed)] == GRID[:2]
+    fake_search.stop_after = None
+    assert optimize(resumed, db_min=GRID[2]) == cli.EXIT_OK
+    assert resumed.read_bytes() == straight.read_bytes()
+
+
+def test_optimize_rerun_never_raises_an_accepted_perr(tmp_path, fake_search):
+    path = tmp_path / "table.json"
+    assert optimize(path, seed=1) == cli.EXIT_OK
+    before = {r["squeezing_db"]: r for r in entries(path)}
+    assert any(r["accepted"] for r in before.values())
+    for seed in (2, 3, 4):
+        assert optimize(path, seed=seed) == cli.EXIT_OK
+        after = {r["squeezing_db"]: r for r in entries(path)}
+        for db, row in before.items():
+            if row["accepted"]:
+                assert after[db]["accepted"] and after[db]["perr"] <= row["perr"]
+        before = after
+
+
+def test_optimize_warm_starts_from_the_rows_around_each_point(tmp_path, fake_search):
+    path = tmp_path / "table.json"
+    assert optimize(path) == cli.EXIT_OK
+    first = {r["squeezing_db"]: r for r in entries(path)}
+    del fake_search.calls[:]
+    assert optimize(path, seed=2) == cli.EXIT_OK
+    final = {r["squeezing_db"]: r for r in entries(path)}
+    for db, warm in zip(GRID, fake_search.calls):
+        # the row below db is already this run's, the rows at and above not yet
+        rows = [final.get(db - 0.5), first.get(db + 0.5), first[db]]
+        assert [list(w) for w in warm] == [r["angles"] for r in rows if r and r["accepted"]]
+
+
+def test_variable_theta_c_run_warm_starts_from_the_fixed_row(tmp_path, fake_search):
+    path = tmp_path / "table.json"
+    assert optimize(path) == cli.EXIT_OK
+    fixed = {r["squeezing_db"]: r["angles"] for r in entries(path) if r["accepted"]}
+    assert fixed
+    del fake_search.calls[:]
+    assert optimize(path, "--variable-theta-c") == cli.EXIT_OK
+    for db, warm in zip(GRID, fake_search.calls):
+        if db in fixed:
+            assert any(np.array_equal(w, fixed[db]) for w in warm)
+    assert [r["squeezing_db"] for r in entries(path) if r.get("variable_theta_c")] == GRID
+
+
+def test_concurrent_sections_share_one_table(tmp_path, fake_search):
+    path = tmp_path / "table.json"
+    lattices = ("DBSL", "BSL", "MBSL", "QRL")
+    errors = []
+
+    def worker(lattice):
+        try:
+            assert optimize(path, lattice=lattice) == cli.EXIT_OK
+        except BaseException as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(lat,)) for lat in lattices]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    rows = entries(path)
+    for lattice in lattices:
+        assert [r["squeezing_db"] for r in rows if r["lattice"] == lattice] == GRID
+
+
+def test_readme_commands_parse():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = readme.read_text().split("```")[1::2]
+    commands = [shlex.split(line, comments=True)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("cvmbqc ")]
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: cvmbqc {shlex.join(argv)}")
 
 
 def test_csv_outputs_are_byte_stable(capsys):

@@ -195,6 +195,13 @@ class TestCzCache:
         with pytest.raises(CacheMissError):
             gates.cz_plan("DBSL", 3.0, table=self._table())
 
+    def test_miss_names_the_command_that_fills_it(self):
+        with pytest.raises(CacheMissError, match=r"optimize --lattice DBSL --db-min 12 "):
+            gates.cz_plan("DBSL", 12.0, table=self._table())
+        with pytest.raises(CacheMissError, match=r"optimize --lattice DBSL "
+                           r"--variable-theta-c --db-min 12 --db-max 12`"):
+            gates.cz_plan("DBSL", 12.0, table=self._table(), variable_theta_c=True)
+
     def test_qrl_cz_plan_needs_no_cache(self):
         plan = gates.cz_plan("QRL", 14.0, table={"version": 1, "entries": []})
         assert plan.gate_id == "FFCZ"
