@@ -35,11 +35,11 @@ def _db_grid(args):
                          f"{args.db_min:g} and {args.db_max:g}")
     if not (math.isfinite(args.db_step) and args.db_step > 0):
         raise ValueError(f"--db-step must be positive and finite, got {args.db_step:g}")
-    n = int(round((args.db_max - args.db_min) / args.db_step))
-    grid = [args.db_min + i * args.db_step for i in range(n + 1)]
-    if not grid or grid[-1] > args.db_max + 1e-9:
-        raise ValueError("empty or inconsistent squeezing grid")
-    return grid
+    n = round((args.db_max - args.db_min) / args.db_step)
+    if n < 0 or abs(args.db_min + n * args.db_step - args.db_max) > 1e-9:
+        raise ValueError(f"empty or inconsistent squeezing grid: --db-step {args.db_step:g} "
+                         f"does not step from {args.db_min:g} to {args.db_max:g}")
+    return [args.db_min + i * args.db_step for i in range(n + 1)]
 
 
 def _fmt(x: float) -> str:
@@ -164,9 +164,9 @@ def cmd_optimize(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     for db in grid:
+        warm = _warm_starts(args, db)
         try:
-            res = optimizer.cz_search(args.lattice, lat.db_to_r(db), cfg,
-                                      warm_starts=_warm_starts(args, db),
+            res = optimizer.cz_search(args.lattice, lat.db_to_r(db), cfg, warm_starts=warm,
                                       variable_theta_c=args.variable_theta_c)
         except ValueError as exc:
             print(f"{args.lattice} {db:g} dB: {exc}", file=sys.stderr)
@@ -191,12 +191,14 @@ def cmd_verify(args) -> int:
             reports.append(rep)
             ok &= rep["pass"]
     table = gates.load_basis_table()
-    rows = [row for row in table["entries"]
-            if row.get("accepted") and not row.get("variable_theta_c")]
+    rows = [row for row in table["entries"] if row.get("accepted")]
     for row in rows[::max(1, args.cache_stride)]:
-        plan = gates.cz_plan(row["lattice"], row["squeezing_db"], table=table)
+        vtc = bool(row.get("variable_theta_c"))
+        plan = gates.cz_plan(row["lattice"], row["squeezing_db"], table=table,
+                             variable_theta_c=vtc)
         rep = oracle.verify_plan(plan, tol=args.tol)
-        rep["plan"] = f"{row['lattice']}:FFCZ@{row['squeezing_db']:g}dB"
+        rep["plan"] = (f"{row['lattice']}:FFCZ{'(theta_c)' if vtc else ''}"
+                       f"@{row['squeezing_db']:g}dB")
         reports.append(rep)
         ok &= rep["pass"]
     for lattice in ("DBSL", "BSL", "MBSL"):

@@ -14,7 +14,7 @@ import fcntl
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from . import __version__
 from . import lattice as lat
 from . import symplectic as sp
 from .errors import CacheMissError
-from .reduction import BasisSetting, GateResult, chain, reduce, restrict, tensor
+from .reduction import GateResult, basis_from_sums, chain, reduce, restrict, tensor
 
 __all__ = [
     "GatePlan",
@@ -45,19 +45,9 @@ __all__ = [
 
 SINGLE_MODE_GATES = ("I", "F", "P1")
 
-# Wire-parity transforms for cached CZ solutions: positions (0-based) in the
-# free-angle vector whose signs flip for the odd-parity region.
-DBSL_FLIP_POSITIONS = (2, 3, 5, 6, 7, 9)
-BSL_FLIP_POSITIONS = tuple(range(12))
-
-# Fourier byproduct exponents (n, m) of the optimized (F^n x F^m) CZ(1) per
-# lattice and wire parity.
-FFCZ_EXPONENTS = {
-    ("DBSL", 0): (1, 1), ("DBSL", 1): (1, -1),
-    ("BSL", 0): (1, -1), ("BSL", 1): (1, 1),
-    ("MBSL", 0): (1, 1), ("MBSL", 1): (1, 1),
-    ("QRL", 0): (-1, -1), ("QRL", 1): (-1, -1),
-}
+# Fourier byproduct exponents (n, m) of the (F^n x F^m) CZ(1) that the
+# even-parity CZ region implements per lattice.
+FFCZ_EXPONENTS = {"DBSL": (1, 1), "BSL": (1, -1), "MBSL": (1, 1), "QRL": (-1, -1)}
 
 
 @dataclass(frozen=True)
@@ -81,7 +71,6 @@ class GatePlan:
     steps: tuple
     target: np.ndarray
     byproduct: np.ndarray | None = None
-    parity: int = 0
 
 
 def realize(plan: GatePlan) -> GateResult:
@@ -139,7 +128,7 @@ def _step_basis(graph, theta_plus, theta_minus):
         a_in = 0.5 * (theta_plus + theta_minus)
         a_pa = 0.5 * (theta_plus - theta_minus)
         return {0: a_in, 1: a_in, 2: a_pa, 3: a_pa}
-    return BasisSetting.from_sums(mode_in, mode_partner, theta_plus, theta_minus, extra).angles
+    return basis_from_sums(mode_in, mode_partner, theta_plus, theta_minus, extra)
 
 
 def _single_mode_sums(lattice, gate_id, r, parity):
@@ -202,8 +191,7 @@ def basis_for(lattice: str, gate_id: str, r: float, parity: int = 0) -> GatePlan
             steps.append(PlanStep((PlanTrack(graph, angles, out_keep=(0,), in_keep=(0,)),)))
         else:
             steps.append(PlanStep((PlanTrack(graph, angles),)))
-    return GatePlan(lattice, gate_id, r, tuple(steps), target_symplectic(gate_id),
-                    parity=parity)
+    return GatePlan(lattice, gate_id, r, tuple(steps), target_symplectic(gate_id))
 
 
 QRL_CZ_ANGLES = {
@@ -239,7 +227,7 @@ def qrl_cz_plan(r: float) -> GatePlan:
         PlanTrack(lat.single_step_graph(params), comp, out_keep=(1,), in_keep=(1,)),
         PlanTrack(lat.single_step_graph(params), comp, out_keep=(0,), in_keep=(0,)),
     ))
-    nm = FFCZ_EXPONENTS[("QRL", 0)]
+    nm = FFCZ_EXPONENTS["QRL"]
     return GatePlan("QRL", "FFCZ", r, (step1, step2),
                     target_symplectic("FFCZ", nm), byproduct=_fourier_byproduct(*nm))
 
@@ -268,13 +256,24 @@ def default_table_path() -> Path:
 
 
 def load_basis_table(path: str | Path | None = None) -> dict:
+    """The table at ``path`` (default: :func:`default_table_path`).
+
+    Raises CacheMissError when there is no file, and ValueError naming the
+    file when it is not a JSON object with a list ``entries``.
+    """
     p = Path(path) if path is not None else default_table_path()
     if not p.exists():
         raise CacheMissError(
             f"no optimized-basis table at {p}; generate one with "
             "`cvmbqc optimize --lattice <L> --db-min <a> --db-max <b> --out <path>`")
     with open(p) as fh:
-        return json.load(fh)
+        try:
+            table = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"malformed basis table {p}: {exc}") from exc
+    if not (isinstance(table, dict) and isinstance(table.get("entries"), list)):
+        raise ValueError(f"malformed basis table {p}: not a JSON object with a list 'entries'")
+    return table
 
 
 def save_basis_table(table: dict, path: str | Path | None = None) -> Path:
@@ -325,9 +324,13 @@ def find_row(table, lattice, db, variable_theta_c=False) -> dict | None:
     return None
 
 
-def cz_plan(lattice: str, db: float, parity: int = 0, table: dict | None = None,
+def cz_plan(lattice: str, db: float, table: dict | None = None,
             variable_theta_c: bool = False) -> GatePlan:
-    """Optimized Fourier-CZ plan from the cached basis table."""
+    """Optimized Fourier-CZ plan from the cached basis table.
+
+    The table's angles are those of the even-parity CZ region, the only
+    region the optimizer searches; the QRL plan is closed-form.
+    """
     if lattice == "QRL":
         return qrl_cz_plan(lat.db_to_r(db))
     if table is None:
@@ -343,17 +346,11 @@ def cz_plan(lattice: str, db: float, parity: int = 0, table: dict | None = None,
     r = lat.db_to_r(db)
     params = lat.LatticeParams.from_r(lattice, r)
     theta_c = row.get("theta_c")
-    graph = lat.cz_region_graph(params, parity=parity, theta_c=theta_c)
-    free = list(row["angles"])
-    if parity == 1:
-        flips = DBSL_FLIP_POSITIONS if lattice == "DBSL" else (
-            BSL_FLIP_POSITIONS if lattice == "BSL" else ())
-        for i in flips:
-            free[i] = -free[i]
-    nm = FFCZ_EXPONENTS[(lattice, parity)]
-    return GatePlan(lattice, "FFCZ", r, (PlanStep((PlanTrack(graph, graph.full_basis(free)),)),),
-                    target_symplectic("FFCZ", nm), byproduct=_fourier_byproduct(*nm),
-                    parity=parity)
+    graph = lat.cz_region_graph(params, theta_c=theta_c)
+    nm = FFCZ_EXPONENTS[lattice]
+    return GatePlan(lattice, "FFCZ", r,
+                    (PlanStep((PlanTrack(graph, graph.full_basis(row["angles"])),)),),
+                    target_symplectic("FFCZ", nm), byproduct=_fourier_byproduct(*nm))
 
 
 def iter_catalog(r: float):

@@ -52,19 +52,18 @@ def correction_shift(m: float) -> float:
     return -u if u < SQRT_PI / 2 else SQRT_PI - u
 
 
-def gate_error_probability(plan, r: float | None = None) -> float:
+def gate_error_probability(plan) -> float:
     """Error probability of a gate plan with resource-matched GKP ancillas.
 
-    The ancilla and encoded spike variance is delta = e^{-2r}/2 and the gate
-    noise variances are the plan's quadrature noise factors times sech(2r)/2.
+    The plan is realized at its own squeezing r = ``plan.r``.  The encoded and
+    ancilla spike variance is delta = e^{-2r}/2, the gate noise variances are
+    the plan's quadrature noise factors times sech(2r)/2, and the result is
+    :func:`error_probability` of the spikes :func:`propagate_spikes` gives.
     """
     from . import gates
     from .reduction import noise_factors
 
-    if r is None:
-        r = plan.r
-    elif not math.isclose(r, plan.r, rel_tol=0, abs_tol=1e-12):
-        raise ValueError(f"plan was built at r={plan.r}, asked to evaluate at r={r}")
+    r = plan.r
     result = gates.realize(plan)
     delta = math.exp(-2.0 * r) / 2.0
     sigma2 = noise_factors(result) / (2.0 * math.cosh(2.0 * r))

@@ -227,8 +227,7 @@ def _dbsl_cz_region(params, parity, theta_c):
     # control modes in between.  Those two centrals share one measurement
     # device, so its beam splitter stays physical; the outer control devices
     # pair with out-of-region modes at equal preset bases and reduce to
-    # per-mode measurements.  The odd-parity transform flips positions
-    # 3, 4, 6, 7, 8, 10 (1-based) of this ordering.
+    # per-mode measurements.
     free = (2, 0, 3, 1, 10, 12, 16, 7, 11, 13)
     return _build("DBSL", params, parity, theta_c, labels, edges,
                   inputs=(0, 1), outputs=(20, 21),

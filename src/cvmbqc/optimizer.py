@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from . import gates
 from . import lattice as lat
-from .gkp import error_probability
+from .gkp import error_probability, propagate_spikes
 from .reduction import noise_factors, restrict, split_s0
 from .reduction import reduce as reduce_region
 
@@ -88,7 +88,6 @@ class OptResult:
     residual: float
     perr: float
     accepted: bool
-    restarts_used: int
     theta_c: float | None = None
 
     def to_row(self, lattice: str, db: float, variable_theta_c: bool = False) -> dict:
@@ -246,39 +245,36 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
         for x0 in starts:
             score(_local_descent(frozen, x0, w, w_polish))
 
-    used = len(starts)
     if best is not None:
         perr, resid, xs = best
-        return OptResult(np.array(xs), resid, perr, True, used)
+        return OptResult(np.array(xs), resid, perr, True)
     resid, perr, xs = best_rejected
-    return OptResult(np.array(xs), resid, perr, False, used)
+    return OptResult(np.array(xs), resid, perr, False)
 
 
 def evaluate_free_angles(lattice: str, r: float, angles, theta_c: float | None = None):
     """Reference-path (residual, perr) of a CZ free-angle vector.
 
     Runs the plain reduction instead of the search kernel; used to re-verify
-    accepted optimizer results and cached table rows.
+    accepted optimizer results and cached table rows.  The dummy inputs of the
+    QRL region carry vacuum (variance 1/2) into the gate noise.
     """
     params = lat.LatticeParams.from_r(lattice, r)
-    graph = lat.cz_region_graph(params, parity=0, theta_c=theta_c)
+    graph = lat.cz_region_graph(params, theta_c=theta_c)
     out = reduce_region(graph, graph.full_basis(angles))
-    nm = gates.FFCZ_EXPONENTS[(lattice, 0)]
-    target = gates.target_symplectic("FFCZ", nm)
+    target = gates.target_symplectic("FFCZ", gates.FFCZ_EXPONENTS[lattice])
     delta = math.exp(-2.0 * r) / 2.0
-    eps_half = 0.5 * lat.effective_epsilon(r)
     real = restrict(out, _KEEP, _KEEP)
     leak = restrict(out, _KEEP, [k for k in range(out.n_inputs) if k not in _KEEP]).G
     resid = float(np.abs(real.G - target).sum() + np.abs(leak).sum())
-    spikes = (delta * (real.G ** 2).sum(axis=1) + 0.5 * (leak ** 2).sum(axis=1)
-              + eps_half * noise_factors(real))
-    return resid, error_probability(spikes, delta)
+    sigma2 = 0.5 * lat.effective_epsilon(r) * noise_factors(real) + 0.5 * (leak ** 2).sum(axis=1)
+    return resid, error_probability(propagate_spikes(real.G, sigma2, delta), delta)
 
 
 def _region(lattice: str, r: float, variable_theta_c=False) -> FrozenRegion:
     params = lat.LatticeParams.from_r(lattice, r)
-    graph = lat.cz_region_graph(params, parity=0)
-    target = gates.target_symplectic("FFCZ", gates.FFCZ_EXPONENTS[(lattice, 0)])
+    graph = lat.cz_region_graph(params)
+    target = gates.target_symplectic("FFCZ", gates.FFCZ_EXPONENTS[lattice])
     return freeze_region(graph, target, r, out_sel=_KEEP, in_real=_KEEP,
                          variable_theta_c=variable_theta_c)
 

@@ -126,10 +126,9 @@ def simulate_region(graph, angles, probe: GaussianState | None = None,
     for i, j in graph.mixing_pairs:
         state = evolve(state, sp.embed(sp.beamsplitter(), [i, j], n))
 
-    amap = dict(angles.angles) if hasattr(angles, "angles") else dict(angles)
     remaining = list(range(n))
     for m in sorted(graph.measured_modes, reverse=True):
-        state = condition_homodyne(state, remaining.index(m), amap[m], outcome)
+        state = condition_homodyne(state, remaining.index(m), angles[m], outcome)
         remaining.remove(m)
     order = [remaining.index(o) for o in graph.output_modes]
     idx = order + [len(remaining) + o for o in order]
@@ -198,10 +197,8 @@ class _PlanCircuit:
                 s_tot = emb(s_cz, range(g.n_modes)) @ s_tot
                 for i, j in g.mixing_pairs:
                     s_tot = emb(sp.beamsplitter(), [i, j]) @ s_tot
-                amap = dict(track.angles.angles) if hasattr(track.angles, "angles") \
-                    else dict(track.angles)
                 for m in g.measured_modes:
-                    s_tot = emb(sp.rotation(amap[m]), [m]) @ s_tot
+                    s_tot = emb(sp.rotation(track.angles[m]), [m]) @ s_tot
                     self.meas_rows.append(mode_map[m])
                 next_active.extend(mode_map[g.output_modes[pos]]
                                    for pos in _track_out_keep(track))

@@ -31,7 +31,7 @@ from . import symplectic as sp
 from .errors import MeasurementDegenerateError
 
 __all__ = [
-    "BasisSetting",
+    "basis_from_sums",
     "GateResult",
     "reduce",
     "chain",
@@ -53,20 +53,15 @@ _MAX_NORM_PRODUCT_SQ = 1.0 / (100.0 * RCOND_MIN) ** 2
 _BS = sp.beamsplitter()[:2, :2]
 
 
-@dataclass(frozen=True)
-class BasisSetting:
-    """Homodyne angles x(theta) = x cos(theta) + p sin(theta) per measured mode."""
-
-    angles: Mapping[int, float]
-
-    @classmethod
-    def from_sums(cls, mode_in: int, mode_partner: int, theta_plus: float,
-                  theta_minus: float, extra: Mapping[int, float] | None = None):
-        """Build from the sum/difference angles theta_pm = theta_in +- theta_partner."""
-        angles = dict(extra or {})
-        angles[mode_in] = 0.5 * (theta_plus + theta_minus)
-        angles[mode_partner] = 0.5 * (theta_plus - theta_minus)
-        return cls(angles)
+def basis_from_sums(mode_in: int, mode_partner: int, theta_plus: float,
+                    theta_minus: float, extra: Mapping[int, float] | None = None) -> dict:
+    """Homodyne angles x(theta) = x cos(theta) + p sin(theta) per measured mode,
+    from the sum/difference angles theta_pm = theta_in +- theta_partner of one
+    wire pair; ``extra`` holds the angles of the other measured modes."""
+    angles = dict(extra or {})
+    angles[mode_in] = 0.5 * (theta_plus + theta_minus)
+    angles[mode_partner] = 0.5 * (theta_plus - theta_minus)
+    return angles
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,16 +69,14 @@ class GateResult:
     """The (G, N, D) triple of one reduced computation region.
 
     Rows of all three matrices are the output quadratures in xxpp order.
-    ``G`` acts on the input quadratures (xxpp), ``N`` multiplies the cluster
-    momenta listed in ``contributing_modes`` and ``D`` the measurement
-    outcomes listed in ``measured_labels``.
+    ``G`` acts on the input quadratures (xxpp), the columns of ``N`` are the
+    cluster momenta in ascending mode order and the columns of ``D`` the
+    measurement outcomes in the graph's measured-mode order.
     """
 
     G: np.ndarray
     N: np.ndarray
     D: np.ndarray
-    contributing_modes: tuple = ()
-    measured_labels: tuple = ()
     epsilon: float = field(default=float("nan"))
     rcond: float = field(default=float("nan"))
 
@@ -94,25 +87,6 @@ class GateResult:
     @property
     def n_inputs(self) -> int:
         return self.G.shape[1] // 2
-
-    def to_dict(self, lattice: str | None = None, r: float | None = None,
-                basis=None) -> dict:
-        doc = {
-            "G": self.G.tolist(),
-            "N": self.N.tolist(),
-            "D": self.D.tolist(),
-            "contributing_modes": list(self.contributing_modes),
-            "measured_modes": list(self.measured_labels),
-            "epsilon": self.epsilon,
-        }
-        if lattice is not None:
-            doc["lattice"] = lattice
-        if r is not None:
-            doc["r"] = r
-        if basis is not None:
-            angles = basis.angles if isinstance(basis, BasisSetting) else basis
-            doc["basis"] = {str(k): float(v) for k, v in dict(angles).items()}
-        return doc
 
 
 def premeasurement_symplectic(graph) -> np.ndarray:
@@ -192,30 +166,26 @@ def eliminate(meas: np.ndarray, out: np.ndarray):
 def reduce(graph, basis) -> GateResult:
     """Reduce one region to its GateResult.
 
-    ``basis`` must contain one angle per measured mode; output-mode angles are
+    ``basis`` maps each measured mode to its angle; output-mode angles are
     fixed at zero.  Raises MeasurementDegenerateError when the basis leaves
     the elimination system singular (reciprocal condition number below
     RCOND_MIN).
     """
-    angles = basis.angles if isinstance(basis, BasisSetting) else basis
     measured = list(graph.measured_modes)
-    missing = [m for m in measured if m not in angles]
+    missing = [m for m in measured if m not in basis]
     if missing:
         raise ValueError(f"basis missing angles for measured modes {missing}")
     s0x, s0p, out = split_s0(graph)
-    theta = np.array([angles[m] for m in measured], dtype=float).reshape(-1, 1)
+    theta = np.array([basis[m] for m in measured], dtype=float).reshape(-1, 1)
     meas = np.cos(theta) * s0x + np.sin(theta) * s0p
     m, u_inv = eliminate(meas, out)
     k = len(measured)
     d = out[:, :k] @ u_inv
     k2 = 2 * len(graph.input_modes)
-    labels = getattr(graph, "labels", tuple(str(i) for i in range(graph.n_modes)))
     return GateResult(
         G=m[:, :k2],
         N=m[:, k2:],
         D=d,
-        contributing_modes=tuple(labels[m_] for m_ in graph.cluster_modes),
-        measured_labels=tuple(labels[m_] for m_ in measured),
         epsilon=getattr(graph, "epsilon", float("nan")),
         rcond=_rcond(meas[:, :k]),
     )
@@ -235,8 +205,6 @@ def chain(first: GateResult, second: GateResult) -> GateResult:
         G=g2 @ first.G,
         N=np.hstack([g2 @ first.N, second.N]),
         D=np.hstack([g2 @ first.D, second.D]),
-        contributing_modes=first.contributing_modes + second.contributing_modes,
-        measured_labels=first.measured_labels + second.measured_labels,
         epsilon=second.epsilon if np.isnan(first.epsilon) else first.epsilon,
         rcond=float(np.min([first.rcond, second.rcond])),
     )
@@ -260,8 +228,6 @@ def restrict(result: GateResult, out_keep, in_keep) -> GateResult:
         G=g[:, cols],
         N=_xxpp_rows(result.N, out_keep, no),
         D=_xxpp_rows(result.D, out_keep, no),
-        contributing_modes=result.contributing_modes,
-        measured_labels=result.measured_labels,
         epsilon=result.epsilon,
         rcond=result.rcond,
     )
@@ -292,8 +258,6 @@ def tensor(results) -> GateResult:
         mm += r.D.shape[1]
     return GateResult(
         G=g, N=nn, D=dd,
-        contributing_modes=tuple(m for r in results for m in r.contributing_modes),
-        measured_labels=tuple(m for r in results for m in r.measured_labels),
         epsilon=results[0].epsilon,
         rcond=float(np.min([r.rcond for r in results])),
     )

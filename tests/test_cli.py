@@ -68,6 +68,32 @@ def test_error_curve_cache_miss_exit_code(capsys, tmp_path, monkeypatch):
     assert "cache miss" in err
 
 
+MALFORMED_TABLES = {
+    "truncated": '{\n "version": 1,\n "entries": [\n  {\n   "lattice": "DB',
+    "no-entries": '{"version": 1}',
+    "not-an-object": "[1, 2]",
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["error-curve", "--lattice", "DBSL", "--gate", "FFCZ"],
+    ["compare"],
+    ["optimize", "--lattice", "BSL"],
+], ids=["error-curve", "compare", "optimize"])
+@pytest.mark.parametrize("kind", list(MALFORMED_TABLES))
+def test_malformed_table_is_one_usage_error(capsys, tmp_path, monkeypatch, fake_search,
+                                            command, kind):
+    monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
+    path = tmp_path / "cz_basis_table.json"
+    path.write_text(MALFORMED_TABLES[kind])
+    code, _, err = run_cli(command + ["--db-min", "10", "--db-max", "10"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith(f"error: malformed basis table {path}: ")
+    assert err.count("\n") == 1
+    assert path.read_text() == MALFORMED_TABLES[kind]
+    assert not fake_search.calls
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(["error-curve", "--db-min", "10", "--db-max", "5",
                             "--db-step", "1"], capsys)
@@ -94,6 +120,14 @@ def test_nonfinite_db_bound_is_usage_error(capsys, command, flag, value):
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: --db-min and --db-max must be finite")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("db_max", ["2.2", "2.3"])
+def test_grid_step_must_divide_the_range(capsys, db_max):
+    code, _, err = run_cli(["noise-curve", "--db-min", "1", "--db-max", db_max,
+                            "--db-step", "0.5"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: empty or inconsistent squeezing grid")
 
 
 def test_unknown_lattice_is_argparse_error(capsys):
@@ -211,7 +245,7 @@ def fake_search(monkeypatch):
         starts += list(np.random.default_rng(config.seed).uniform(-np.pi, np.pi, (2, n)))
         x = min(starts, key=lambda x: _fake_perr(x, r))
         perr = _fake_perr(x, r)
-        return optimizer.OptResult(x[:3], 1e-7, perr, perr < 0.6, config.restarts,
+        return optimizer.OptResult(x[:3], 1e-7, perr, perr < 0.6,
                                    float(x[3]) if variable_theta_c else None)
 
     search.calls, search.stop_after, search.hook = [], None, lambda n: None
@@ -404,6 +438,19 @@ def test_verify_corrupted_cache_fails(capsys, tmp_path, monkeypatch):
     assert code == cli.EXIT_VERIFY
     doc = json.loads(out)
     assert not doc["pass"]
+
+
+def test_verify_checks_variable_theta_c_rows(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
+    _write_cache(tmp_path, [{
+        "lattice": "DBSL", "squeezing_db": 12.0, "variable_theta_c": True, "theta_c": 0.4,
+        "angles": [0.3, -0.2, 0.5, 0.1, -0.7, 0.9, 0.2, -0.4, 0.6, 0.8],
+        "residual": 1e-7, "perr": 1e-3, "accepted": True,
+    }])
+    code, out, _ = run_cli(["verify", "--r", "1.0", "--cache-stride", "1"], capsys)
+    assert code == cli.EXIT_VERIFY
+    reports = {rep.get("plan"): rep for rep in json.loads(out)["reports"]}
+    assert not reports["DBSL:FFCZ(theta_c)@12dB"]["pass"]
 
 
 def test_noise_curve_swap_gate(capsys):

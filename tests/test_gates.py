@@ -121,7 +121,7 @@ class TestQrlCzPlan:
 
     def test_target_is_fourier_pair_cz(self):
         plan = gates.qrl_cz_plan(1.0)
-        n, m = gates.FFCZ_EXPONENTS[("QRL", 0)]
+        n, m = gates.FFCZ_EXPONENTS["QRL"]
         assert abs(n) == 1 and abs(m) == 1
         assert np.allclose(plan.target, gates.target_symplectic("FFCZ", (n, m)))
 

@@ -133,12 +133,6 @@ class TestGateErrorProbability:
                 assert p <= prev + 1e-15
             prev = p
 
-    def test_r_consistency_check(self):
-        plan = gates.basis_for("DBSL", "I", 1.0)
-        assert gkp.gate_error_probability(plan, 1.0) == gkp.gate_error_probability(plan)
-        with pytest.raises(ValueError):
-            gkp.gate_error_probability(plan, 1.5)
-
     def test_ffcz_needs_four_corrections(self):
         r = lat.db_to_r(12.0)
         p_cz = gkp.gate_error_probability(gates.qrl_cz_plan(r))

@@ -51,7 +51,7 @@ class TestTeleportation:
 
     def test_identity_basis(self):
         g = lat.teleport_graph(self.t)
-        basis = red.BasisSetting.from_sums(0, 1, 0.0, 2 * math.atan(1 / self.t))
+        basis = red.basis_from_sums(0, 1, 0.0, 2 * math.atan(1 / self.t))
         res = red.reduce(g, basis)
         assert np.allclose(res.G, np.eye(2), atol=1e-9)
 
@@ -194,7 +194,7 @@ class TestNoiseFactors:
 class TestChain:
     def test_single_factor_identity_case(self):
         g = lat.teleport_graph(0.7)
-        basis = red.BasisSetting.from_sums(0, 1, 0.0, 2 * math.atan(1 / 0.7))
+        basis = red.basis_from_sums(0, 1, 0.0, 2 * math.atan(1 / 0.7))
         res = red.reduce(g, basis)
         chained = red.chain(res, red.reduce(g, {0: 0.3, 1: -0.8}))
         second = red.reduce(g, {0: 0.3, 1: -0.8})
@@ -207,8 +207,8 @@ class TestChain:
         r = 1.0
         t = math.tanh(2 * r)
         g = lat.teleport_graph(t)
-        b1 = red.BasisSetting.from_sums(0, 1, math.pi / 2, math.pi / 2)
-        b2 = red.BasisSetting.from_sums(0, 1, 0.0, 2 * math.atan(t ** -2))
+        b1 = red.basis_from_sums(0, 1, math.pi / 2, math.pi / 2)
+        b2 = red.basis_from_sums(0, 1, 0.0, 2 * math.atan(t ** -2))
         chained = red.chain(red.reduce(g, b1), red.reduce(g, b2))
         assert np.allclose(chained.G, sp.rotation(math.pi / 2), atol=1e-10)
         nf = red.noise_factors(chained)
@@ -311,19 +311,6 @@ def test_dbsl_eq_cz_infinite_squeezing_limit():
             assert dev < prev / 10
         prev = dev
     assert prev < 1e-8
-
-
-def test_gate_result_json_roundtrip():
-    import json
-    g = lat.teleport_graph(0.7)
-    basis = {0: 0.3, 1: -0.8}
-    res = red.reduce(g, basis)
-    doc = json.loads(json.dumps(res.to_dict(lattice="TELEPORT", r=1.0, basis=basis)))
-    assert doc["lattice"] == "TELEPORT"
-    assert np.allclose(np.array(doc["G"]), res.G)
-    assert np.allclose(np.array(doc["N"]), res.N)
-    assert np.allclose(np.array(doc["D"]), res.D)
-    assert doc["basis"]["0"] == pytest.approx(0.3)
 
 
 @pytest.mark.parametrize("lattice", ["DBSL", "BSL", "MBSL", "QRL"])
