@@ -27,6 +27,7 @@ EXIT_CACHE = 3
 
 LATTICES = ("DBSL", "BSL", "MBSL", "QRL")
 GATES = ("I", "F", "P1", "FFCZ")
+MAX_GRID_POINTS = 10 ** 6
 
 
 def _db_grid(args):
@@ -35,7 +36,11 @@ def _db_grid(args):
                          f"{args.db_min:g} and {args.db_max:g}")
     if not (math.isfinite(args.db_step) and args.db_step > 0):
         raise ValueError(f"--db-step must be positive and finite, got {args.db_step:g}")
-    n = round((args.db_max - args.db_min) / args.db_step)
+    steps = (args.db_max - args.db_min) / args.db_step
+    if steps > MAX_GRID_POINTS - 1:
+        raise ValueError(f"squeezing grid from {args.db_min:g} to {args.db_max:g} in steps "
+                         f"of {args.db_step:g} has more than {MAX_GRID_POINTS:g} points")
+    n = round(max(steps, -1.0))
     if n < 0 or abs(args.db_min + n * args.db_step - args.db_max) > 1e-9:
         raise ValueError(f"empty or inconsistent squeezing grid: --db-step {args.db_step:g} "
                          f"does not step from {args.db_min:g} to {args.db_max:g}")
@@ -78,14 +83,14 @@ def cmd_noise_curve(args) -> int:
     table = functools.cache(gates.load_basis_table)
     rows = []
     for db in grid:
-        r = lat.db_to_r(db)
+        _, cluster_var = gkp.resource_variances(lat.db_to_r(db))
         rows.append(["reference", "resource", _fmt(db), "p", _fmt(-db)])
-        eff = 10.0 * math.log10(2.0 * lat.effective_epsilon(r) / 2.0)
+        eff = 10.0 * math.log10(2.0 * cluster_var)
         rows.append(["reference", "effective", _fmt(db), "p", _fmt(eff)])
         for lattice in args.lattice:
             for gate in args.gate:
                 plan = _plan_for(lattice, gate, db, table)
-                sigma2 = noise_factors(gates.realize(plan)) * lat.effective_epsilon(r) / 2.0
+                sigma2 = noise_factors(gates.realize(plan)) * cluster_var
                 names = (["x", "p"] if len(sigma2) == 2 else ["x1", "x2", "p1", "p2"])
                 for name, v in zip(names, sigma2):
                     rows.append([lattice, gate, _fmt(db), name,
@@ -100,11 +105,12 @@ def cmd_error_curve(args) -> int:
     grid = _db_grid(args)
     table = functools.cache(gates.load_basis_table)
     rows = []
+    # noise-free Fourier-CZ: the spikes of perfect encoded states and ancillas
+    ffcz = gates.target_symplectic("FFCZ")
     for db in grid:
-        r = lat.db_to_r(db)
-        delta = math.exp(-2.0 * r) / 2.0
+        delta, _ = gkp.resource_variances(lat.db_to_r(db))
         baseline = gkp.error_probability(
-            np.array([2 * delta, 2 * delta, delta, delta]), delta)
+            gkp.propagate_spikes(ffcz, np.zeros(4), delta), delta)
         rows.append(["baseline", "FFCZ", _fmt(db), _fmt_perr(baseline)])
         for lattice in args.lattice:
             for gate in args.gate:
@@ -261,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("optimize", help="optimize CZ bases and update the cache")
-    p.add_argument("--lattice", required=True, choices=("DBSL", "BSL", "MBSL", "QRL"))
+    p.add_argument("--lattice", required=True, choices=gates.CACHED_CZ_LATTICES,
+                   help="the QRL CZ plan is closed-form and needs no table")
     _add_grid_args(p, db_min=15.0, db_max=15.0, db_step=0.5)
     p.add_argument("--config", help="JSON object with any of the optimizer keys "
                    "restarts, weight_grid, seed")

@@ -1,9 +1,9 @@
 """Gate plans: closed-form basis settings per lattice plus the optimizer-backed
 controlled-Z cache.
 
-A plan is an ordered list of steps; each step holds one or more parallel
-tracks of (region graph, full basis, output/input selection).  Realizing a
-plan reduces every track, tensors parallel tracks, and chains the steps, so
+A plan is a tuple of steps; each step is a tuple of one or more parallel
+:class:`PlanTrack` (region graph, full basis, kept outputs/inputs).  Realizing
+a plan reduces every track, tensors parallel tracks, and chains the steps, so
 the combined noise matrix follows the two-step composition rule
 N = [G2 N1 | N2].
 """
@@ -14,7 +14,7 @@ import fcntl
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +27,10 @@ from .reduction import GateResult, basis_from_sums, chain, reduce, restrict, ten
 
 __all__ = [
     "GatePlan",
-    "PlanStep",
     "PlanTrack",
     "realize",
     "target_symplectic",
+    "cz_region",
     "basis_for",
     "qrl_cz_plan",
     "dbsl_swap_plan",
@@ -45,6 +45,9 @@ __all__ = [
 
 SINGLE_MODE_GATES = ("I", "F", "P1")
 
+# Lattices whose CZ basis is read from the table; the QRL CZ is closed-form.
+CACHED_CZ_LATTICES = ("DBSL", "BSL", "MBSL")
+
 # Fourier byproduct exponents (n, m) of the (F^n x F^m) CZ(1) that the
 # even-parity CZ region implements per lattice.
 FFCZ_EXPONENTS = {"DBSL": (1, 1), "BSL": (1, -1), "MBSL": (1, 1), "QRL": (-1, -1)}
@@ -52,15 +55,23 @@ FFCZ_EXPONENTS = {"DBSL": (1, 1), "BSL": (1, -1), "MBSL": (1, 1), "QRL": (-1, -1
 
 @dataclass(frozen=True)
 class PlanTrack:
+    """One region of a plan step: its graph, full basis, and the output and
+    input positions the step keeps, in order (default: all of them)."""
+
     graph: lat.ComputationGraph
     angles: dict
-    out_keep: tuple | None = None
-    in_keep: tuple | None = None
+    out_keep: tuple = None
+    in_keep: tuple = None
+    keeps_all: bool = field(init=False)
 
-
-@dataclass(frozen=True)
-class PlanStep:
-    tracks: tuple
+    def __post_init__(self):
+        every = (tuple(range(len(self.graph.output_modes))),
+                 tuple(range(len(self.graph.input_modes))))
+        keep = tuple(e if k is None else tuple(k)
+                     for e, k in zip(every, (self.out_keep, self.in_keep)))
+        object.__setattr__(self, "out_keep", keep[0])
+        object.__setattr__(self, "in_keep", keep[1])
+        object.__setattr__(self, "keeps_all", keep == every)
 
 
 @dataclass(frozen=True)
@@ -68,9 +79,8 @@ class GatePlan:
     lattice: str
     gate_id: str
     r: float
-    steps: tuple
+    steps: tuple  # of steps, each a tuple of parallel PlanTracks
     target: np.ndarray
-    byproduct: np.ndarray | None = None
 
 
 def realize(plan: GatePlan) -> GateResult:
@@ -78,15 +88,10 @@ def realize(plan: GatePlan) -> GateResult:
     combined = None
     for step in plan.steps:
         results = []
-        for track in step.tracks:
+        for track in step:
             res = reduce(track.graph, track.angles)
-            if track.out_keep is not None or track.in_keep is not None:
-                res = restrict(res,
-                               track.out_keep if track.out_keep is not None
-                               else tuple(range(res.n_outputs)),
-                               track.in_keep if track.in_keep is not None
-                               else tuple(range(res.n_inputs)))
-            results.append(res)
+            results.append(res if track.keeps_all
+                           else restrict(res, track.out_keep, track.in_keep))
         step_result = results[0] if len(results) == 1 else tensor(results)
         combined = step_result if combined is None else chain(combined, step_result)
     return combined
@@ -107,8 +112,6 @@ def target_symplectic(gate_id: str, signs=(1, 1)) -> np.ndarray:
         return sp.rotation(math.pi / 2)
     if gate_id == "P1":
         return sp.shear(1.0)
-    if gate_id == "CZ":
-        return sp.cz(1.0)
     if gate_id == "FFCZ":
         return _fourier_byproduct(*signs) @ sp.cz(1.0)
     if gate_id == "SWAP":
@@ -116,6 +119,13 @@ def target_symplectic(gate_id: str, signs=(1, 1)) -> np.ndarray:
         x[0, 1] = x[1, 0] = x[2, 3] = x[3, 2] = 1.0
         return x
     raise ValueError(f"unknown gate id {gate_id!r}")
+
+
+def cz_region(lattice: str, r: float, theta_c: float | None = None) -> tuple:
+    """The even-parity CZ region of ``lattice`` at squeezing r, and the
+    Fourier-CZ target it implements: (graph, target)."""
+    graph = lat.cz_region_graph(lat.LatticeParams.from_r(lattice, r), theta_c=theta_c)
+    return graph, target_symplectic("FFCZ", FFCZ_EXPONENTS[lattice])
 
 
 def _step_basis(graph, theta_plus, theta_minus):
@@ -173,7 +183,8 @@ def basis_for(lattice: str, gate_id: str, r: float, parity: int = 0) -> GatePlan
     if gate_id == "S_INV_T":
         if lattice != "QRL":
             raise ValueError("the squeezing-compensation step is a QRL gate")
-        return _qrl_compensation_plan(r)
+        return GatePlan("QRL", "S_INV_T", r, ((_qrl_compensation(r, 0),),),
+                        sp.squeeze(1.0 / math.tanh(2.0 * r)))
     if gate_id not in SINGLE_MODE_GATES:
         raise ValueError(f"unsupported (lattice, gate) = ({lattice!r}, {gate_id!r}); "
                          "CZ plans come from qrl_cz_plan or the optimizer cache")
@@ -183,53 +194,37 @@ def basis_for(lattice: str, gate_id: str, r: float, parity: int = 0) -> GatePlan
         params = lat.LatticeParams.from_t(math.tanh(2.0 * r), lat.effective_epsilon(r))
     else:
         params = lat.LatticeParams.from_r(lattice, r)
+    keep = (0,) if lattice == "QRL" else None  # one computation mode of the macronode
     steps = []
     for theta_plus, theta_minus in _single_mode_sums(lattice, gate_id, r, parity):
         graph = lat.single_step_graph(params, parity=parity)
-        angles = _step_basis(graph, theta_plus, theta_minus)
-        if lattice == "QRL":
-            steps.append(PlanStep((PlanTrack(graph, angles, out_keep=(0,), in_keep=(0,)),)))
-        else:
-            steps.append(PlanStep((PlanTrack(graph, angles),)))
+        steps.append((PlanTrack(graph, _step_basis(graph, theta_plus, theta_minus),
+                                keep, keep),))
     return GatePlan(lattice, gate_id, r, tuple(steps), target_symplectic(gate_id))
 
 
-QRL_CZ_ANGLES = {
-    "A": math.pi / 2 - math.atan(0.5),
-    "B": 0.0,
-    "C": math.pi / 2 + math.atan(0.5),
-    "D": 0.0,
-}
+# Coupling-step basis of the QRL CZ by measured mode (macronode modes C, B, A, D)
+QRL_CZ_ANGLES = {0: math.pi / 2 + math.atan(0.5), 1: 0.0,
+                 2: math.pi / 2 - math.atan(0.5), 3: 0.0}
 
 
-def _qrl_compensation_plan(r):
-    params = lat.LatticeParams.from_r("QRL", r)
-    graph = lat.single_step_graph(params)
-    a = math.atan(math.tanh(2.0 * r) ** -2)
-    angles = {0: a, 1: a, 2: -a, 3: -a}
-    step = PlanStep((PlanTrack(graph, angles, out_keep=(0,), in_keep=(0,)),))
-    return GatePlan("QRL", "S_INV_T", r, (step,),
-                    sp.squeeze(1.0 / math.tanh(2.0 * r)))
+def _qrl_compensation(r, mode):
+    """Squeezing compensation S(tanh 2r)^-1 on QRL computation mode ``mode``:
+    basis {0: a, 1: a, 2: -a, 3: -a} with a = atan(tanh(2r)^-2)."""
+    graph = lat.single_step_graph(lat.LatticeParams.from_r("QRL", r))
+    angles = _step_basis(graph, 0.0, 2.0 * math.atan(math.tanh(2.0 * r) ** -2))
+    return PlanTrack(graph, angles, out_keep=(mode,), in_keep=(mode,))
 
 
 def qrl_cz_plan(r: float) -> GatePlan:
     """Two-step QRL plan: single-step Fourier-CZ coupling, then a squeezing
     compensation step on each computation mode."""
-    params = lat.LatticeParams.from_r("QRL", r)
-    g1 = lat.single_step_graph(params)
-    cz_angles = {0: QRL_CZ_ANGLES["C"], 1: QRL_CZ_ANGLES["B"],
-                 2: QRL_CZ_ANGLES["A"], 3: QRL_CZ_ANGLES["D"]}
+    g1 = lat.single_step_graph(lat.LatticeParams.from_r("QRL", r))
     # the coupling step redirects both modes: in1 -> B[k+1], in2 -> C[k+N]
-    step1 = PlanStep((PlanTrack(g1, cz_angles, out_keep=(1, 0)),))
-    a = math.atan(math.tanh(2.0 * r) ** -2)
-    comp = {0: a, 1: a, 2: -a, 3: -a}
-    step2 = PlanStep((
-        PlanTrack(lat.single_step_graph(params), comp, out_keep=(1,), in_keep=(1,)),
-        PlanTrack(lat.single_step_graph(params), comp, out_keep=(0,), in_keep=(0,)),
-    ))
-    nm = FFCZ_EXPONENTS["QRL"]
+    step1 = (PlanTrack(g1, dict(QRL_CZ_ANGLES), out_keep=(1, 0)),)
+    step2 = (_qrl_compensation(r, 1), _qrl_compensation(r, 0))
     return GatePlan("QRL", "FFCZ", r, (step1, step2),
-                    target_symplectic("FFCZ", nm), byproduct=_fourier_byproduct(*nm))
+                    target_symplectic("FFCZ", FFCZ_EXPONENTS["QRL"]))
 
 
 DBSL_SWAP_FREE_ANGLES = (math.pi / 4, -math.pi / 4, math.pi / 4, -math.pi / 4,
@@ -238,12 +233,10 @@ DBSL_SWAP_FREE_ANGLES = (math.pi / 4, -math.pi / 4, math.pi / 4, -math.pi / 4,
 
 def dbsl_swap_plan(r: float) -> GatePlan:
     """Wire swap on the DBSL; the angles are squeezing-independent."""
-    params = lat.LatticeParams.from_r("DBSL", r)
-    graph = lat.cz_region_graph(params, parity=0)
+    graph = lat.cz_region_graph(lat.LatticeParams.from_r("DBSL", r))
     angles = graph.full_basis(DBSL_SWAP_FREE_ANGLES)
-    byproduct = _fourier_byproduct(1, 1)
-    return GatePlan("DBSL", "SWAP", r, (PlanStep((PlanTrack(graph, angles),)),),
-                    byproduct @ target_symplectic("SWAP"), byproduct=byproduct)
+    return GatePlan("DBSL", "SWAP", r, ((PlanTrack(graph, angles),),),
+                    _fourier_byproduct(1, 1) @ target_symplectic("SWAP"))
 
 
 # ------------------------------------------------------------------ CZ cache
@@ -259,7 +252,9 @@ def load_basis_table(path: str | Path | None = None) -> dict:
     """The table at ``path`` (default: :func:`default_table_path`).
 
     Raises CacheMissError when there is no file, and ValueError naming the
-    file when it is not a JSON object with a list ``entries``.
+    file when it is not a JSON object with a list ``entries`` whose every row
+    is an object with a ``lattice`` in :data:`CACHED_CZ_LATTICES`, a finite
+    number ``squeezing_db`` and a list ``angles``.
     """
     p = Path(path) if path is not None else default_table_path()
     if not p.exists():
@@ -273,6 +268,14 @@ def load_basis_table(path: str | Path | None = None) -> dict:
             raise ValueError(f"malformed basis table {p}: {exc}") from exc
     if not (isinstance(table, dict) and isinstance(table.get("entries"), list)):
         raise ValueError(f"malformed basis table {p}: not a JSON object with a list 'entries'")
+    for i, row in enumerate(table["entries"]):
+        if not (isinstance(row, dict) and row.get("lattice") in CACHED_CZ_LATTICES
+                and type(row.get("squeezing_db")) in (int, float)
+                and math.isfinite(row["squeezing_db"])
+                and isinstance(row.get("angles"), list)):
+            raise ValueError(f"malformed basis table {p}: entry {i} is not a "
+                             f"{'/'.join(CACHED_CZ_LATTICES)} row with a finite "
+                             "'squeezing_db' and a list 'angles'")
     return table
 
 
@@ -344,13 +347,9 @@ def cz_plan(lattice: str, db: float, table: dict | None = None,
             f"{' --variable-theta-c' if variable_theta_c else ''} "
             f"--db-min {db:g} --db-max {db:g}`")
     r = lat.db_to_r(db)
-    params = lat.LatticeParams.from_r(lattice, r)
-    theta_c = row.get("theta_c")
-    graph = lat.cz_region_graph(params, theta_c=theta_c)
-    nm = FFCZ_EXPONENTS[lattice]
+    graph, target = cz_region(lattice, r, row.get("theta_c"))
     return GatePlan(lattice, "FFCZ", r,
-                    (PlanStep((PlanTrack(graph, graph.full_basis(row["angles"])),)),),
-                    target_symplectic("FFCZ", nm), byproduct=_fourier_byproduct(*nm))
+                    ((PlanTrack(graph, graph.full_basis(row["angles"])),),), target)
 
 
 def iter_catalog(r: float):

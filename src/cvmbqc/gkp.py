@@ -13,7 +13,12 @@ import math
 
 import numpy as np
 
+from . import gates
+from . import lattice as lat
+from .reduction import noise_factors
+
 __all__ = [
+    "resource_variances",
     "propagate_spikes",
     "error_probability",
     "correction_shift",
@@ -21,6 +26,13 @@ __all__ = [
 ]
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def resource_variances(r: float) -> tuple:
+    """(delta, cluster variance) at squeezing r: the spike variance
+    e^{-2r}/2 of encoded states and ancillas, and the cluster-momentum
+    variance sech(2r)/2 that scales a gate's noise factors."""
+    return math.exp(-2.0 * r) / 2.0, 0.5 * lat.effective_epsilon(r)
 
 
 def propagate_spikes(G: np.ndarray, sigma2, delta: float) -> np.ndarray:
@@ -55,16 +67,11 @@ def correction_shift(m: float) -> float:
 def gate_error_probability(plan) -> float:
     """Error probability of a gate plan with resource-matched GKP ancillas.
 
-    The plan is realized at its own squeezing r = ``plan.r``.  The encoded and
-    ancilla spike variance is delta = e^{-2r}/2, the gate noise variances are
-    the plan's quadrature noise factors times sech(2r)/2, and the result is
+    The plan is realized at its own squeezing r = ``plan.r``, with the
+    spike and noise variances of :func:`resource_variances`; the result is
     :func:`error_probability` of the spikes :func:`propagate_spikes` gives.
     """
-    from . import gates
-    from .reduction import noise_factors
-
-    r = plan.r
     result = gates.realize(plan)
-    delta = math.exp(-2.0 * r) / 2.0
-    sigma2 = noise_factors(result) / (2.0 * math.cosh(2.0 * r))
+    delta, cluster_var = resource_variances(plan.r)
+    sigma2 = cluster_var * noise_factors(result)
     return error_probability(propagate_spikes(result.G, sigma2, delta), delta)

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import _kernels
 from . import gates
-from . import lattice as lat
-from .gkp import error_probability, propagate_spikes
+from .gkp import error_probability, propagate_spikes, resource_variances
 from .reduction import noise_factors, restrict, split_s0
 from .reduction import reduce as reduce_region
 
@@ -182,9 +181,9 @@ def freeze_region(graph, target, r, out_sel=None, in_real=None,
     if target.shape != (len(rows), n_real):
         raise ValueError(f"target shape {target.shape} does not match "
                          f"{len(rows)} output quadratures x {n_real} real columns")
-    delta = math.exp(-2.0 * r) / 2.0
+    delta, cluster_var = resource_variances(r)
     weights = np.concatenate([np.full(n_real, delta), np.full(n_dummy, 0.5),
-                              np.full(k, 0.5 * lat.effective_epsilon(r))])
+                              np.full(k, cluster_var)])
     return FrozenRegion(graph, np.hstack([target, np.zeros((len(rows), n_dummy))]),
                         delta, weights, theta_base, a_map,
                         s0x[:, cols], s0p[:, cols], out[rows][:, cols])
@@ -259,22 +258,18 @@ def evaluate_free_angles(lattice: str, r: float, angles, theta_c: float | None =
     accepted optimizer results and cached table rows.  The dummy inputs of the
     QRL region carry vacuum (variance 1/2) into the gate noise.
     """
-    params = lat.LatticeParams.from_r(lattice, r)
-    graph = lat.cz_region_graph(params, theta_c=theta_c)
+    graph, target = gates.cz_region(lattice, r, theta_c)
     out = reduce_region(graph, graph.full_basis(angles))
-    target = gates.target_symplectic("FFCZ", gates.FFCZ_EXPONENTS[lattice])
-    delta = math.exp(-2.0 * r) / 2.0
+    delta, cluster_var = resource_variances(r)
     real = restrict(out, _KEEP, _KEEP)
     leak = restrict(out, _KEEP, [k for k in range(out.n_inputs) if k not in _KEEP]).G
     resid = float(np.abs(real.G - target).sum() + np.abs(leak).sum())
-    sigma2 = 0.5 * lat.effective_epsilon(r) * noise_factors(real) + 0.5 * (leak ** 2).sum(axis=1)
+    sigma2 = cluster_var * noise_factors(real) + 0.5 * (leak ** 2).sum(axis=1)
     return resid, error_probability(propagate_spikes(real.G, sigma2, delta), delta)
 
 
 def _region(lattice: str, r: float, variable_theta_c=False) -> FrozenRegion:
-    params = lat.LatticeParams.from_r(lattice, r)
-    graph = lat.cz_region_graph(params)
-    target = gates.target_symplectic("FFCZ", gates.FFCZ_EXPONENTS[lattice])
+    graph, target = gates.cz_region(lattice, r)
     return freeze_region(graph, target, r, out_sel=_KEEP, in_real=_KEEP,
                          variable_theta_c=variable_theta_c)
 
@@ -290,11 +285,9 @@ def _warm_starts(lattice: str, r: float, extra=()):
                                 -q, q - a, q + a, q + a, -q, q - a]))
         starts.append(np.array(gates.DBSL_SWAP_FREE_ANGLES))
     if lattice == "QRL":
-        aa = gates.QRL_CZ_ANGLES
-        comp = math.atan(math.tanh(2.0 * r) ** -2)
-        starts.append(np.array([aa["C"], aa["B"], aa["A"], aa["D"],
-                                comp, comp, -comp, -comp,
-                                comp, comp, -comp, -comp]))
+        # the closed-form plan: its tracks' bases in the region's free-angle order
+        starts.append(np.array([a for step in gates.qrl_cz_plan(r).steps
+                                for track in step for a in track.angles.values()]))
     return starts
 
 

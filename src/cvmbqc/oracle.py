@@ -135,27 +135,13 @@ def simulate_region(graph, angles, probe: GaussianState | None = None,
     return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 
-def _track_in_keep(track):
-    return track.in_keep if track.in_keep is not None \
-        else tuple(range(len(track.graph.input_modes)))
-
-
-def _track_out_keep(track):
-    return track.out_keep if track.out_keep is not None \
-        else tuple(range(len(track.graph.output_modes)))
-
-
 class _PlanCircuit:
     """Direct symplectic assembly of a plan's full pre-measurement circuit."""
 
     def __init__(self, plan: GatePlan):
-        self.n_logical = sum(len(_track_in_keep(t)) for t in plan.steps[0].tracks)
-        total = self.n_logical
-        for step in plan.steps:
-            for track in step.tracks:
-                n_extra = track.graph.n_modes - len(_track_in_keep(track))
-                total += n_extra
-        self.n_total = total
+        self.n_logical = sum(len(t.in_keep) for t in plan.steps[0])
+        self.n_total = total = self.n_logical + sum(
+            t.graph.n_modes - len(t.in_keep) for step in plan.steps for t in step)
 
         self.sigma0 = np.full(2 * total, 0.5)
         self.meas_rows = []
@@ -168,18 +154,17 @@ class _PlanCircuit:
         for step in plan.steps:
             next_active = []
             consumed = 0
-            for track in step.tracks:
+            for track in step:
                 g = track.graph
-                in_keep = _track_in_keep(track)
                 mode_map = {}
                 for pos, m in enumerate(g.input_modes):
-                    if pos in in_keep:
-                        mode_map[m] = active[consumed + in_keep.index(pos)]
+                    if pos in track.in_keep:
+                        mode_map[m] = active[consumed + track.in_keep.index(pos)]
                     else:
                         mode_map[m] = cursor
                         self.dummy_modes.append(cursor)
                         cursor += 1
-                consumed += len(in_keep)
+                consumed += len(track.in_keep)
                 vx, vp = _cluster_vars(g.epsilon)
                 for m in range(g.n_modes):
                     if m not in mode_map:
@@ -201,7 +186,7 @@ class _PlanCircuit:
                     s_tot = emb(sp.rotation(track.angles[m]), [m]) @ s_tot
                     self.meas_rows.append(mode_map[m])
                 next_active.extend(mode_map[g.output_modes[pos]]
-                                   for pos in _track_out_keep(track))
+                                   for pos in track.out_keep)
             active = next_active
         self.outputs = active
         self.s_tot = s_tot
@@ -426,7 +411,7 @@ def wigner_limit_check(lattice: str, r: float, npts: int = 513,
     else:
         params = lat.LatticeParams.from_r(lattice, r)
         graph = lat.single_step_graph(params)
-        angles = basis_for(lattice, "I", r).steps[0].tracks[0].angles
+        angles = basis_for(lattice, "I", r).steps[0][0].angles
         out = simulate_region(graph, angles, GaussianState(np.zeros(2), probe_cov))
         ref = out.cov
 

@@ -68,10 +68,20 @@ def test_error_curve_cache_miss_exit_code(capsys, tmp_path, monkeypatch):
     assert "cache miss" in err
 
 
+def _one_row_table(**change):
+    row = {"lattice": "DBSL", "squeezing_db": 10.0, "angles": [0.0] * 10, **change}
+    return json.dumps({"version": 1, "entries": [row]})
+
+
 MALFORMED_TABLES = {
     "truncated": '{\n "version": 1,\n "entries": [\n  {\n   "lattice": "DB',
     "no-entries": '{"version": 1}',
     "not-an-object": "[1, 2]",
+    "row-not-an-object": '{"version": 1, "entries": [1]}',
+    "row-qrl": _one_row_table(lattice="QRL"),
+    "row-string-db": _one_row_table(squeezing_db="10"),
+    "row-infinite-db": _one_row_table(squeezing_db=math.inf),
+    "row-angles-not-a-list": _one_row_table(angles=0.5),
 }
 
 
@@ -122,6 +132,21 @@ def test_nonfinite_db_bound_is_usage_error(capsys, command, flag, value):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("db_min, db_max, db_step, message", [
+    ("-1e300", "1e300", "1e-300", "squeezing grid from -1e+300 to 1e+300"),
+    ("0", "25", "1e-9", "squeezing grid from 0 to 25 in steps of 1e-09 has more than"),
+    ("1e300", "-1e300", "1e-300", "empty or inconsistent squeezing grid"),
+], ids=["overflow", "huge", "negative-overflow"])
+def test_oversized_grid_is_refused_before_it_is_built(capsys, db_min, db_max, db_step,
+                                                      message):
+    code, out, err = run_cli(["noise-curve", f"--db-min={db_min}", f"--db-max={db_max}",
+                              f"--db-step={db_step}"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert out == ""
+
+
 @pytest.mark.parametrize("db_max", ["2.2", "2.3"])
 def test_grid_step_must_divide_the_range(capsys, db_max):
     code, _, err = run_cli(["noise-curve", "--db-min", "1", "--db-max", db_max,
@@ -159,20 +184,30 @@ def test_dump_graph_to_file(tmp_path, capsys):
 def test_optimize_writes_table_and_error_curve_consumes_it(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"restarts": 6, "weight_grid": [1e-8, 1e-2]}))
-    code, out, _ = run_cli(["optimize", "--lattice", "QRL", "--db-min", "10",
-                            "--db-max", "10", "--db-step", "1",
-                            "--config", str(cfg), "--seed", "1"], capsys)
+    cfg.write_text(json.dumps({"restarts": 1, "weight_grid": [1e-4, 1e-2]}))
+    code, out, _ = run_cli(["optimize", "--lattice", "DBSL", "--db-min", "15",
+                            "--db-max", "15", "--config", str(cfg),
+                            "--seed", "20200527"], capsys)
     assert code == 0
-    table = gates.load_basis_table()
-    assert any(e["lattice"] == "QRL" and e["accepted"] for e in table["entries"])
+    [row] = gates.load_basis_table()["entries"]
+    assert row["lattice"] == "DBSL" and row["accepted"]
 
-    code, out, _ = run_cli(["error-curve", "--lattice", "QRL", "--gate", "FFCZ",
-                            "--db-min", "10", "--db-max", "10", "--db-step", "1"], capsys)
+    code, out, _ = run_cli(["error-curve", "--lattice", "DBSL", "--gate", "FFCZ",
+                            "--db-min", "15", "--db-max", "15"], capsys)
     assert code == 0
     _, rows = rows_of(out)
-    vals = [float(r[3]) for r in rows if r[0] == "QRL"]
-    assert len(vals) == 1 and 0 < vals[0] < 1
+    vals = [float(r[3]) for r in rows if r[0] == "DBSL"]
+    assert vals == [pytest.approx(row["perr"], rel=1e-8)]
+
+
+def test_optimize_takes_only_the_cached_cz_lattices(capsys):
+    parser = cli.build_parser()
+    for lattice in ("DBSL", "BSL", "MBSL"):
+        assert parser.parse_args(["optimize", "--lattice", lattice]).lattice == lattice
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["optimize", "--lattice", "QRL"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "invalid choice: 'QRL'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -348,7 +383,7 @@ def test_variable_theta_c_run_warm_starts_from_the_fixed_row(tmp_path, fake_sear
 
 def test_concurrent_sections_share_one_table(tmp_path, fake_search):
     path = tmp_path / "table.json"
-    lattices = ("DBSL", "BSL", "MBSL", "QRL")
+    lattices = ("DBSL", "BSL", "MBSL")
     errors = []
 
     def worker(lattice):

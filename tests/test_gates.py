@@ -141,8 +141,8 @@ class TestSwapPlan:
     def test_angles_squeezing_independent(self):
         p1 = gates.dbsl_swap_plan(0.5)
         p2 = gates.dbsl_swap_plan(2.5)
-        a1 = [p1.steps[0].tracks[0].angles[m] for m in p1.steps[0].tracks[0].graph.free_modes]
-        a2 = [p2.steps[0].tracks[0].angles[m] for m in p2.steps[0].tracks[0].graph.free_modes]
+        a1 = [p1.steps[0][0].angles[m] for m in p1.steps[0][0].graph.free_modes]
+        a2 = [p2.steps[0][0].angles[m] for m in p2.steps[0][0].graph.free_modes]
         assert a1 == a2
 
     @pytest.mark.parametrize("r", (1.0, 1.5, 2.5))
@@ -150,7 +150,8 @@ class TestSwapPlan:
         plan = gates.dbsl_swap_plan(r)
         res = gates.realize(plan)
         assert np.abs(res.G - plan.target).sum() < 1e-6
-        ff = plan.byproduct
+        f = sp.rotation(math.pi / 2)
+        ff = sp.embed(f, [0], 2) @ sp.embed(f, [1], 2)
         assert np.allclose(plan.target, ff @ gates.target_symplectic("SWAP"), atol=1e-15)
 
     @pytest.mark.parametrize("r", (0.75, 1.0, 2.0))
@@ -218,6 +219,6 @@ def test_multi_step_plans_keep_the_smallest_rcond():
     r = lat.db_to_r(15.0)
     for plan in (gates.qrl_cz_plan(r), gates.basis_for("DBSL", "F", r)):
         parts = [reduce(track.graph, track.angles).rcond
-                 for step in plan.steps for track in step.tracks]
+                 for step in plan.steps for track in step]
         assert len(parts) > 1
         assert gates.realize(plan).rcond == min(parts)
