@@ -189,6 +189,10 @@ def cmd_optimize(args) -> int:
 def cmd_verify(args) -> int:
     from . import oracle  # only verify needs it; keeps the curve commands' import lean
 
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be positive and finite, got {args.tol:g}")
+    if args.cache_stride < 1:
+        raise ValueError(f"--cache-stride must be at least 1, got {args.cache_stride}")
     reports = []
     ok = True
     for r in args.r:
@@ -198,7 +202,7 @@ def cmd_verify(args) -> int:
             ok &= rep["pass"]
     table = gates.load_basis_table()
     rows = [row for row in table["entries"] if row.get("accepted")]
-    for row in rows[::max(1, args.cache_stride)]:
+    for row in rows[::args.cache_stride]:
         vtc = bool(row.get("variable_theta_c"))
         plan = gates.cz_plan(row["lattice"], row["squeezing_db"], table=table,
                              variable_theta_c=vtc)

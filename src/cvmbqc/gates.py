@@ -1,16 +1,17 @@
 """Gate plans: closed-form basis settings per lattice plus the optimizer-backed
 controlled-Z cache.
 
-A plan is a tuple of steps; each step is a tuple of one or more parallel
-:class:`PlanTrack` (region graph, full basis, kept outputs/inputs).  Realizing
-a plan reduces every track, tensors parallel tracks, and chains the steps, so
-the combined noise matrix follows the two-step composition rule
-N = [G2 N1 | N2].
+A plan is a tuple of steps, each one :class:`PlanTrack` (region graph, full
+basis, kept outputs/inputs).  Realizing a plan reduces every step, keeps its
+chosen modes, and chains the steps, so the combined noise matrix follows the
+two-step composition rule N = [G2 N1 | N2].  Every controlled-Z plan, the
+closed-form QRL one included, is one step on its lattice's :func:`cz_region`.
 """
 
 from __future__ import annotations
 
 import fcntl
+import functools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from . import __version__
 from . import lattice as lat
 from . import symplectic as sp
 from .errors import CacheMissError
-from .reduction import GateResult, basis_from_sums, chain, reduce, restrict, tensor
+from .reduction import GateResult, basis_from_sums, chain, reduce, restrict
 
 __all__ = [
     "GatePlan",
@@ -32,6 +33,7 @@ __all__ = [
     "target_symplectic",
     "cz_region",
     "basis_for",
+    "qrl_cz_angles",
     "qrl_cz_plan",
     "dbsl_swap_plan",
     "cz_plan",
@@ -52,11 +54,15 @@ CACHED_CZ_LATTICES = ("DBSL", "BSL", "MBSL")
 # even-parity CZ region implements per lattice.
 FFCZ_EXPONENTS = {"DBSL": (1, 1), "BSL": (1, -1), "MBSL": (1, 1), "QRL": (-1, -1)}
 
+# Every CZ region keeps these outputs and inputs, the two computation modes;
+# the QRL region's further inputs and outputs are dummy paths.
+CZ_KEEP = (0, 1)
+
 
 @dataclass(frozen=True)
 class PlanTrack:
-    """One region of a plan step: its graph, full basis, and the output and
-    input positions the step keeps, in order (default: all of them)."""
+    """One plan step: its region graph, full basis, and the output and input
+    positions the step keeps, in order (default: all of them)."""
 
     graph: lat.ComputationGraph
     angles: dict
@@ -79,21 +85,18 @@ class GatePlan:
     lattice: str
     gate_id: str
     r: float
-    steps: tuple  # of steps, each a tuple of parallel PlanTracks
+    steps: tuple  # of PlanTracks, one per step
     target: np.ndarray
 
 
 def realize(plan: GatePlan) -> GateResult:
-    """Reduce, tensor, and chain all plan steps into one GateResult."""
+    """Reduce, restrict, and chain all plan steps into one GateResult."""
     combined = None
-    for step in plan.steps:
-        results = []
-        for track in step:
-            res = reduce(track.graph, track.angles)
-            results.append(res if track.keeps_all
-                           else restrict(res, track.out_keep, track.in_keep))
-        step_result = results[0] if len(results) == 1 else tensor(results)
-        combined = step_result if combined is None else chain(combined, step_result)
+    for track in plan.steps:
+        res = reduce(track.graph, track.angles)
+        if not track.keeps_all:
+            res = restrict(res, track.out_keep, track.in_keep)
+        combined = res if combined is None else chain(combined, res)
     return combined
 
 
@@ -180,11 +183,6 @@ def _single_mode_sums(lattice, gate_id, r, parity):
 
 def basis_for(lattice: str, gate_id: str, r: float, parity: int = 0) -> GatePlan:
     """Closed-form plan for the single-mode gate set on any built-in lattice."""
-    if gate_id == "S_INV_T":
-        if lattice != "QRL":
-            raise ValueError("the squeezing-compensation step is a QRL gate")
-        return GatePlan("QRL", "S_INV_T", r, ((_qrl_compensation(r, 0),),),
-                        sp.squeeze(1.0 / math.tanh(2.0 * r)))
     if gate_id not in SINGLE_MODE_GATES:
         raise ValueError(f"unsupported (lattice, gate) = ({lattice!r}, {gate_id!r}); "
                          "CZ plans come from qrl_cz_plan or the optimizer cache")
@@ -198,33 +196,35 @@ def basis_for(lattice: str, gate_id: str, r: float, parity: int = 0) -> GatePlan
     steps = []
     for theta_plus, theta_minus in _single_mode_sums(lattice, gate_id, r, parity):
         graph = lat.single_step_graph(params, parity=parity)
-        steps.append((PlanTrack(graph, _step_basis(graph, theta_plus, theta_minus),
-                                keep, keep),))
+        steps.append(PlanTrack(graph, _step_basis(graph, theta_plus, theta_minus),
+                               keep, keep))
     return GatePlan(lattice, gate_id, r, tuple(steps), target_symplectic(gate_id))
 
 
-# Coupling-step basis of the QRL CZ by measured mode (macronode modes C, B, A, D)
-QRL_CZ_ANGLES = {0: math.pi / 2 + math.atan(0.5), 1: 0.0,
-                 2: math.pi / 2 - math.atan(0.5), 3: 0.0}
+def _cz_region_plan(lattice, r, free_angles, theta_c=None) -> GatePlan:
+    """One-step Fourier-CZ plan on the CZ region of ``lattice``."""
+    graph, target = cz_region(lattice, r, theta_c)
+    return GatePlan(lattice, "FFCZ", r,
+                    (PlanTrack(graph, graph.full_basis(free_angles), CZ_KEEP, CZ_KEEP),),
+                    target)
 
 
-def _qrl_compensation(r, mode):
-    """Squeezing compensation S(tanh 2r)^-1 on QRL computation mode ``mode``:
-    basis {0: a, 1: a, 2: -a, 3: -a} with a = atan(tanh(2r)^-2)."""
-    graph = lat.single_step_graph(lat.LatticeParams.from_r("QRL", r))
-    angles = _step_basis(graph, 0.0, 2.0 * math.atan(math.tanh(2.0 * r) ** -2))
-    return PlanTrack(graph, angles, out_keep=(mode,), in_keep=(mode,))
+def qrl_cz_angles(r: float) -> tuple:
+    """Free angles of the QRL CZ region at squeezing r.
+
+    The coupling device measures (pi/2 + atan 1/2, 0, pi/2 - atan 1/2, 0); each
+    device an output path meets next applies the squeezing compensation
+    S(tanh 2r)^-1 with (a, a, -a, -a), a = atan(tanh(2r)^-2).
+    """
+    a = math.atan(math.tanh(2.0 * r) ** -2)
+    return (math.pi / 2 + math.atan(0.5), 0.0, math.pi / 2 - math.atan(0.5), 0.0,
+            a, a, -a, -a, a, a, -a, -a)
 
 
 def qrl_cz_plan(r: float) -> GatePlan:
-    """Two-step QRL plan: single-step Fourier-CZ coupling, then a squeezing
-    compensation step on each computation mode."""
-    g1 = lat.single_step_graph(lat.LatticeParams.from_r("QRL", r))
-    # the coupling step redirects both modes: in1 -> B[k+1], in2 -> C[k+N]
-    step1 = (PlanTrack(g1, dict(QRL_CZ_ANGLES), out_keep=(1, 0)),)
-    step2 = (_qrl_compensation(r, 1), _qrl_compensation(r, 0))
-    return GatePlan("QRL", "FFCZ", r, (step1, step2),
-                    target_symplectic("FFCZ", FFCZ_EXPONENTS["QRL"]))
+    """Closed-form QRL plan: one coupling macronode, then a squeezing
+    compensation on each output path, all in the QRL CZ region."""
+    return _cz_region_plan("QRL", r, qrl_cz_angles(r))
 
 
 DBSL_SWAP_FREE_ANGLES = (math.pi / 4, -math.pi / 4, math.pi / 4, -math.pi / 4,
@@ -235,7 +235,7 @@ def dbsl_swap_plan(r: float) -> GatePlan:
     """Wire swap on the DBSL; the angles are squeezing-independent."""
     graph = lat.cz_region_graph(lat.LatticeParams.from_r("DBSL", r))
     angles = graph.full_basis(DBSL_SWAP_FREE_ANGLES)
-    return GatePlan("DBSL", "SWAP", r, ((PlanTrack(graph, angles),),),
+    return GatePlan("DBSL", "SWAP", r, (PlanTrack(graph, angles),),
                     _fourier_byproduct(1, 1) @ target_symplectic("SWAP"))
 
 
@@ -248,13 +248,40 @@ def default_table_path() -> Path:
     return Path(__file__).parent / "data" / "cz_basis_table.json"
 
 
+def _is_finite_number(v) -> bool:
+    """Whether a JSON value is a finite int or float (not a bool)."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+@functools.cache
+def _n_free_angles(lattice: str) -> int:
+    return len(lat.cz_region_graph(lat.LatticeParams.from_r(lattice, 1.0)).free_modes)
+
+
+def _is_valid_row(row) -> bool:
+    if not (isinstance(row, dict) and row.get("lattice") in CACHED_CZ_LATTICES
+            and _is_finite_number(row.get("squeezing_db"))
+            and isinstance(row.get("angles"), list)
+            and len(row["angles"]) == _n_free_angles(row["lattice"])
+            and all(_is_finite_number(a) for a in row["angles"])):
+        return False
+    if "theta_c" in row and not _is_finite_number(row["theta_c"]):
+        return False
+    return not row.get("variable_theta_c") or (row["lattice"] == "DBSL" and "theta_c" in row)
+
+
 def load_basis_table(path: str | Path | None = None) -> dict:
     """The table at ``path`` (default: :func:`default_table_path`).
 
     Raises CacheMissError when there is no file, and ValueError naming the
     file when it is not a JSON object with a list ``entries`` whose every row
     is an object with a ``lattice`` in :data:`CACHED_CZ_LATTICES`, a finite
-    number ``squeezing_db`` and a list ``angles``.
+    number ``squeezing_db``, a list ``angles`` of one finite number per free
+    mode of that lattice's :func:`cz_region`, a finite number ``theta_c`` if
+    it has one, and ``theta_c`` on a DBSL row if it sets ``variable_theta_c``.
     """
     p = Path(path) if path is not None else default_table_path()
     if not p.exists():
@@ -269,13 +296,13 @@ def load_basis_table(path: str | Path | None = None) -> dict:
     if not (isinstance(table, dict) and isinstance(table.get("entries"), list)):
         raise ValueError(f"malformed basis table {p}: not a JSON object with a list 'entries'")
     for i, row in enumerate(table["entries"]):
-        if not (isinstance(row, dict) and row.get("lattice") in CACHED_CZ_LATTICES
-                and type(row.get("squeezing_db")) in (int, float)
-                and math.isfinite(row["squeezing_db"])
-                and isinstance(row.get("angles"), list)):
+        if not _is_valid_row(row):
+            counts = ", ".join(f"{lt} {_n_free_angles(lt)}" for lt in CACHED_CZ_LATTICES)
             raise ValueError(f"malformed basis table {p}: entry {i} is not a "
                              f"{'/'.join(CACHED_CZ_LATTICES)} row with a finite "
-                             "'squeezing_db' and a list 'angles'")
+                             f"'squeezing_db', finite 'angles' ({counts}) and a finite "
+                             "'theta_c' if any; a 'variable_theta_c' row is a DBSL row "
+                             "with a 'theta_c'")
     return table
 
 
@@ -346,10 +373,7 @@ def cz_plan(lattice: str, db: float, table: dict | None = None,
             f"`cvmbqc optimize --lattice {lattice}"
             f"{' --variable-theta-c' if variable_theta_c else ''} "
             f"--db-min {db:g} --db-max {db:g}`")
-    r = lat.db_to_r(db)
-    graph, target = cz_region(lattice, r, row.get("theta_c"))
-    return GatePlan(lattice, "FFCZ", r,
-                    ((PlanTrack(graph, graph.full_basis(row["angles"])),),), target)
+    return _cz_region_plan(lattice, lat.db_to_r(db), row["angles"], row.get("theta_c"))
 
 
 def iter_catalog(r: float):

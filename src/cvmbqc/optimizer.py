@@ -42,10 +42,6 @@ _POLISH_ROUNDS = 2
 _LOCAL_TOL = 1e-13
 _MAX_EVALS = 20000
 
-# Every CZ region compares these outputs against the target and carries
-# encoded states on these inputs; the QRL region's further inputs are dummies.
-_KEEP = (0, 1)
-
 
 def _is_number(v, kind=numbers.Real) -> bool:
     return isinstance(v, kind) and not isinstance(v, bool)
@@ -261,8 +257,9 @@ def evaluate_free_angles(lattice: str, r: float, angles, theta_c: float | None =
     graph, target = gates.cz_region(lattice, r, theta_c)
     out = reduce_region(graph, graph.full_basis(angles))
     delta, cluster_var = resource_variances(r)
-    real = restrict(out, _KEEP, _KEEP)
-    leak = restrict(out, _KEEP, [k for k in range(out.n_inputs) if k not in _KEEP]).G
+    keep = gates.CZ_KEEP
+    real = restrict(out, keep, keep)
+    leak = restrict(out, keep, [k for k in range(out.n_inputs) if k not in keep]).G
     resid = float(np.abs(real.G - target).sum() + np.abs(leak).sum())
     sigma2 = cluster_var * noise_factors(real) + 0.5 * (leak ** 2).sum(axis=1)
     return resid, error_probability(propagate_spikes(real.G, sigma2, delta), delta)
@@ -270,7 +267,7 @@ def evaluate_free_angles(lattice: str, r: float, angles, theta_c: float | None =
 
 def _region(lattice: str, r: float, variable_theta_c=False) -> FrozenRegion:
     graph, target = gates.cz_region(lattice, r)
-    return freeze_region(graph, target, r, out_sel=_KEEP, in_real=_KEEP,
+    return freeze_region(graph, target, r, out_sel=gates.CZ_KEEP, in_real=gates.CZ_KEEP,
                          variable_theta_c=variable_theta_c)
 
 
@@ -285,9 +282,7 @@ def _warm_starts(lattice: str, r: float, extra=()):
                                 -q, q - a, q + a, q + a, -q, q - a]))
         starts.append(np.array(gates.DBSL_SWAP_FREE_ANGLES))
     if lattice == "QRL":
-        # the closed-form plan: its tracks' bases in the region's free-angle order
-        starts.append(np.array([a for step in gates.qrl_cz_plan(r).steps
-                                for track in step for a in track.angles.values()]))
+        starts.append(np.array(gates.qrl_cz_angles(r)))  # the closed-form plan
     return starts
 
 

@@ -139,9 +139,9 @@ class _PlanCircuit:
     """Direct symplectic assembly of a plan's full pre-measurement circuit."""
 
     def __init__(self, plan: GatePlan):
-        self.n_logical = sum(len(t.in_keep) for t in plan.steps[0])
+        self.n_logical = len(plan.steps[0].in_keep)
         self.n_total = total = self.n_logical + sum(
-            t.graph.n_modes - len(t.in_keep) for step in plan.steps for t in step)
+            t.graph.n_modes - len(t.in_keep) for t in plan.steps)
 
         self.sigma0 = np.full(2 * total, 0.5)
         self.meas_rows = []
@@ -151,43 +151,37 @@ class _PlanCircuit:
         active = list(range(self.n_logical))
         cursor = self.n_logical
 
-        for step in plan.steps:
-            next_active = []
-            consumed = 0
-            for track in step:
-                g = track.graph
-                mode_map = {}
-                for pos, m in enumerate(g.input_modes):
-                    if pos in track.in_keep:
-                        mode_map[m] = active[consumed + track.in_keep.index(pos)]
-                    else:
-                        mode_map[m] = cursor
-                        self.dummy_modes.append(cursor)
-                        cursor += 1
-                consumed += len(track.in_keep)
-                vx, vp = _cluster_vars(g.epsilon)
-                for m in range(g.n_modes):
-                    if m not in mode_map:
-                        mode_map[m] = cursor
-                        self.sigma0[cursor] = vx
-                        self.sigma0[total + cursor] = vp
-                        self.anc_x_cols.append(cursor)
-                        cursor += 1
+        for track in plan.steps:
+            g = track.graph
+            mode_map = {}
+            for pos, m in enumerate(g.input_modes):
+                if pos in track.in_keep:
+                    mode_map[m] = active[track.in_keep.index(pos)]
+                else:
+                    mode_map[m] = cursor
+                    self.dummy_modes.append(cursor)
+                    cursor += 1
+            vx, vp = _cluster_vars(g.epsilon)
+            for m in range(g.n_modes):
+                if m not in mode_map:
+                    mode_map[m] = cursor
+                    self.sigma0[cursor] = vx
+                    self.sigma0[total + cursor] = vp
+                    self.anc_x_cols.append(cursor)
+                    cursor += 1
 
-                def emb(mat, small_modes):
-                    return sp.embed(mat, [mode_map[m] for m in small_modes], total)
+            def emb(mat, small_modes):
+                return sp.embed(mat, [mode_map[m] for m in small_modes], total)
 
-                s_cz = np.eye(2 * g.n_modes)
-                s_cz[g.n_modes:, :g.n_modes] = np.asarray(g.adjacency, dtype=float)
-                s_tot = emb(s_cz, range(g.n_modes)) @ s_tot
-                for i, j in g.mixing_pairs:
-                    s_tot = emb(sp.beamsplitter(), [i, j]) @ s_tot
-                for m in g.measured_modes:
-                    s_tot = emb(sp.rotation(track.angles[m]), [m]) @ s_tot
-                    self.meas_rows.append(mode_map[m])
-                next_active.extend(mode_map[g.output_modes[pos]]
-                                   for pos in track.out_keep)
-            active = next_active
+            s_cz = np.eye(2 * g.n_modes)
+            s_cz[g.n_modes:, :g.n_modes] = np.asarray(g.adjacency, dtype=float)
+            s_tot = emb(s_cz, range(g.n_modes)) @ s_tot
+            for i, j in g.mixing_pairs:
+                s_tot = emb(sp.beamsplitter(), [i, j]) @ s_tot
+            for m in g.measured_modes:
+                s_tot = emb(sp.rotation(track.angles[m]), [m]) @ s_tot
+                self.meas_rows.append(mode_map[m])
+            active = [mode_map[g.output_modes[pos]] for pos in track.out_keep]
         self.outputs = active
         self.s_tot = s_tot
 
@@ -411,7 +405,7 @@ def wigner_limit_check(lattice: str, r: float, npts: int = 513,
     else:
         params = lat.LatticeParams.from_r(lattice, r)
         graph = lat.single_step_graph(params)
-        angles = basis_for(lattice, "I", r).steps[0][0].angles
+        angles = basis_for(lattice, "I", r).steps[0].angles
         out = simulate_region(graph, angles, GaussianState(np.zeros(2), probe_cov))
         ref = out.cov
 

@@ -35,7 +35,6 @@ __all__ = [
     "GateResult",
     "reduce",
     "chain",
-    "tensor",
     "restrict",
     "noise_factors",
     "premeasurement_symplectic",
@@ -219,7 +218,8 @@ def restrict(result: GateResult, out_keep, in_keep) -> GateResult:
     """Keep (and reorder) a subset of output and input modes.
 
     Valid when the dropped modes are decoupled from the kept ones; used to
-    read single-mode gates out of two-computation-mode regions.
+    read single-mode gates out of two-computation-mode QRL regions and the
+    CZ out of the QRL CZ region's dummy paths.
     """
     no, ni = result.n_outputs, result.n_inputs
     g = _xxpp_rows(result.G, out_keep, no)
@@ -230,36 +230,6 @@ def restrict(result: GateResult, out_keep, in_keep) -> GateResult:
         D=_xxpp_rows(result.D, out_keep, no),
         epsilon=result.epsilon,
         rcond=result.rcond,
-    )
-
-
-def tensor(results) -> GateResult:
-    """Direct sum of parallel one-region results, keeping xxpp ordering and
-    the smallest rcond of the parts."""
-    results = list(results)
-    n_out = sum(r.n_outputs for r in results)
-    n_in = sum(r.n_inputs for r in results)
-    n_noise = sum(r.N.shape[1] for r in results)
-    n_meas = sum(r.D.shape[1] for r in results)
-    g = np.zeros((2 * n_out, 2 * n_in))
-    nn = np.zeros((2 * n_out, n_noise))
-    dd = np.zeros((2 * n_out, n_meas))
-    oo = ii = cc = mm = 0
-    for r in results:
-        ro, ri = r.n_outputs, r.n_inputs
-        rows = list(range(oo, oo + ro)) + list(range(n_out + oo, n_out + oo + ro))
-        cols = list(range(ii, ii + ri)) + list(range(n_in + ii, n_in + ii + ri))
-        g[np.ix_(rows, cols)] = r.G
-        nn[np.ix_(rows, range(cc, cc + r.N.shape[1]))] = r.N
-        dd[np.ix_(rows, range(mm, mm + r.D.shape[1]))] = r.D
-        oo += ro
-        ii += ri
-        cc += r.N.shape[1]
-        mm += r.D.shape[1]
-    return GateResult(
-        G=g, N=nn, D=dd,
-        epsilon=results[0].epsilon,
-        rcond=float(np.min([r.rcond for r in results])),
     )
 
 

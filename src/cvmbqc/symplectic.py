@@ -17,7 +17,6 @@ __all__ = [
     "shear",
     "cz",
     "beamsplitter",
-    "gaussian_unitary",
     "embed",
     "compose",
     "check_symplectic",
@@ -78,32 +77,6 @@ def beamsplitter() -> np.ndarray:
     S[:2, :2] = b
     S[2:, 2:] = b
     return S
-
-
-_SINGLE_MODE = {
-    "identity": lambda _: identity(),
-    "rotation": rotation,
-    "squeeze": squeeze,
-    "shear": shear,
-}
-
-
-def gaussian_unitary(kind: str, param: float | None = None) -> np.ndarray:
-    """Elementary Gaussian gate by name.
-
-    ``kind`` is one of identity, rotation, squeeze, shear, cz, beamsplitter.
-    Single-mode kinds return 2x2 matrices, two-mode kinds 4x4.  The
-    beamsplitter takes no parameter.
-    """
-    if kind in _SINGLE_MODE:
-        return _SINGLE_MODE[kind](0.0 if param is None else param)
-    if kind == "cz":
-        return cz(0.0 if param is None else param)
-    if kind == "beamsplitter":
-        if param is not None:
-            raise ValueError("beamsplitter takes no parameter")
-        return beamsplitter()
-    raise ValueError(f"unknown Gaussian unitary kind: {kind!r}")
 
 
 def embed(small: np.ndarray, target_modes, n_total: int) -> np.ndarray:

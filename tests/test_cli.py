@@ -82,6 +82,17 @@ MALFORMED_TABLES = {
     "row-string-db": _one_row_table(squeezing_db="10"),
     "row-infinite-db": _one_row_table(squeezing_db=math.inf),
     "row-angles-not-a-list": _one_row_table(angles=0.5),
+    "row-two-angles": _one_row_table(angles=[0.0, 0.0]),
+    "row-string-angle": _one_row_table(angles=["a"] + [0.0] * 9),
+    "row-overflowing-angle": _one_row_table(angles=[math.inf] + [0.0] * 9).replace(
+        "Infinity", "1e400"),
+    "row-huge-int-angle": _one_row_table(angles=[10 ** 400] + [0.0] * 9),
+    "row-bool-angle": _one_row_table(angles=[True] + [0.0] * 9),
+    "row-string-theta-c": _one_row_table(theta_c="x"),
+    "theta-c-row-without-theta-c": _one_row_table(variable_theta_c=True),
+    "theta-c-row-string-theta-c": _one_row_table(variable_theta_c=True, theta_c="x"),
+    "theta-c-row-on-bsl": _one_row_table(lattice="BSL", angles=[0.0] * 12,
+                                         variable_theta_c=True, theta_c=0.7),
 }
 
 
@@ -255,6 +266,10 @@ class Interrupted(Exception):
     pass
 
 
+def n_free(lattice):
+    return len(gates.cz_region(lattice, 1.0)[0].free_modes)
+
+
 def _fake_perr(x, r):
     return float(0.5 + 0.5 * np.mean(np.cos(np.asarray(x) + 50.0 * r)))
 
@@ -274,14 +289,15 @@ def fake_search(monkeypatch):
             raise Interrupted
         search.hook(len(search.calls))
         search.calls.append([np.array(w) for w in warm_starts])
-        n = 4 if variable_theta_c else 3
+        k = n_free(lattice)
+        n = k + 1 if variable_theta_c else k
         starts = [np.append(w, np.pi / 4) if len(w) == n - 1 else np.asarray(w, dtype=float)
                   for w in warm_starts]
         starts += list(np.random.default_rng(config.seed).uniform(-np.pi, np.pi, (2, n)))
         x = min(starts, key=lambda x: _fake_perr(x, r))
         perr = _fake_perr(x, r)
-        return optimizer.OptResult(x[:3], 1e-7, perr, perr < 0.6,
-                                   float(x[3]) if variable_theta_c else None)
+        return optimizer.OptResult(x[:k], 1e-7, perr, perr < 0.6,
+                                   float(x[k]) if variable_theta_c else None)
 
     search.calls, search.stop_after, search.hook = [], None, lambda n: None
     monkeypatch.setattr(optimizer, "cz_search", search)
@@ -299,7 +315,7 @@ def entries(path):
 
 
 def _row(lattice, db, **extra):
-    return {"lattice": lattice, "squeezing_db": db, "angles": [0.1, 0.2, 0.3],
+    return {"lattice": lattice, "squeezing_db": db, "angles": [0.1] * n_free(lattice),
             "residual": 0.0, "perr": 0.3, "accepted": True, **extra}
 
 
@@ -454,6 +470,24 @@ def test_verify_subcommand_smoke(capsys, tmp_path, monkeypatch):
     doc = json.loads(out)
     assert doc["pass"]
     assert all(rep["pass"] for rep in doc["reports"])
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), ("--tol", "0"),
+    ("--cache-stride", "0"), ("--cache-stride", "-3"),
+])
+def test_verify_refuses_bad_limits_before_any_plan(capsys, tmp_path, monkeypatch,
+                                                   flag, value):
+    from cvmbqc import oracle
+    monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
+    _write_cache(tmp_path, [])
+    monkeypatch.setattr(oracle, "verify_plan",
+                        lambda *a, **k: pytest.fail("a plan was verified"))
+    code, out, err = run_cli(["verify", "--r", "1.0", f"{flag}={value}"], capsys)
+    assert code == cli.EXIT_USAGE
+    rule = "positive and finite" if flag == "--tol" else "at least 1"
+    assert err == f"error: {flag} must be {rule}, got {value}\n"
+    assert out == ""
 
 
 def test_verify_missing_cache_is_cache_miss(capsys, tmp_path, monkeypatch):

@@ -59,15 +59,6 @@ def test_basis_for_validates():
         gates.basis_for("DBSL", "FFCZ", 1.0)
     with pytest.raises(ValueError):
         gates.basis_for("DBSL", "I", 0.0)
-    with pytest.raises(ValueError):
-        gates.basis_for("DBSL", "S_INV_T", 1.0)
-
-
-def test_qrl_compensation_plan():
-    r = 0.9
-    plan = gates.basis_for("QRL", "S_INV_T", r)
-    res = gates.realize(plan)
-    assert np.allclose(res.G, sp.squeeze(1 / math.tanh(2 * r)), atol=1e-10)
 
 
 class TestNoiseBook:
@@ -141,8 +132,8 @@ class TestSwapPlan:
     def test_angles_squeezing_independent(self):
         p1 = gates.dbsl_swap_plan(0.5)
         p2 = gates.dbsl_swap_plan(2.5)
-        a1 = [p1.steps[0][0].angles[m] for m in p1.steps[0][0].graph.free_modes]
-        a2 = [p2.steps[0][0].angles[m] for m in p2.steps[0][0].graph.free_modes]
+        a1 = [p1.steps[0].angles[m] for m in p1.steps[0].graph.free_modes]
+        a2 = [p2.steps[0].angles[m] for m in p2.steps[0].graph.free_modes]
         assert a1 == a2
 
     @pytest.mark.parametrize("r", (1.0, 1.5, 2.5))
@@ -217,8 +208,7 @@ def test_iter_catalog_contents():
 
 def test_multi_step_plans_keep_the_smallest_rcond():
     r = lat.db_to_r(15.0)
-    for plan in (gates.qrl_cz_plan(r), gates.basis_for("DBSL", "F", r)):
-        parts = [reduce(track.graph, track.angles).rcond
-                 for step in plan.steps for track in step]
+    for plan in (gates.basis_for("QRL", "F", r), gates.basis_for("DBSL", "F", r)):
+        parts = [reduce(track.graph, track.angles).rcond for track in plan.steps]
         assert len(parts) > 1
         assert gates.realize(plan).rcond == min(parts)

@@ -146,10 +146,11 @@ def test_variable_theta_c_beats_or_matches_fixed():
     assert var.perr <= fixed.perr * 1.0 + 1e-12
 
 
-def test_kernel_perr_matches_closed_form_qrl_at_25db():
-    # deep in the tail the kernel's perr keeps its digits: no cancellation
-    # against 1 and no clamp
-    r = lat.db_to_r(25.0)
+@pytest.mark.parametrize("db", [0.25, 15.0, 25.0])
+def test_kernel_perr_matches_closed_form_qrl(db):
+    # near 1 and deep in the tail the kernel's perr keeps its digits: no
+    # cancellation against 1 and no clamp
+    r = lat.db_to_r(db)
     frozen = opt._region("QRL", r)
     _, perr = frozen.metrics(opt._warm_starts("QRL", r)[0])
     closed = gkp.gate_error_probability(gates.qrl_cz_plan(r))

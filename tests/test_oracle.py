@@ -124,12 +124,12 @@ class TestVerifyPlan:
 
     def test_corrupted_plan_fails(self):
         plan = gates.basis_for("DBSL", "I", 1.0)
-        track = plan.steps[0][0]
+        track = plan.steps[0]
         bad_angles = dict(track.angles)
         bad_angles[0] += 0.1
         bad = gates.GatePlan(
             plan.lattice, plan.gate_id, plan.r,
-            ((gates.PlanTrack(track.graph, bad_angles),),),
+            (gates.PlanTrack(track.graph, bad_angles),),
             plan.target)
         rep = oracle.verify_plan(bad, tol=1e-9)
         assert not rep["pass"]
@@ -166,8 +166,8 @@ class TestWignerGrid:
         the finite anti-squeezing envelopes; both are exact, neither is noise."""
         r = 1.0
         plan = gates.basis_for("DBSL", "I", r)
-        graph = plan.steps[0][0].graph
-        angles = plan.steps[0][0].angles
+        graph = plan.steps[0].graph
+        angles = plan.steps[0].angles
         cond = oracle.simulate_region(graph, angles)
         res = reduce_region(graph, angles)
         ff_var = 0.5 + 0.5 * graph.epsilon * noise_factors(res)

@@ -233,17 +233,6 @@ class TestRestrictTensor:
         assert np.allclose(swapped.G[np.ix_([0, 2], [0, 2])],
                            res.G[np.ix_([1, 3], [1, 3])], atol=1e-14)
 
-    def test_tensor_block_structure(self):
-        g = lat.teleport_graph(0.7)
-        r1 = red.reduce(g, {0: 0.3, 1: -0.8})
-        r2 = red.reduce(g, {0: 1.1, 1: 0.2})
-        both = red.tensor([r1, r2])
-        assert both.G.shape == (4, 4)
-        assert np.allclose(both.G[np.ix_([0, 2], [0, 2])], r1.G, atol=1e-14)
-        assert np.allclose(both.G[np.ix_([1, 3], [1, 3])], r2.G, atol=1e-14)
-        assert np.allclose(both.N[np.ix_([0, 2], [0, 1])], r1.N, atol=1e-14)
-        assert np.allclose(both.N[np.ix_([1, 3], [2, 3])], r2.N, atol=1e-14)
-
 
 def assert_symplectic(g):
     """G Omega G^T = Omega to 1e-8 relative to |G|^2.

@@ -32,22 +32,12 @@ def test_squeeze_zero_rejected():
         sp.squeeze(0.0)
 
 
-def test_beamsplitter_param_rejected():
-    with pytest.raises(ValueError):
-        sp.gaussian_unitary("beamsplitter", 0.3)
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        sp.gaussian_unitary("displacement", 1.0)
-
-
 @pytest.mark.parametrize("kind,param", [
     ("identity", None), ("rotation", 0.7), ("squeeze", 1.3), ("squeeze", -0.4),
     ("shear", -2.1), ("cz", 0.9), ("beamsplitter", None),
 ])
 def test_gaussian_unitaries_are_symplectic(kind, param):
-    S = sp.gaussian_unitary(kind, param)
+    S = getattr(sp, kind)(*(() if param is None else (param,)))
     assert sp.check_symplectic(S, 1e-10)
     assert abs(np.linalg.det(S) - 1.0) < 1e-8
 
