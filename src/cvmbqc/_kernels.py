@@ -6,7 +6,9 @@ one free-angle vector against the angle-independent S0 blocks of a
 ``FrozenRegion`` through the same elimination and error-probability
 functions as the reference path; :func:`nelder_mead` descends any scalar
 objective.  Time them with ``python3 perfbench/run.py --trace 1``
-(``kernels.eval_us``, ``kernels.descent_s``).
+(``kernels.eval_us``, ``kernels.descent_s``).  The traced spans cover only
+work in the traced process: descents that ``optimizer.search`` runs in
+worker processes leave none, and their counts are in ``OptResult``.
 """
 
 from __future__ import annotations

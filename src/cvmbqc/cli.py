@@ -193,6 +193,9 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--tol must be positive and finite, got {args.tol:g}")
     if args.cache_stride < 1:
         raise ValueError(f"--cache-stride must be at least 1, got {args.cache_stride}")
+    for r in args.r:
+        if not (math.isfinite(r) and r > 0):
+            raise ValueError(f"--r must be positive and finite, got {r:g}")
     reports = []
     ok = True
     for r in args.r:
@@ -224,6 +227,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dump_graph(args) -> int:
+    if not math.isfinite(args.db):
+        raise ValueError(f"--db must be finite, got {args.db:g}")
+    if args.theta_c is not None and not math.isfinite(args.theta_c):
+        raise ValueError(f"--theta-c must be finite, got {args.theta_c:g}")
     r = lat.db_to_r(args.db)
     params = lat.LatticeParams.from_r(args.lattice, r)
     build = lat.cz_region_graph if args.region == "cz" else lat.single_step_graph

@@ -50,10 +50,14 @@ def r_to_db(r: float) -> float:
     return 20.0 * r / math.log(10.0)
 
 
+def _check_r(r: float) -> None:
+    if not 0 <= r < math.inf:  # also refuses NaN
+        raise ValueError(f"squeezing parameter r must be finite and nonnegative, got {r!r}")
+
+
 def effective_epsilon(r: float) -> float:
     """Self-loop magnitude sech(2r); cluster momentum variance is sech(2r)/2."""
-    if r < 0:
-        raise ValueError("squeezing parameter must be nonnegative")
+    _check_r(r)
     return 1.0 / math.cosh(2.0 * r)
 
 
@@ -69,8 +73,7 @@ def edge_weight(lattice: str, r: float) -> float:
     """Absolute cluster edge weight t at squeezing r for the given lattice."""
     if lattice not in _EDGE_SCALE:
         raise ValueError(f"no built-in edge weight for lattice {lattice!r}")
-    if r < 0:
-        raise ValueError("squeezing parameter must be nonnegative")
+    _check_r(r)
     return _EDGE_SCALE[lattice](r)
 
 

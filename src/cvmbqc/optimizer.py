@@ -7,12 +7,21 @@ free angles, repeated over a log-spaced grid of error-probability weights;
 Accepted solutions must implement the target to an entrywise 1-norm below
 :data:`RESIDUAL_TOL`; among those the lowest error probability wins, with
 residual and then lexicographic angle order as tie-breakers.
+
+Each restart x weight descent is a pure function of (region, start, weight),
+so :func:`search` maps them over one forked worker process per CPU in the
+affinity mask (at most one per descent), and scores the end points in the
+calling process in job order.  The result is bit-identical to a serial loop
+for any worker count.  Where ``fork`` is not offered, or only one CPU is
+usable, the descents run serially in process.  :class:`OptResult` counts the
+evaluations, descents and workers a search spent.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -84,6 +93,11 @@ class OptResult:
     perr: float
     accepted: bool
     theta_c: float | None = None
+    # what the search spent: objective evaluations in its descents, the
+    # descents themselves, and the worker processes that ran them
+    evals: int = 0
+    descents: int = 0
+    workers: int = 1
 
     def to_row(self, lattice: str, db: float, variable_theta_c: bool = False) -> dict:
         row = {
@@ -191,13 +205,58 @@ def _wrap(x):
 
 def _local_descent(frozen: FrozenRegion, x0, w: float, w_polish: float):
     """Simplex descent with re-initialization rounds, then a feasibility
-    polish at the smallest weight ``w_polish`` (nearly pure gate residual)."""
+    polish at the smallest weight ``w_polish`` (nearly pure gate residual).
+    Returns the end point and the objective evaluations spent."""
     x = np.asarray(x0, dtype=float)
+    evals = 0
     for weight, step, rounds in ((w, _STEP, _ROUNDS), (w_polish, _POLISH_STEP, _POLISH_ROUNDS)):
         f = frozen.objective(weight)
         for rd in range(rounds):
-            x, _, _ = _kernels.nelder_mead(f, x, step / 2.0 ** rd, _MAX_EVALS, _LOCAL_TOL)
-    return x
+            x, _, n = _kernels.nelder_mead(f, x, step / 2.0 ** rd, _MAX_EVALS, _LOCAL_TOL)
+            evals += n
+    return x, evals
+
+
+# The region a pool worker descends in, set once per worker by _init_worker.
+_worker_region = None
+
+
+def _init_worker(frozen: FrozenRegion) -> None:
+    global _worker_region
+    _worker_region = frozen
+
+
+def _worker_descent(job):
+    return _local_descent(_worker_region, *job)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _descend_all(frozen: FrozenRegion, jobs: list):
+    """:func:`_local_descent` of every job ``(x0, w, w_polish)``, in job order,
+    and the number of processes that ran them.
+
+    Forked workers inherit the region through the pool initializer, so a task
+    carries only its job; the pool lives for this call alone.
+    """
+    workers = min(_usable_cpus(), len(jobs))
+    if workers > 1:
+        # imported here so that importing the package starts no process machinery;
+        # fork, because spawn and forkserver re-run a caller script that has no
+        # `if __name__ == "__main__"` guard, and such a caller must keep working
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_init_worker,
+                                     initargs=(frozen,)) as pool:
+                return list(pool.map(_worker_descent, jobs)), workers
+    return [_local_descent(frozen, *job) for job in jobs], 1
 
 
 def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> OptResult:
@@ -209,7 +268,8 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
     also scored as a candidate in its own right, under the same acceptance
     rule and tie-break as the descent results, so the result is never worse
     than a feasible warm start.  When nothing meets the residual tolerance
-    the best rejected candidate is returned, flagged.
+    the best rejected candidate is returned, flagged.  The descents may run
+    in worker processes; the result does not depend on how many.
     """
     rng = np.random.default_rng(config.seed)
     n_free = frozen.n_free
@@ -236,15 +296,17 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
     for x0 in starts[:len(warm_starts)]:
         score(x0)
     w_polish = min(config.weight_grid)
-    for w in config.weight_grid:
-        for x0 in starts:
-            score(_local_descent(frozen, x0, w, w_polish))
+    jobs = [(x0, w, w_polish) for w in config.weight_grid for x0 in starts]
+    descents, workers = _descend_all(frozen, jobs)
+    for x, _ in descents:
+        score(x)
 
+    spent = {"evals": sum(n for _, n in descents), "descents": len(jobs), "workers": workers}
     if best is not None:
         perr, resid, xs = best
-        return OptResult(np.array(xs), resid, perr, True)
+        return OptResult(np.array(xs), resid, perr, True, **spent)
     resid, perr, xs = best_rejected
-    return OptResult(np.array(xs), resid, perr, False)
+    return OptResult(np.array(xs), resid, perr, False, **spent)
 
 
 def evaluate_free_angles(lattice: str, r: float, angles, theta_c: float | None = None):

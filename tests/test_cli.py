@@ -192,6 +192,17 @@ def test_dump_graph_to_file(tmp_path, capsys):
     assert doc["lattice"] == "QRL"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--db", "nan"), ("--db", "inf"), ("--db", "-inf"),
+    ("--theta-c", "nan"), ("--theta-c", "inf"),
+])
+def test_dump_graph_refuses_nonfinite_values(capsys, flag, value):
+    code, out, err = run_cli(["dump-graph", "--lattice", "DBSL", f"{flag}={value}"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == f"error: {flag} must be finite, got {value}\n"
+    assert out == ""
+
+
 def test_optimize_writes_table_and_error_curve_consumes_it(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
     cfg = tmp_path / "cfg.json"
@@ -475,6 +486,7 @@ def test_verify_subcommand_smoke(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("flag, value", [
     ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), ("--tol", "0"),
     ("--cache-stride", "0"), ("--cache-stride", "-3"),
+    ("--r", "nan"), ("--r", "inf"), ("--r", "0"), ("--r", "-1"),
 ])
 def test_verify_refuses_bad_limits_before_any_plan(capsys, tmp_path, monkeypatch,
                                                    flag, value):
@@ -485,7 +497,7 @@ def test_verify_refuses_bad_limits_before_any_plan(capsys, tmp_path, monkeypatch
                         lambda *a, **k: pytest.fail("a plan was verified"))
     code, out, err = run_cli(["verify", "--r", "1.0", f"{flag}={value}"], capsys)
     assert code == cli.EXIT_USAGE
-    rule = "positive and finite" if flag == "--tol" else "at least 1"
+    rule = "at least 1" if flag == "--cache-stride" else "positive and finite"
     assert err == f"error: {flag} must be {rule}, got {value}\n"
     assert out == ""
 
@@ -541,3 +553,13 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_starts_no_process_machinery():
+    # the optimizer imports its process pool only when a search has descents to map
+    code = ("import sys, cvmbqc.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

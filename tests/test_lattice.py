@@ -35,6 +35,16 @@ def test_effective_epsilon():
     assert lat.effective_epsilon(r) == pytest.approx(2 * e / (1 + e * e), rel=1e-12)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, -0.1])
+def test_squeezing_must_be_finite_and_nonnegative(r):
+    message = f"squeezing parameter r must be finite and nonnegative, got {r!r}"
+    with pytest.raises(ValueError, match=message):
+        lat.effective_epsilon(r)
+    for name in ("DBSL", "BSL", "MBSL", "QRL"):
+        with pytest.raises(ValueError, match=message):
+            lat.edge_weight(name, r)
+
+
 def test_effective_epsilon_is_3db_above_resource_at_high_squeezing():
     r = lat.db_to_r(20.0)
     gap_db = 10 * math.log10(lat.effective_epsilon(r) / math.exp(-2 * r))

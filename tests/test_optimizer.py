@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 from dataclasses import fields
 
 import numpy as np
@@ -122,6 +123,49 @@ def test_search_determinism():
     b = opt.search(frozen, cfg)
     assert np.array_equal(a.angles, b.angles)
     assert a.perr == b.perr
+
+
+def _serial_search(frozen, config):
+    """search() without warm starts, written out as one in-process loop."""
+    rng = np.random.default_rng(config.seed)
+    starts = [rng.uniform(-math.pi, math.pi, frozen.n_free) for _ in range(config.restarts)]
+    best, evals = None, 0
+    for w in config.weight_grid:
+        for x0 in starts:
+            x, n = opt._local_descent(frozen, x0, w, min(config.weight_grid))
+            evals += n
+            resid, perr = frozen.metrics(x)
+            key = (perr, resid, tuple(opt._wrap(x)))
+            if resid < opt.RESIDUAL_TOL and (best is None or key < best):
+                best = key
+    return best, evals
+
+
+def test_pooled_search_equals_a_serial_loop(monkeypatch):
+    frozen = opt._region("MBSL", lat.db_to_r(15.0))
+    cfg = opt.OptimizerConfig(restarts=2, seed=20200527, weight_grid=(1e-8, 1e-4))
+    monkeypatch.setattr(opt, "_usable_cpus", lambda: 3)
+    pooled = opt.search(frozen, cfg)
+    monkeypatch.setattr(opt, "_usable_cpus", lambda: 1)
+    single = opt.search(frozen, cfg)
+    best, evals = _serial_search(frozen, cfg)
+    assert best is not None and pooled.accepted
+    assert (pooled.perr, pooled.residual, tuple(pooled.angles)) == best
+    assert (pooled.descents, pooled.workers, single.workers) == (4, 3, 1)
+    assert pooled.evals == single.evals == evals
+    assert np.array_equal(pooled.angles, single.angles)
+
+
+def test_descent_error_in_a_worker_reaches_the_caller(monkeypatch):
+    def broken(x, frozen):
+        raise FloatingPointError("injected")
+
+    frozen = opt._region("MBSL", lat.db_to_r(15.0))
+    monkeypatch.setattr(opt, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_kernels, "reduce_metrics", broken)  # fork inherits the patch
+    with pytest.raises(FloatingPointError, match="injected"):
+        opt.search(frozen, opt.OptimizerConfig(restarts=4, seed=0, weight_grid=(1e-8,)))
+    assert multiprocessing.active_children() == []
 
 
 def test_infeasible_flagged_not_raised():
