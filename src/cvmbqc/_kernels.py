@@ -1,22 +1,27 @@
 """Hot numeric kernels of the CZ-basis search, in plain numpy.
 
-The optimizer evaluates the graph reduction and the GKP error probability
-tens of thousands of times per local descent.  :func:`reduce_metrics` scores
-one free-angle vector against the angle-independent S0 blocks of a
-``FrozenRegion`` through the same elimination and error-probability
-functions as the reference path; :func:`nelder_mead` descends any scalar
-objective.  Time them with ``python3 perfbench/run.py --trace 1``
-(``kernels.eval_us``, ``kernels.descent_s``).  The traced spans cover only
-work in the traced process: descents that ``optimizer.search`` runs in
-worker processes leave none, and their counts are in ``OptResult``.
+The optimizer scores each free-angle vector with :func:`reduce_metrics`,
+and solves and descends with :func:`reduce_jet`, which adds the residual
+Jacobian and the log-perr gradient.  Both evaluate the angle-independent S0
+blocks of a ``FrozenRegion`` through the same elimination and
+error-probability functions as the reference path, and each call is one
+elimination.  :func:`nelder_mead` is the simplex descent of the search that
+exact roots replaced; no search calls it, and it stays only while
+``perfbench/tracing.py`` hooks it.  Time the scoring with
+``python3 perfbench/run.py --trace 1`` (``kernels.eval_us``).  The traced
+spans cover only work in the traced process: the solves that
+``optimizer.search`` runs in worker processes leave none, and their counts
+are in ``OptResult``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import MeasurementDegenerateError
-from .gkp import error_probability
+from .gkp import SQRT_PI, error_probability
 from .reduction import eliminate
 
 BAD_VALUE = 1e12
@@ -47,6 +52,53 @@ def reduce_metrics(x, frozen):
     target = frozen.target_full
     resid = float(np.abs(m[:, :target.shape[1]] - target).sum())
     return resid, error_probability((m * m) @ frozen.spike_weights, frozen.delta)
+
+
+def reduce_jet(x, frozen):
+    """``(F, J, perr, grad)`` at free angles ``x``, or None at a degenerate basis.
+
+    F = vec(M[:, :n_in] - [T | 0]) is the residual whose 1-norm
+    :func:`reduce_metrics` reports, J = dF/dx its Jacobian, perr the same
+    error probability and grad the gradient of log perr, all from one
+    elimination.  With K = Y U^-1, W = U^-1 V and the rotated-row
+    derivatives (u'_i | v'_i) = -sin(theta_i) S0x_i + cos(theta_i) S0p_i,
+    the rows R_i = u'_i W - v'_i give dM/dtheta_i = K[:, i] (x) R_i and the
+    spike derivatives ds/dtheta = 2 K o (M diag(w) R^T); ``a_map`` chains
+    both from the measured angles theta to the free angles x.
+    """
+    theta = (frozen.theta_base + frozen.a_map @ x).reshape(-1, 1)
+    c, s = np.cos(theta), np.sin(theta)
+    meas = c * frozen.s0x + s * frozen.s0p
+    try:
+        m, u_inv = eliminate(meas, frozen.out)
+    except MeasurementDegenerateError:
+        return None
+    k = meas.shape[0]
+    d_meas = c * frozen.s0p - s * frozen.s0x
+    kmat = frozen.out[:, :k] @ u_inv
+    rmat = d_meas[:, :k] @ (u_inv @ meas[:, k:]) - d_meas[:, k:]
+    target = frozen.target_full
+    n_in = target.shape[1]
+    f = (m[:, :n_in] - target).ravel()
+    jac = (kmat[:, None, :] * rmat[:, :n_in].T[None]).reshape(f.size, k) @ frozen.a_map
+    spikes = (m * m) @ frozen.spike_weights
+    perr = error_probability(spikes, frozen.delta)
+    d_spikes = 2.0 * kmat * ((m * frozen.spike_weights) @ rmat.T)
+    grad = (_dlog_perr(spikes, frozen.delta, perr) @ d_spikes) @ frozen.a_map
+    return f, jac, perr, grad
+
+
+def _dlog_perr(spikes, delta: float, perr: float) -> np.ndarray:
+    """d log perr / d spike of :func:`gkp.error_probability`.
+
+    Correction i succeeds with probability erf(z_i), z_i = sqrt(pi) /
+    (2 sqrt(2 v_i)) with v_i = spike_i + delta, and dz_i/dv_i = -z_i / (2 v_i);
+    so d perr / d spike_i = prod_j erf(z_j) / erf(z_i) exp(-z_i^2) z_i / (sqrt(pi) v_i).
+    """
+    v = np.asarray(spikes) + delta
+    z = SQRT_PI / (2.0 * np.sqrt(2.0 * v))
+    ok = np.array([math.erf(zi) for zi in z.tolist()])
+    return np.prod(ok) / ok * np.exp(-z * z) * z / (SQRT_PI * v * perr)
 
 
 def nelder_mead(f, x0, step, maxiter, ftol):

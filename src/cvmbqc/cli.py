@@ -166,6 +166,8 @@ def cmd_optimize(args) -> int:
                 doc = json.load(fh)
         except OSError as exc:
             raise ValueError(f"cannot read --config {args.config}: {exc.strerror}") from exc
+        except ValueError as exc:  # malformed JSON or bytes that are not text
+            raise ValueError(f"--config {args.config} is not valid JSON: {exc}") from exc
         cfg = optimizer.OptimizerConfig.from_dict(doc)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the QRL CZ plan is closed-form and needs no table")
     _add_grid_args(p, db_min=15.0, db_max=15.0, db_step=0.5)
     p.add_argument("--config", help="JSON object with any of the optimizer keys "
-                   "restarts, weight_grid, seed")
+                   "restarts and seed; weight_grid is accepted and ignored")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--variable-theta-c", action="store_true")
     p.add_argument("--out", default=None,

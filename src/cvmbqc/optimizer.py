@@ -1,20 +1,25 @@
-"""Rediscover controlled-Z basis settings by global minimization of the
-gate-residual / log-error-probability objective over the measured-mode angles.
+"""Rediscover controlled-Z basis settings: solve G(theta) = T exactly over the
+measured-mode angles, then minimize the GKP error probability on the solutions.
 
-The search is a multistart derivative-free simplex descent over the region's
-free angles, repeated over a log-spaced grid of error-probability weights;
-:class:`OptimizerConfig` sets ``restarts``, ``weight_grid`` and ``seed``.
-Accepted solutions must implement the target to an entrywise 1-norm below
-:data:`RESIDUAL_TOL`; among those the lowest error probability wins, with
-residual and then lexicographic angle order as tie-breakers.
+From each start, a Levenberg-Marquardt solve drives the gate residual
+F = vec(M[:, :n_in] - [T | 0]) to a root with the analytic Jacobian of
+:func:`_kernels.reduce_jet`.  Where the roots form a continuum (BSL, MBSL and
+the variable-theta_c DBSL), a descent of log perr follows its analytic
+gradient projected onto the null space of the Jacobian, retracting each step
+onto the roots; isolated roots (DBSL, QRL) are kept as they are.
+:class:`OptimizerConfig` sets ``restarts`` and ``seed``; ``weight_grid`` is
+still validated but has no effect.  Accepted solutions must implement the
+target to an entrywise 1-norm below :data:`RESIDUAL_TOL`; among those the
+lowest error probability wins, with residual and then lexicographic order of
+the canonical angles (each free angle mod pi) as tie-breakers.
 
-Each restart x weight descent is a pure function of (region, start, weight),
-so :func:`search` maps them over one forked worker process per CPU in the
-affinity mask (at most one per descent), and scores the end points in the
-calling process in job order.  The result is bit-identical to a serial loop
-for any worker count.  Where ``fork`` is not offered, or only one CPU is
-usable, the descents run serially in process.  :class:`OptResult` counts the
-evaluations, descents and workers a search spent.
+Each start's solve is a pure function of (region, start), so :func:`search`
+maps them over one forked worker process per CPU in the affinity mask (at
+most one per start), and scores the end points in the calling process in
+start order.  The result is bit-identical to a serial loop for any worker
+count.  Where ``fork`` is not offered, or only one CPU is usable, the solves
+run serially in process.  :class:`OptResult` counts the eliminations, starts,
+workers and roots a search spent and found.
 """
 
 from __future__ import annotations
@@ -33,23 +38,33 @@ from .reduction import noise_factors, restrict, split_s0
 from .reduction import reduce as reduce_region
 
 __all__ = ["OptimizerConfig", "OptResult", "FrozenRegion", "freeze_region",
-           "search", "cz_search", "evaluate_free_angles", "RESIDUAL_TOL"]
+           "search", "cz_search", "evaluate_free_angles", "RESIDUAL_TOL", "ROOT_TOL"]
 
+# The default of OptimizerConfig.weight_grid, which no longer weights anything.
 DEFAULT_WEIGHTS = (1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 
 # Acceptance: a solution implements the target when |G - T|_1 (plus any
 # dummy-input leakage) is below this; the basis table ships only such rows.
 RESIDUAL_TOL = 1e-5
 
-# Local descent: simplex re-initialization rounds k = 0, 1, ... at step
-# _STEP / 2**k and the search weight, then polish rounds from _POLISH_STEP at
-# the smallest weight; each simplex stops at _LOCAL_TOL or _MAX_EVALS.
-_STEP = 0.35
-_ROUNDS = 3
-_POLISH_STEP = 0.05
-_POLISH_ROUNDS = 2
-_LOCAL_TOL = 1e-13
-_MAX_EVALS = 20000
+# A start reaches a root when Levenberg-Marquardt brings |G - T|_1 (plus
+# leakage) below this; the descent along the roots keeps every step there.
+ROOT_TOL = 1e-13
+
+# Levenberg-Marquardt: at most _LM_ITERS eliminations per start.
+_LM_ITERS = 200
+# Descent along the roots: J's null space is spanned by the right singular
+# vectors whose singular value is below _RANK_TOL times the largest; a step
+# starts at _FIRST_STEP, is retracted in at most _RETRACT_ITERS Gauss-Newton
+# steps and accepted on a strict Armijo decrease _ARMIJO of log perr; the
+# descent ends when no step length down to _STEP_TOL decreases log perr, or
+# after _DESCENT_EVALS eliminations.
+_RANK_TOL = 1e-8
+_FIRST_STEP = 0.1
+_STEP_TOL = 1e-14
+_RETRACT_ITERS = 8
+_ARMIJO = 1e-4
+_DESCENT_EVALS = 4000
 
 
 def _is_number(v, kind=numbers.Real) -> bool:
@@ -93,11 +108,13 @@ class OptResult:
     perr: float
     accepted: bool
     theta_c: float | None = None
-    # what the search spent: objective evaluations in its descents, the
-    # descents themselves, and the worker processes that ran them
+    # what the search spent: eliminations in its per-start solves, the
+    # starts solved, the worker processes that ran them, and the starts whose
+    # Levenberg-Marquardt solve reached a root (|F|_1 < ROOT_TOL)
     evals: int = 0
     descents: int = 0
     workers: int = 1
+    roots: int = 0
 
     def to_row(self, lattice: str, db: float, variable_theta_c: bool = False) -> dict:
         row = {
@@ -122,7 +139,8 @@ class FrozenRegion:
     with the compared output rows picked and the input columns reordered to
     [real (xxpp) | dummy (xxpp)]; ``target_full`` is [T | 0] over the input
     columns and ``spike_weights`` the spike variance each column of M
-    carries into the error-probability budget.
+    carries into the error-probability budget.  With ``variable_theta_c``
+    the last free angle is the control basis theta_c.
     """
 
     graph: object
@@ -134,6 +152,7 @@ class FrozenRegion:
     s0x: np.ndarray
     s0p: np.ndarray
     out: np.ndarray
+    variable_theta_c: bool
 
     @property
     def n_free(self) -> int:
@@ -142,14 +161,21 @@ class FrozenRegion:
     def metrics(self, x) -> tuple:
         return _kernels.reduce_metrics(np.asarray(x, dtype=float), self)
 
-    def objective(self, w: float):
-        """x -> |G - T|_1 + w log P_err, or ``BAD_VALUE`` at a degenerate basis."""
-        def f(x):
-            resid, perr = _kernels.reduce_metrics(x, self)
-            if resid >= _kernels.BAD_VALUE:
-                return _kernels.BAD_VALUE
-            return resid + w * math.log(max(perr, 1e-300))
-        return f
+    def jet(self, x):
+        """``(F, J, perr, grad log perr)`` at ``x``, or None at a degenerate basis."""
+        return _kernels.reduce_jet(np.asarray(x, dtype=float), self)
+
+    def canonical(self, x) -> np.ndarray:
+        """Each free angle's representative mod pi: in [-pi/2, pi/2), and a
+        variable theta_c in [0, pi).  Every free angle is pi-periodic,
+        because flipping the sign of a measured row leaves M unchanged."""
+        y = np.fmod(np.asarray(x, dtype=float), math.pi)  # exact
+        lo = np.full(len(y), -math.pi / 2)
+        if self.variable_theta_c:
+            lo[-1] = 0.0
+        # each shift by pi is exact in the usual case |y| >= pi/2 (Sterbenz)
+        y = np.where(y < lo, y + math.pi, y)
+        return np.where(y >= lo + math.pi, y - math.pi, y)
 
 
 def freeze_region(graph, target, r, out_sel=None, in_real=None,
@@ -196,28 +222,103 @@ def freeze_region(graph, target, r, out_sel=None, in_real=None,
                               np.full(k, cluster_var)])
     return FrozenRegion(graph, np.hstack([target, np.zeros((len(rows), n_dummy))]),
                         delta, weights, theta_base, a_map,
-                        s0x[:, cols], s0p[:, cols], out[rows][:, cols])
+                        s0x[:, cols], s0p[:, cols], out[rows][:, cols], variable_theta_c)
 
 
-def _wrap(x):
-    return (np.asarray(x) + math.pi) % (2 * math.pi) - math.pi
+def _solve_start(frozen: FrozenRegion, x0):
+    """One start's job: Levenberg-Marquardt to a root of F, then, where the
+    roots form a continuum, a descent of log perr along it.
+
+    Returns the end point, the eliminations spent and whether LM reached a
+    root (|F|_1 < ROOT_TOL)."""
+    x, jet, evals = _levenberg_marquardt(frozen, np.asarray(x0, dtype=float))
+    root = jet is not None and bool(np.abs(jet[0]).sum() < ROOT_TOL)
+    if root:
+        x, n = _feasible_descent(frozen, x, jet)
+        evals += n
+    return x, evals, root
 
 
-def _local_descent(frozen: FrozenRegion, x0, w: float, w_polish: float):
-    """Simplex descent with re-initialization rounds, then a feasibility
-    polish at the smallest weight ``w_polish`` (nearly pure gate residual).
-    Returns the end point and the objective evaluations spent."""
-    x = np.asarray(x0, dtype=float)
-    evals = 0
-    for weight, step, rounds in ((w, _STEP, _ROUNDS), (w_polish, _POLISH_STEP, _POLISH_ROUNDS)):
-        f = frozen.objective(weight)
-        for rd in range(rounds):
-            x, _, n = _kernels.nelder_mead(f, x, step / 2.0 ** rd, _MAX_EVALS, _LOCAL_TOL)
+def _levenberg_marquardt(frozen: FrozenRegion, x):
+    """Damped Gauss-Newton steps on |F|^2 (Levenberg 1944; Marquardt 1963),
+    with the gain-ratio damping update of Madsen, Nielsen & Tingleff (2004).
+    Stops at a root, at a step too small to change x, or after _LM_ITERS
+    eliminations.  Returns the end point, its jet (None if the start is
+    degenerate) and the eliminations spent."""
+    jet = frozen.jet(x)
+    evals, damping, nu = 1, None, 2.0
+    while jet is not None and evals < _LM_ITERS:
+        f, jac = jet[0], jet[1]
+        if np.abs(f).sum() < ROOT_TOL:
+            break
+        grad, normal = jac.T @ f, jac.T @ jac
+        if damping is None:
+            damping = 1e-3 * normal.diagonal().max()
+        step = np.linalg.solve(normal + damping * np.eye(len(x)), -grad)
+        y = x + step
+        if np.array_equal(y, x):
+            break
+        trial = frozen.jet(y)
+        evals += 1
+        cost = f @ f
+        new_cost = math.inf if trial is None else trial[0] @ trial[0]
+        if new_cost < cost:
+            rho = (cost - new_cost) / (step @ (damping * step - grad))
+            x, jet = y, trial
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        else:
+            damping *= nu
+            nu *= 2.0
+    return x, jet, evals
+
+
+def _retract(frozen: FrozenRegion, x):
+    """Gauss-Newton least-norm steps from x back to a root.  Returns the root
+    and its jet, or None, and the eliminations spent."""
+    for evals in range(1, _RETRACT_ITERS + 1):
+        jet = frozen.jet(x)
+        if jet is None:
+            break
+        if np.abs(jet[0]).sum() < ROOT_TOL:
+            return x, jet, evals
+        x = x - np.linalg.lstsq(jet[1], jet[0], rcond=None)[0]
+    return x, None, evals
+
+
+def _feasible_descent(frozen: FrozenRegion, x, jet):
+    """Descend log perr on the root set through the root ``x``.
+
+    Each step follows the log-perr gradient projected onto the null space of
+    J and is retracted onto the roots; the step length doubles after an
+    accepted step and halves until the Armijo condition holds.  An isolated
+    root (J of full column rank) is returned as it is.  Returns the end
+    point and the eliminations spent."""
+    _, sv, vt = np.linalg.svd(jet[1])
+    rank = int((sv > _RANK_TOL * sv[0]).sum())
+    evals, length = 0, _FIRST_STEP
+    while rank < len(x) and evals < _DESCENT_EVALS:
+        null = vt[rank:]
+        direction = -(null.T @ (null @ jet[3]))
+        slope = jet[3] @ direction
+        if not slope < 0.0:
+            break
+        log_perr = math.log(jet[2])
+        while length > _STEP_TOL:
+            y, trial, n = _retract(frozen, x + length * direction)
             evals += n
+            if trial is not None and math.log(trial[2]) < log_perr + _ARMIJO * length * slope:
+                x, jet = y, trial
+                vt = np.linalg.svd(jet[1])[2]
+                length *= 2.0
+                break
+            length /= 2.0
+        else:
+            break
     return x, evals
 
 
-# The region a pool worker descends in, set once per worker by _init_worker.
+# The region a pool worker solves in, set once per worker by _init_worker.
 _worker_region = None
 
 
@@ -226,8 +327,8 @@ def _init_worker(frozen: FrozenRegion) -> None:
     _worker_region = frozen
 
 
-def _worker_descent(job):
-    return _local_descent(_worker_region, *job)
+def _worker_solve(x0):
+    return _solve_start(_worker_region, x0)
 
 
 def _usable_cpus() -> int:
@@ -237,14 +338,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _descend_all(frozen: FrozenRegion, jobs: list):
-    """:func:`_local_descent` of every job ``(x0, w, w_polish)``, in job order,
-    and the number of processes that ran them.
+def _solve_all(frozen: FrozenRegion, starts: list):
+    """:func:`_solve_start` of every start, in start order, and the number of
+    processes that ran them.
 
     Forked workers inherit the region through the pool initializer, so a task
-    carries only its job; the pool lives for this call alone.
+    carries only its start; the pool lives for this call alone.
     """
-    workers = min(_usable_cpus(), len(jobs))
+    workers = min(_usable_cpus(), len(starts))
     if workers > 1:
         # imported here so that importing the package starts no process machinery;
         # fork, because spawn and forkserver re-run a caller script that has no
@@ -255,21 +356,23 @@ def _descend_all(frozen: FrozenRegion, jobs: list):
             ctx = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_init_worker,
                                      initargs=(frozen,)) as pool:
-                return list(pool.map(_worker_descent, jobs)), workers
-    return [_local_descent(frozen, *job) for job in jobs], 1
+                return list(pool.map(_worker_solve, starts)), workers
+    return [_solve_start(frozen, x0) for x0 in starts], 1
 
 
 def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> OptResult:
-    """Best accepted solution over the exact warm starts and the restart x
-    weight grid.
+    """Best accepted solution over the exact warm starts and the solves from
+    every start.
 
     Deterministic for a fixed seed; warm starts (exact and jittered) are
     prepended to the uniform random start sequence.  Each exact warm start is
     also scored as a candidate in its own right, under the same acceptance
-    rule and tie-break as the descent results, so the result is never worse
-    than a feasible warm start.  When nothing meets the residual tolerance
-    the best rejected candidate is returned, flagged.  The descents may run
-    in worker processes; the result does not depend on how many.
+    rule and tie-break as the solve results, so the result is never worse
+    than a feasible warm start.  Candidates are scored, compared and returned
+    at their canonical angles (:meth:`FrozenRegion.canonical`).  When nothing
+    meets the residual tolerance the best rejected candidate is returned,
+    flagged.  ``config.weight_grid`` has no effect.  The solves may run in
+    worker processes; the result does not depend on how many.
     """
     rng = np.random.default_rng(config.seed)
     n_free = frozen.n_free
@@ -285,23 +388,23 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
 
     def score(x):
         nonlocal best, best_rejected
+        x = frozen.canonical(x)
         resid, perr = frozen.metrics(x)
-        key = (perr, resid, tuple(_wrap(x)))
+        key = (perr, resid, tuple(x))
         if resid < RESIDUAL_TOL:
             if best is None or key < best:
                 best = key
         elif best_rejected is None or (resid, perr) < best_rejected[:2]:
-            best_rejected = (resid, perr, tuple(_wrap(x)))
+            best_rejected = (resid, perr, tuple(x))
 
     for x0 in starts[:len(warm_starts)]:
         score(x0)
-    w_polish = min(config.weight_grid)
-    jobs = [(x0, w, w_polish) for w in config.weight_grid for x0 in starts]
-    descents, workers = _descend_all(frozen, jobs)
-    for x, _ in descents:
+    solved, workers = _solve_all(frozen, starts)
+    for x, _, _ in solved:
         score(x)
 
-    spent = {"evals": sum(n for _, n in descents), "descents": len(jobs), "workers": workers}
+    spent = {"evals": sum(n for _, n, _ in solved), "descents": len(starts),
+             "workers": workers, "roots": sum(root for _, _, root in solved)}
     if best is not None:
         perr, resid, xs = best
         return OptResult(np.array(xs), resid, perr, True, **spent)

@@ -268,6 +268,19 @@ def test_optimize_unreadable_config_is_usage_error(capsys, tmp_path):
     assert not table.exists()
 
 
+@pytest.mark.parametrize("content", [b"", b"{\"restarts\": 1,", b"\xff\xfe"])
+def test_optimize_malformed_config_names_the_file(capsys, tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    table = tmp_path / "table.json"
+    code, _, err = run_cli(["optimize", "--lattice", "MBSL", "--config", str(cfg),
+                            "--out", str(table)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith(f"error: --config {cfg} is not valid JSON: ")
+    assert err.count("\n") == 1
+    assert not table.exists()
+
+
 # ---------------------------------------------- optimize: the table writer
 
 GRID = [2.0, 2.5, 3.0, 3.5]

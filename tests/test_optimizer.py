@@ -31,21 +31,80 @@ def test_config_validation():
         opt.OptimizerConfig.from_dict({"weight_grd": [1e-4], "rounds_": 2, "seed": 1})
 
 
-def test_objective_value_and_degeneracy():
+def test_metrics_value_and_degeneracy():
     r = 1.0
     graph = lat.teleport_graph(math.tanh(2 * r))
     tm = 2 * math.atan(1 / math.tanh(2 * r))
     exact = np.array([tm / 2, -tm / 2])
-    w = 1e-3
     frozen = opt.freeze_region(graph, np.eye(2), r)
-    f = frozen.objective(w)
     resid, perr = frozen.metrics(exact)
     assert resid < 1e-12
-    assert f(exact) == pytest.approx(w * math.log(perr), rel=1e-9)
-    # perturbing one angle raises the first term above zero
-    assert f(np.array([exact[0] + 1e-3, exact[1]])) > f(exact)
+    f, _, jet_perr, _ = frozen.jet(exact)
+    assert (np.abs(f).sum(), jet_perr) == (resid, perr)
+    # perturbing one angle raises the residual above zero
+    assert frozen.metrics(np.array([exact[0] + 1e-3, exact[1]]))[0] > 1e-6
     # degenerate basis (theta1 = theta2) is infeasible, not an exception
-    assert f(np.array([0.3, 0.3])) == _kernels.BAD_VALUE
+    assert frozen.metrics(np.array([0.3, 0.3]))[0] == _kernels.BAD_VALUE
+    assert frozen.jet(np.array([0.3, 0.3])) is None
+
+
+def _central_differences(frozen, x, h):
+    """Central differences of F and log perr, one column per free angle."""
+    cols = []
+    for e in h * np.eye(frozen.n_free):
+        up, down = frozen.jet(x + e), frozen.jet(x - e)
+        cols.append(np.append(up[0] - down[0], math.log(up[2]) - math.log(down[2])) / (2 * h))
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("lattice, variable_theta_c", [
+    ("DBSL", False), ("BSL", False), ("MBSL", False), ("QRL", False), ("DBSL", True)])
+def test_jet_matches_central_differences(lattice, variable_theta_c):
+    # near a root, where the solves and the descent use the derivatives
+    frozen = opt._region(lattice, lat.db_to_r(15.0), variable_theta_c)
+    rng = np.random.default_rng(1)
+    x, jet, _ = opt._levenberg_marquardt(frozen, rng.uniform(-math.pi, math.pi, frozen.n_free))
+    assert np.abs(jet[0]).sum() < opt.ROOT_TOL
+    x = x + rng.normal(0.0, 0.05, frozen.n_free)
+    _, jac, _, grad = frozen.jet(x)
+    h = 1e-3  # Richardson extrapolation of two central differences: O(h^4)
+    fd = (4 * _central_differences(frozen, x, h / 2) - _central_differences(frozen, x, h)) / 3
+    assert np.abs(jac - fd[:-1]).max() <= 1e-7 * np.abs(jac).max()
+    assert np.abs(grad - fd[-1]).max() <= 1e-7 * np.abs(grad).max()
+
+
+def test_lm_root_agrees_with_scipy_least_squares():
+    from scipy.optimize import least_squares
+
+    frozen = opt._region("DBSL", lat.db_to_r(15.0))
+    # from this start both solvers reach the same one of the two DBSL roots mod pi
+    x0 = np.random.default_rng(0).uniform(-math.pi, math.pi, frozen.n_free)
+    x, jet, _ = opt._levenberg_marquardt(frozen, x0)
+    ref = least_squares(lambda y: frozen.jet(y)[0], x0, jac=lambda y: frozen.jet(y)[1],
+                        method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    assert np.abs(jet[0]).sum() < opt.ROOT_TOL
+    assert frozen.metrics(ref.x)[0] < opt.ROOT_TOL
+    assert jet[2] == pytest.approx(frozen.metrics(ref.x)[1], rel=1e-9)
+    np.testing.assert_allclose(frozen.canonical(x), frozen.canonical(ref.x), rtol=0, atol=1e-9)
+
+
+def test_angles_are_canonical_mod_pi():
+    r = lat.db_to_r(15.0)
+    res = opt.cz_search("DBSL", r, opt.OptimizerConfig(restarts=4, seed=3))
+    assert res.accepted
+    frozen = opt._region("DBSL", r)
+    x = res.angles
+    assert np.all((-math.pi / 2 <= x) & (x < math.pi / 2))
+    assert np.array_equal(frozen.canonical(x), x)
+    for e in math.pi * np.eye(frozen.n_free):
+        for shifted in (x + e, x - e):
+            # the shift by pi rounds once, so the angle comes back to an ulp
+            np.testing.assert_allclose(frozen.canonical(shifted), x, rtol=0, atol=1e-15)
+            assert frozen.metrics(shifted)[1] == pytest.approx(res.perr, rel=2e-15, abs=0)
+    var = opt.cz_search("DBSL", r, opt.OptimizerConfig(restarts=4, seed=3),
+                        variable_theta_c=True)
+    assert 0 <= var.theta_c < math.pi
+    assert np.all((-math.pi / 2 <= var.angles) & (var.angles < math.pi / 2))
 
 
 def test_kernel_matches_reference_reduction():
@@ -129,31 +188,46 @@ def _serial_search(frozen, config):
     """search() without warm starts, written out as one in-process loop."""
     rng = np.random.default_rng(config.seed)
     starts = [rng.uniform(-math.pi, math.pi, frozen.n_free) for _ in range(config.restarts)]
-    best, evals = None, 0
-    for w in config.weight_grid:
-        for x0 in starts:
-            x, n = opt._local_descent(frozen, x0, w, min(config.weight_grid))
-            evals += n
-            resid, perr = frozen.metrics(x)
-            key = (perr, resid, tuple(opt._wrap(x)))
-            if resid < opt.RESIDUAL_TOL and (best is None or key < best):
-                best = key
-    return best, evals
+    best, evals, roots = None, 0, 0
+    for x0 in starts:
+        x, n, root = opt._solve_start(frozen, x0)
+        evals, roots = evals + n, roots + root
+        x = frozen.canonical(x)
+        resid, perr = frozen.metrics(x)
+        key = (perr, resid, tuple(x))
+        if resid < opt.RESIDUAL_TOL and (best is None or key < best):
+            best = key
+    return best, evals, roots
 
 
 def test_pooled_search_equals_a_serial_loop(monkeypatch):
     frozen = opt._region("MBSL", lat.db_to_r(15.0))
-    cfg = opt.OptimizerConfig(restarts=2, seed=20200527, weight_grid=(1e-8, 1e-4))
+    cfg = opt.OptimizerConfig(restarts=4, seed=20200527, weight_grid=(1e-8, 1e-4))
     monkeypatch.setattr(opt, "_usable_cpus", lambda: 3)
     pooled = opt.search(frozen, cfg)
     monkeypatch.setattr(opt, "_usable_cpus", lambda: 1)
     single = opt.search(frozen, cfg)
-    best, evals = _serial_search(frozen, cfg)
+    best, evals, roots = _serial_search(frozen, cfg)
     assert best is not None and pooled.accepted
     assert (pooled.perr, pooled.residual, tuple(pooled.angles)) == best
     assert (pooled.descents, pooled.workers, single.workers) == (4, 3, 1)
     assert pooled.evals == single.evals == evals
+    assert pooled.roots == single.roots == roots
     assert np.array_equal(pooled.angles, single.angles)
+
+
+def test_cold_mbsl_search_reaches_the_optimum_for_any_worker_count(monkeypatch):
+    cfg = opt.OptimizerConfig(restarts=8, weight_grid=(1e-4,), seed=20200527)
+    results = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(opt, "_usable_cpus", lambda n=cpus: n)
+        results.append(opt.cz_search("MBSL", lat.db_to_r(15.0), cfg))
+    single, pooled = results
+    assert single.accepted
+    assert single.perr == pytest.approx(0.11767573281586881, rel=1e-12)
+    assert (single.perr, single.residual, single.evals, single.roots) == \
+        (pooled.perr, pooled.residual, pooled.evals, pooled.roots)
+    assert np.array_equal(single.angles, pooled.angles)
 
 
 def test_descent_error_in_a_worker_reaches_the_caller(monkeypatch):
@@ -162,7 +236,7 @@ def test_descent_error_in_a_worker_reaches_the_caller(monkeypatch):
 
     frozen = opt._region("MBSL", lat.db_to_r(15.0))
     monkeypatch.setattr(opt, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(_kernels, "reduce_metrics", broken)  # fork inherits the patch
+    monkeypatch.setattr(_kernels, "reduce_jet", broken)  # fork inherits the patch
     with pytest.raises(FloatingPointError, match="injected"):
         opt.search(frozen, opt.OptimizerConfig(restarts=4, seed=0, weight_grid=(1e-8,)))
     assert multiprocessing.active_children() == []
