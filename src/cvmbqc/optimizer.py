@@ -4,9 +4,10 @@ measured-mode angles, then minimize the GKP error probability on the solutions.
 From each start, a Levenberg-Marquardt solve drives the gate residual
 F = vec(M[:, :n_in] - [T | 0]) to a root with the analytic Jacobian of
 :func:`_kernels.reduce_jet`.  Where the roots form a continuum (BSL, MBSL and
-the variable-theta_c DBSL), a descent of log perr follows its analytic
-gradient projected onto the null space of the Jacobian, retracting each step
-onto the roots; isolated roots (DBSL, QRL) are kept as they are.
+the variable-theta_c DBSL), a modified Newton descent of log perr follows
+them: gradient and differenced Hessian reduced to the null space of the
+Jacobian, each step retracted onto the roots; isolated roots (DBSL, QRL) are
+kept as they are.
 :class:`OptimizerConfig` sets ``restarts`` and ``seed``; ``weight_grid`` is
 still validated but has no effect.  Accepted solutions must implement the
 target to an entrywise 1-norm below :data:`RESIDUAL_TOL`; among those the
@@ -54,16 +55,21 @@ ROOT_TOL = 1e-13
 # Levenberg-Marquardt: at most _LM_ITERS eliminations per start.
 _LM_ITERS = 200
 # Descent along the roots: J's null space is spanned by the right singular
-# vectors whose singular value is below _RANK_TOL times the largest; a step
-# starts at _FIRST_STEP, is retracted in at most _RETRACT_ITERS Gauss-Newton
-# steps and accepted on a strict Armijo decrease _ARMIJO of log perr; the
-# descent ends when no step length down to _STEP_TOL decreases log perr, or
-# after _DESCENT_EVALS eliminations.
+# vectors whose singular value is below _RANK_TOL times the largest; every
+# point is retracted in at most _RETRACT_ITERS Gauss-Newton steps; the reduced
+# Hessian is differenced over probes _PROBE away along the null space (near
+# enough that most probes are already roots to ROOT_TOL); a
+# Newton step is at most _MAX_STEP long and accepted on a strict Armijo
+# decrease _ARMIJO of log perr; the descent ends when the Newton decrement
+# falls below _DECREMENT_TOL, when no step down to _MIN_STEP of the Newton
+# step decreases log perr, or after _DESCENT_EVALS eliminations.
 _RANK_TOL = 1e-8
-_FIRST_STEP = 0.1
-_STEP_TOL = 1e-14
 _RETRACT_ITERS = 8
+_PROBE = 1e-7
+_MAX_STEP = 0.5
 _ARMIJO = 1e-4
+_DECREMENT_TOL = 1e-14
+_MIN_STEP = 1e-6
 _DESCENT_EVALS = 4000
 
 
@@ -287,30 +293,48 @@ def _retract(frozen: FrozenRegion, x):
 
 
 def _feasible_descent(frozen: FrozenRegion, x, jet):
-    """Descend log perr on the root set through the root ``x``.
+    """Descend log perr on the root set through the root ``x`` by modified
+    Newton steps in the null space of J (Absil, Mahony & Sepulchre 2008).
 
-    Each step follows the log-perr gradient projected onto the null space of
-    J and is retracted onto the roots; the step length doubles after an
-    accepted step and halves until the Armijo condition holds.  An isolated
-    root (J of full column rank) is returned as it is.  Returns the end
-    point and the eliminations spent."""
+    With Z the null-space rows (the rank is fixed at ``x``), the reduced
+    gradient is g = Z grad log perr.  Column i of the reduced Hessian H is
+    the forward difference of that gradient over a probe retracted from
+    x + _PROBE Z_i, with the probe's gradient projected onto the probe's own
+    null space, which carries the curvature of the root set.  The step
+    -H^-1 g uses |eigenvalues| of the symmetrized H floored at 1e-3 of the
+    largest, so it descends where H is indefinite; it is capped at _MAX_STEP
+    and backtracked from unit length, each trial retracted onto the roots.
+    An isolated root (J of full column rank) is returned as it is.  Returns
+    the end point and the eliminations spent."""
     _, sv, vt = np.linalg.svd(jet[1])
     rank = int((sv > _RANK_TOL * sv[0]).sum())
-    evals, length = 0, _FIRST_STEP
+    evals = 0
     while rank < len(x) and evals < _DESCENT_EVALS:
         null = vt[rank:]
-        direction = -(null.T @ (null @ jet[3]))
-        slope = jet[3] @ direction
-        if not slope < 0.0:
+        grad = null @ jet[3]
+        hess = []
+        for z in null:
+            _, probe, n = _retract(frozen, x + _PROBE * z)
+            evals += n
+            if probe is None:
+                return x, evals
+            znew = np.linalg.svd(probe[1])[2][rank:]
+            hess.append((null @ (znew.T @ (znew @ probe[3])) - grad) / _PROBE)
+        lam, vec = np.linalg.eigh(np.add(hess, np.transpose(hess)) / 2)
+        lam = np.maximum(np.abs(lam), 1e-3 * np.abs(lam).max())
+        step = -vec @ ((vec.T @ grad) / lam)
+        slope = grad @ step
+        if not -slope >= _DECREMENT_TOL:
             break
-        log_perr = math.log(jet[2])
-        while length > _STEP_TOL:
-            y, trial, n = _retract(frozen, x + length * direction)
+        scale = min(1.0, _MAX_STEP / np.linalg.norm(step))
+        step, slope = scale * (null.T @ step), scale * slope
+        log_perr, length = math.log(jet[2]), 1.0
+        while length >= _MIN_STEP:
+            y, trial, n = _retract(frozen, x + length * step)
             evals += n
             if trial is not None and math.log(trial[2]) < log_perr + _ARMIJO * length * slope:
                 x, jet = y, trial
                 vt = np.linalg.svd(jet[1])[2]
-                length *= 2.0
                 break
             length /= 2.0
         else:

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -225,9 +226,84 @@ def test_cold_mbsl_search_reaches_the_optimum_for_any_worker_count(monkeypatch):
     single, pooled = results
     assert single.accepted
     assert single.perr == pytest.approx(0.11767573281586881, rel=1e-12)
+    assert single.evals <= 1500  # 4,502 with the projected steepest descent
     assert (single.perr, single.residual, single.evals, single.roots) == \
         (pooled.perr, pooled.residual, pooled.evals, pooled.roots)
     assert np.array_equal(single.angles, pooled.angles)
+
+
+def _reduced_hessian(frozen, x, null, h):
+    """Central second differences of log perr along the root set, each
+    point retracted from x + h (Z_i +- Z_j); at a stationary point this is
+    the Riemannian Hessian for any retraction."""
+    def log_perr(y):
+        return math.log(opt._retract(frozen, y)[1][2])
+
+    d = len(null)
+    hess = np.empty((d, d))
+    for i in range(d):
+        for j in range(d):
+            a, b = h * null[i], h * null[j]
+            hess[i, j] = (log_perr(x + a + b) - log_perr(x + a - b)
+                          - log_perr(x - a + b) + log_perr(x - a - b)) / (4 * h * h)
+    return (hess + hess.T) / 2
+
+
+@pytest.mark.parametrize("lattice, variable_theta_c", [
+    ("BSL", False), ("MBSL", False), ("DBSL", True)])
+def test_descent_ends_at_a_strict_local_minimum(lattice, variable_theta_c):
+    frozen = opt._region(lattice, lat.db_to_r(15.0), variable_theta_c)
+    res = opt.search(frozen, opt.OptimizerConfig(restarts=8, seed=20200527))
+    assert res.accepted
+    _, jac, _, grad = frozen.jet(res.angles)
+    _, sv, vt = np.linalg.svd(jac)
+    null = vt[int((sv > opt._RANK_TOL * sv[0]).sum()):]
+    assert len(null) >= 1
+    assert np.linalg.norm(null @ grad) <= 1e-6
+    # measured: 0.36/1.07 (BSL), 0.20/0.29/1.17 (MBSL), 2.01 (DBSL with theta_c)
+    assert np.linalg.eigvalsh(_reduced_hessian(frozen, res.angles, null, 1e-3)).min() > 0
+
+
+# Best perr of 16-start searches (seed 11) with the projected steepest
+# descent that the Newton descent replaced.
+_STEEPEST_DESCENT_PERR = [
+    ("BSL", 1.0, False, 0.9979352609285052),
+    ("BSL", 5.0, False, 0.9482082333075218),
+    ("BSL", 10.0, False, 0.6679125047957808),
+    ("BSL", 15.0, False, 0.1442177190811717),
+    ("BSL", 20.0, False, 0.0010693113645964718),
+    ("BSL", 25.0, False, 5.070494744352998e-10),
+    ("MBSL", 1.0, False, 0.9981229493427822),
+    ("MBSL", 5.0, False, 0.9373867141367132),
+    ("MBSL", 10.0, False, 0.6311108800509857),
+    ("MBSL", 15.0, False, 0.11767573281586889),
+    ("MBSL", 20.0, False, 0.0007496692024584603),
+    ("MBSL", 25.0, False, 6.528388156943173e-10),
+    ("DBSL", 5.0, True, 0.9434618334621698),
+    ("DBSL", 15.0, True, 0.13677692657900753),
+    ("DBSL", 25.0, True, 7.749615825210251e-10),
+]
+
+
+@pytest.mark.parametrize("lattice, db, variable_theta_c, steepest", _STEEPEST_DESCENT_PERR,
+                         ids=[f"{row[0]}{'+theta_c' if row[2] else ''}-{row[1]:g}dB"
+                              for row in _STEEPEST_DESCENT_PERR])
+def test_winner_no_worse_than_steepest_descent(lattice, db, variable_theta_c, steepest):
+    res = opt.cz_search(lattice, lat.db_to_r(db), opt.OptimizerConfig(restarts=16, seed=11),
+                        variable_theta_c=variable_theta_c)
+    assert res.accepted
+    assert res.perr <= steepest * (1 + 1e-12)
+
+
+def test_search_writes_nothing_and_warns_nothing(monkeypatch, capsys):
+    # in process, so that capsys sees whatever the solves would print
+    monkeypatch.setattr(opt, "_usable_cpus", lambda: 1)
+    cfg = opt.OptimizerConfig(restarts=4, seed=20200527)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert opt.cz_search("MBSL", lat.db_to_r(15.0), cfg).accepted
+        assert opt.cz_search("DBSL", lat.db_to_r(15.0), cfg, variable_theta_c=True).accepted
+    assert capsys.readouterr() == ("", "")
 
 
 def test_descent_error_in_a_worker_reaches_the_caller(monkeypatch):
