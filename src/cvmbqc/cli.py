@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, gates, gkp, lattice as lat, optimizer
+from . import __version__, gates, gkp, lattice as lat
 from .errors import CacheMissError
 from .reduction import noise_factors
 
@@ -28,6 +28,9 @@ EXIT_CACHE = 3
 LATTICES = ("DBSL", "BSL", "MBSL", "QRL")
 GATES = ("I", "F", "P1", "FFCZ")
 MAX_GRID_POINTS = 10 ** 6
+# The curve commands realize this many grid points at a time as one stacked
+# plan; larger blocks raise the peak memory without running faster.
+_BLOCK_POINTS = 25
 
 
 def _db_grid(args):
@@ -78,6 +81,13 @@ def _plan_for(lattice, gate, db, table):
     return gates.basis_for(lattice, gate, r)
 
 
+def _stacked_plans(lattice, gate, grid, table):
+    """(squeezings, stacked plan) per block of at most _BLOCK_POINTS grid points."""
+    for i in range(0, len(grid), _BLOCK_POINTS):
+        dbs = grid[i:i + _BLOCK_POINTS]
+        yield dbs, gates.stack_plans([_plan_for(lattice, gate, db, table) for db in dbs])
+
+
 def cmd_noise_curve(args) -> int:
     grid = _db_grid(args)
     table = functools.cache(gates.load_basis_table)
@@ -87,14 +97,16 @@ def cmd_noise_curve(args) -> int:
         rows.append(["reference", "resource", _fmt(db), "p", _fmt(-db)])
         eff = 10.0 * math.log10(2.0 * cluster_var)
         rows.append(["reference", "effective", _fmt(db), "p", _fmt(eff)])
-        for lattice in args.lattice:
-            for gate in args.gate:
-                plan = _plan_for(lattice, gate, db, table)
-                sigma2 = noise_factors(gates.realize(plan)) * cluster_var
-                names = (["x", "p"] if len(sigma2) == 2 else ["x1", "x2", "p1", "p2"])
-                for name, v in zip(names, sigma2):
-                    rows.append([lattice, gate, _fmt(db), name,
-                                 _fmt(10.0 * math.log10(2.0 * v))])
+    for lattice in args.lattice:
+        for gate in args.gate:
+            for dbs, plan in _stacked_plans(lattice, gate, grid, table):
+                cluster_var = [gkp.resource_variances(r)[1] for r in plan.r.tolist()]
+                sigma2 = noise_factors(gates.realize(plan)) * np.array(cluster_var)[:, None]
+                names = ["x", "p"] if sigma2.shape[-1] == 2 else ["x1", "x2", "p1", "p2"]
+                for db, point in zip(dbs, sigma2):
+                    for name, v in zip(names, point):
+                        rows.append([lattice, gate, _fmt(db), name,
+                                     _fmt(10.0 * math.log10(2.0 * v))])
     rows.sort(key=lambda row: (row[0], row[1], float(row[2]), row[3]))
     _write_csv(args.out, ["lattice", "gate", "squeezing_db", "quadrature",
                           "noise_variance_db"], rows)
@@ -112,11 +124,11 @@ def cmd_error_curve(args) -> int:
         baseline = gkp.error_probability(
             gkp.propagate_spikes(ffcz, np.zeros(4), delta), delta)
         rows.append(["baseline", "FFCZ", _fmt(db), _fmt_perr(baseline)])
-        for lattice in args.lattice:
-            for gate in args.gate:
-                plan = _plan_for(lattice, gate, db, table)
-                rows.append([lattice, gate, _fmt(db),
-                             _fmt_perr(gkp.gate_error_probability(plan))])
+    for lattice in args.lattice:
+        for gate in args.gate:
+            for dbs, plan in _stacked_plans(lattice, gate, grid, table):
+                rows += [[lattice, gate, _fmt(db), _fmt_perr(p)]
+                         for db, p in zip(dbs, gkp.gate_error_probability(plan))]
     rows.sort(key=lambda row: (row[0], row[1], float(row[2])))
     _write_csv(args.out, ["lattice", "gate", "squeezing_db", "perr"], rows)
     return EXIT_OK
@@ -125,13 +137,12 @@ def cmd_error_curve(args) -> int:
 def cmd_compare(args) -> int:
     grid = _db_grid(args)
     table = gates.load_basis_table()
-    rows = []
-    for db in grid:
-        ref = gkp.gate_error_probability(gates.cz_plan("DBSL", db, table=table))
-        for lattice in LATTICES:
-            plan = gates.cz_plan(lattice, db, table=table)
-            ratio = gkp.gate_error_probability(plan) / ref
-            rows.append([lattice, _fmt(db), _fmt(ratio)])
+    perr = {lattice: np.concatenate([
+        gkp.gate_error_probability(plan)
+        for _, plan in _stacked_plans(lattice, "FFCZ", grid, lambda: table)])
+        for lattice in LATTICES}
+    rows = [[lattice, _fmt(db), _fmt(p / ref)] for lattice in LATTICES
+            for db, p, ref in zip(grid, perr[lattice], perr["DBSL"])]
     rows.sort(key=lambda row: (row[0], float(row[1])))
     _write_csv(args.out, ["lattice", "squeezing_db", "perr_ratio_vs_dbsl"], rows)
     return EXIT_OK
@@ -158,6 +169,8 @@ def cmd_optimize(args) -> int:
     is found.  Rerunning from the first missing point resumes a run; rerunning
     a whole grid can only improve its accepted rows, because every search
     scores the row's own angles as a warm start."""
+    from . import optimizer  # only optimize needs it; keeps the curve commands' import lean
+
     grid = _db_grid(args)
     cfg = optimizer.OptimizerConfig()
     if args.config:

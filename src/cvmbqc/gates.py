@@ -6,6 +6,8 @@ basis, kept outputs/inputs).  Realizing a plan reduces every step, keeps its
 chosen modes, and chains the steps, so the combined noise matrix follows the
 two-step composition rule N = [G2 N1 | N2].  Every controlled-Z plan, the
 closed-form QRL one included, is one step on its lattice's :func:`cz_region`.
+:func:`stack_plans` stacks same-shaped plans of several squeezing points into
+one plan that :func:`realize` reduces in one pass per step.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,7 @@ __all__ = [
     "GatePlan",
     "PlanTrack",
     "realize",
+    "stack_plans",
     "target_symplectic",
     "cz_region",
     "basis_for",
@@ -84,13 +88,14 @@ class PlanTrack:
 class GatePlan:
     lattice: str
     gate_id: str
-    r: float
+    r: float  # an array of one r per point in a stacked plan
     steps: tuple  # of PlanTracks, one per step
     target: np.ndarray
 
 
 def realize(plan: GatePlan) -> GateResult:
-    """Reduce, restrict, and chain all plan steps into one GateResult."""
+    """Reduce, restrict, and chain all plan steps into one GateResult; a
+    stacked plan gives a stacked result."""
     combined = None
     for track in plan.steps:
         res = reduce(track.graph, track.angles)
@@ -98,6 +103,48 @@ def realize(plan: GatePlan) -> GateResult:
             res = restrict(res, track.out_keep, track.in_keep)
         combined = res if combined is None else chain(combined, res)
     return combined
+
+
+# graph fields that vary with the squeezing point; stack_plans stacks them
+_POINT_FIELDS = ("r", "t", "epsilon", "theta_c", "adjacency")
+
+
+def _stack_graphs(graphs) -> lat.ComputationGraph:
+    first = graphs[0]
+    layout = attrgetter(*(f.name for f in fields(first) if f.name not in _POINT_FIELDS))
+    if any(layout(g) != layout(first) for g in graphs):
+        raise ValueError("cannot stack plans whose step graphs differ in layout")
+    # np.stack raises ValueError itself on adjacencies of different sizes
+    return replace(
+        first, **{name: np.stack([getattr(g, name) for g in graphs]) for name in _POINT_FIELDS})
+
+
+def stack_plans(plans) -> GatePlan:
+    """One plan for the points of the same-shaped ``plans`` (a non-empty
+    sequence), which :func:`realize` and :func:`gkp.gate_error_probability`
+    evaluate in one pass.
+
+    Each step's graph gets ``adjacency``, ``r``, ``t``, ``epsilon`` and
+    ``theta_c`` stacked along a leading axis, its angle map one array per
+    measured mode, and the plan one ``r`` per point.  Raises ValueError
+    unless all plans share lattice, gate and step count, and per step the
+    region layout, kept modes and measured modes.
+    """
+    first = plans[0]
+    if any((p.lattice, p.gate_id, len(p.steps)) != (first.lattice, first.gate_id,
+                                                      len(first.steps)) for p in plans):
+        raise ValueError("cannot stack plans of different lattices, gates or step counts")
+    steps = []
+    for tracks in zip(*(p.steps for p in plans)):
+        head = tracks[0]
+        if any((t.out_keep, t.in_keep, t.angles.keys())
+               != (head.out_keep, head.in_keep, head.angles.keys()) for t in tracks):
+            raise ValueError("cannot stack plan steps with different kept or measured modes")
+        angles = {m: np.array([t.angles[m] for t in tracks]) for m in head.angles}
+        steps.append(PlanTrack(_stack_graphs([t.graph for t in tracks]), angles,
+                               head.out_keep, head.in_keep))
+    return GatePlan(first.lattice, first.gate_id, np.array([p.r for p in plans]),
+                    tuple(steps), first.target)
 
 
 def _fourier_byproduct(n: int, m: int) -> np.ndarray:
@@ -193,12 +240,10 @@ def basis_for(lattice: str, gate_id: str, r: float, parity: int = 0) -> GatePlan
     else:
         params = lat.LatticeParams.from_r(lattice, r)
     keep = (0,) if lattice == "QRL" else None  # one computation mode of the macronode
-    steps = []
-    for theta_plus, theta_minus in _single_mode_sums(lattice, gate_id, r, parity):
-        graph = lat.single_step_graph(params, parity=parity)
-        steps.append(PlanTrack(graph, _step_basis(graph, theta_plus, theta_minus),
-                               keep, keep))
-    return GatePlan(lattice, gate_id, r, tuple(steps), target_symplectic(gate_id))
+    graph = lat.single_step_graph(params, parity=parity)  # every step runs on it
+    steps = tuple(PlanTrack(graph, _step_basis(graph, theta_plus, theta_minus), keep, keep)
+                  for theta_plus, theta_minus in _single_mode_sums(lattice, gate_id, r, parity))
+    return GatePlan(lattice, gate_id, r, steps, target_symplectic(gate_id))
 
 
 def _cz_region_plan(lattice, r, free_angles, theta_c=None) -> GatePlan:

@@ -35,14 +35,16 @@ def resource_variances(r: float) -> tuple:
     return math.exp(-2.0 * r) / 2.0, 0.5 * lat.effective_epsilon(r)
 
 
-def propagate_spikes(G: np.ndarray, sigma2, delta: float) -> np.ndarray:
-    """Spike variances after a gate: delta * rowsum(G^2) + sigma2 per quadrature."""
+def propagate_spikes(G: np.ndarray, sigma2, delta) -> np.ndarray:
+    """Spike variances after a gate: delta * rowsum(G^2) + sigma2 per quadrature.
+
+    A stack of gates takes sigma2 rows and deltas with the same leading axes."""
     G = np.asarray(G, dtype=float)
     sigma2 = np.asarray(sigma2, dtype=float)
-    if sigma2.shape != (G.shape[0],):
+    if sigma2.shape != G.shape[:-1]:
         raise ValueError(
-            f"sigma2 has {sigma2.shape} entries for {G.shape[0]} output quadratures")
-    return delta * (G ** 2).sum(axis=1) + sigma2
+            f"sigma2 has {sigma2.shape} entries for {G.shape[:-1]} output quadratures")
+    return np.asarray(delta)[..., None] * (G ** 2).sum(axis=-1) + sigma2
 
 
 def error_probability(delta_prime, delta: float) -> float:
@@ -64,14 +66,21 @@ def correction_shift(m: float) -> float:
     return -u if u < SQRT_PI / 2 else SQRT_PI - u
 
 
-def gate_error_probability(plan) -> float:
+def gate_error_probability(plan):
     """Error probability of a gate plan with resource-matched GKP ancillas.
 
     The plan is realized at its own squeezing r = ``plan.r``, with the
     spike and noise variances of :func:`resource_variances`; the result is
     :func:`error_probability` of the spikes :func:`propagate_spikes` gives.
+    A stacked plan (:func:`gates.stack_plans`) gives an array with one
+    probability per point, each computed as that point's plan alone gives it.
     """
     result = gates.realize(plan)
-    delta, cluster_var = resource_variances(plan.r)
-    sigma2 = cluster_var * noise_factors(result)
-    return error_probability(propagate_spikes(result.G, sigma2, delta), delta)
+    r = np.asarray(plan.r, dtype=float)
+    # with math, point by point: numpy's exp and cosh may differ in the last bit
+    delta, cluster_var = (np.reshape(v, r.shape) for v in
+                          zip(*map(resource_variances, r.ravel().tolist())))
+    spikes = propagate_spikes(result.G, cluster_var[..., None] * noise_factors(result), delta)
+    perr = [error_probability(s, d) for s, d in
+            zip(spikes.reshape(-1, spikes.shape[-1]), delta.ravel().tolist())]
+    return np.reshape(perr, r.shape)[()]

@@ -120,7 +120,7 @@ class ComputationGraph:
 
     @property
     def n_modes(self) -> int:
-        return self.adjacency.shape[0]
+        return self.adjacency.shape[-1]
 
     @property
     def cluster_modes(self) -> tuple:

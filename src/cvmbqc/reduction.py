@@ -18,10 +18,19 @@ the CZ-basis search kernel, so both paths judge degeneracy by one rule: a
 basis is rejected when the SVD reciprocal condition number of U is below
 RCOND_MIN.  :func:`eliminate` takes U^-1 V and U^-1 from one solve and runs
 the SVD only when the cheaper Frobenius bound on rcond cannot accept U.
+
+Every function here broadcasts over leading batch axes: a graph whose
+``adjacency`` (and r, t, epsilon) are stacked, and a basis whose angles are
+arrays of the same batch shape, reduce in one call to a GateResult whose
+matrices, ``epsilon`` and ``rcond`` carry that batch shape in front.  The
+stack is reduced matrix by matrix with the same LAPACK and BLAS calls as a
+single region, so each point's result is bit for bit the one it gets alone;
+a single region is the batch-free case.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -70,7 +79,9 @@ class GateResult:
     Rows of all three matrices are the output quadratures in xxpp order.
     ``G`` acts on the input quadratures (xxpp), the columns of ``N`` are the
     cluster momenta in ascending mode order and the columns of ``D`` the
-    measurement outcomes in the graph's measured-mode order.
+    measurement outcomes in the graph's measured-mode order.  A stacked
+    result puts its batch axes in front of every matrix, ``epsilon`` and
+    ``rcond``.
     """
 
     G: np.ndarray
@@ -81,11 +92,11 @@ class GateResult:
 
     @property
     def n_outputs(self) -> int:
-        return self.G.shape[0] // 2
+        return self.G.shape[-2] // 2
 
     @property
     def n_inputs(self) -> int:
-        return self.G.shape[1] // 2
+        return self.G.shape[-1] // 2
 
 
 def premeasurement_symplectic(graph) -> np.ndarray:
@@ -93,12 +104,13 @@ def premeasurement_symplectic(graph) -> np.ndarray:
 
     Each beam splitter mixes only the x rows and the p rows of its pair, so it
     is applied as a 2x2 block to those rows, in mixing order."""
-    n = graph.n_modes
-    s = np.eye(2 * n)
-    s[n:, :n] = np.asarray(graph.adjacency, dtype=float)
+    adjacency = np.asarray(graph.adjacency, dtype=float)
+    n = adjacency.shape[-1]
+    s = np.broadcast_to(np.eye(2 * n), adjacency.shape[:-2] + (2 * n, 2 * n)).copy()
+    s[..., n:, :n] = adjacency
     for i, j in graph.mixing_pairs:
         for rows in ([i, j], [n + i, n + j]):
-            s[rows] = _BS @ s[rows]
+            s[..., rows, :] = _BS @ s[..., rows, :]
     return s
 
 
@@ -119,22 +131,39 @@ def split_s0(graph):
             f"ill-formed region: {len(measured)} measured modes cannot eliminate "
             f"{len(cluster)} cluster quadratures")
     cols = cluster + inputs + [n + i for i in inputs] + [n + m for m in cluster]
-    s0 = premeasurement_symplectic(graph)[:, cols]
-    return (s0[measured], s0[[n + m for m in measured]],
-            s0[outputs + [n + o for o in outputs]])
+    s0 = premeasurement_symplectic(graph)[..., cols]
+    return (s0[..., measured, :], s0[..., [n + m for m in measured], :],
+            s0[..., outputs + [n + o for o in outputs], :])
 
 
-def _rcond(u: np.ndarray) -> float:
-    """SVD reciprocal condition number sigma_min / sigma_max (0 if U = 0)."""
+def _rcond(u: np.ndarray):
+    """SVD reciprocal condition number sigma_min / sigma_max (0 if U = 0),
+    one per matrix of the stack."""
     sv = np.linalg.svd(u, compute_uv=False)
-    return float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+    top = sv[..., 0]
+    return np.divide(sv[..., -1], top, out=np.zeros_like(top), where=top > 0)[()]
 
 
 def _require_rcond(u: np.ndarray) -> None:
-    rcond = _rcond(u)
+    """Raise MeasurementDegenerateError if any U of the stack is degenerate."""
+    rcond = np.min(_rcond(u))
     if rcond < RCOND_MIN:
         raise MeasurementDegenerateError(
             f"measurement basis is degenerate (rcond={rcond:.2e})")
+
+
+@functools.cache
+def _identity(k: int) -> np.ndarray:
+    # kept: a fresh np.eye costs as much as the rest of assembling [V | I]
+    # in every search evaluation
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
+
+
+def _sq_norms(a: np.ndarray):
+    """Squared Frobenius norm of each matrix of the stack."""
+    return np.einsum("...ij,...ij->...", a, a)
 
 
 def eliminate(meas: np.ndarray, out: np.ndarray):
@@ -145,48 +174,53 @@ def eliminate(meas: np.ndarray, out: np.ndarray):
     MeasurementDegenerateError when the SVD reciprocal condition number of U
     is below RCOND_MIN.  The SVD runs only when the lower bound
     1/(|U|_F |U^-1|_F) on that rcond is below 100 RCOND_MIN, not finite, or
-    U is exactly singular.
+    U is exactly singular.  On a stack, one degenerate U raises for all.
     """
-    k = meas.shape[0]
-    u = meas[:, :k]
+    k = meas.shape[-2]
+    u = meas[..., :k]
+    rhs = np.empty(meas.shape)  # [V | I] is as wide as [U | V]
+    rhs[..., :-k] = meas[..., k:]
+    rhs[..., -k:] = _identity(k)
     try:
-        sol = np.linalg.solve(u, np.hstack([meas[:, k:], np.eye(k)]))
+        sol = np.linalg.solve(u, rhs)
     except np.linalg.LinAlgError:
         _require_rcond(u)
         raise
-    u_inv = sol[:, -k:]
-    # Python floats overflow to inf without a numpy warning; "not <=" also
-    # sends a NaN bound to the SVD
-    if not float(np.vdot(u, u)) * float(np.vdot(u_inv, u_inv)) <= _MAX_NORM_PRODUCT_SQ:
+    u_inv = sol[..., -k:]
+    # einsum sums to inf without a numpy warning, and dividing by an inf norm
+    # gives 0; "not <=" also sends a NaN bound to the SVD
+    if not (_sq_norms(u) <= _MAX_NORM_PRODUCT_SQ / _sq_norms(u_inv)).all():
         _require_rcond(u)
-    return out[:, k:] - out[:, :k] @ sol[:, :-k], u_inv
+    return out[..., k:] - out[..., :k] @ sol[..., :-k], u_inv
 
 
 def reduce(graph, basis) -> GateResult:
     """Reduce one region to its GateResult.
 
-    ``basis`` maps each measured mode to its angle; output-mode angles are
-    fixed at zero.  Raises MeasurementDegenerateError when the basis leaves
-    the elimination system singular (reciprocal condition number below
-    RCOND_MIN).
+    ``basis`` maps each measured mode to its angle, a number or an array of
+    the graph's batch shape; output-mode angles are fixed at zero.  Raises
+    MeasurementDegenerateError when the basis leaves the elimination system
+    singular (reciprocal condition number below RCOND_MIN), on a stack when
+    it does so at any point.
     """
     measured = list(graph.measured_modes)
     missing = [m for m in measured if m not in basis]
     if missing:
         raise ValueError(f"basis missing angles for measured modes {missing}")
     s0x, s0p, out = split_s0(graph)
-    theta = np.array([basis[m] for m in measured], dtype=float).reshape(-1, 1)
+    theta = np.stack(np.broadcast_arrays(*[np.asarray(basis[m], dtype=float)
+                                           for m in measured]), axis=-1)[..., None]
     meas = np.cos(theta) * s0x + np.sin(theta) * s0p
     m, u_inv = eliminate(meas, out)
     k = len(measured)
-    d = out[:, :k] @ u_inv
+    d = out[..., :k] @ u_inv
     k2 = 2 * len(graph.input_modes)
     return GateResult(
-        G=m[:, :k2],
-        N=m[:, k2:],
+        G=m[..., :k2],
+        N=m[..., k2:],
         D=d,
         epsilon=getattr(graph, "epsilon", float("nan")),
-        rcond=_rcond(meas[:, :k]),
+        rcond=_rcond(meas[..., :k]),
     )
 
 
@@ -195,23 +229,23 @@ def chain(first: GateResult, second: GateResult) -> GateResult:
 
     The composite keeps the smaller rcond of the two steps (NaN if either is
     unknown)."""
-    if second.G.shape[1] != first.G.shape[0]:
+    if second.G.shape[-1] != first.G.shape[-2]:
         raise ValueError(
             f"cannot chain: first step outputs {first.n_outputs} modes, "
             f"second expects {second.n_inputs}")
     g2 = second.G
     return GateResult(
         G=g2 @ first.G,
-        N=np.hstack([g2 @ first.N, second.N]),
-        D=np.hstack([g2 @ first.D, second.D]),
-        epsilon=second.epsilon if np.isnan(first.epsilon) else first.epsilon,
-        rcond=float(np.min([first.rcond, second.rcond])),
+        N=np.concatenate([g2 @ first.N, second.N], axis=-1),
+        D=np.concatenate([g2 @ first.D, second.D], axis=-1),
+        epsilon=np.where(np.isnan(first.epsilon), second.epsilon, first.epsilon)[()],
+        rcond=np.minimum(first.rcond, second.rcond)[()],
     )
 
 
 def _xxpp_rows(mat: np.ndarray, keep, n_out: int) -> np.ndarray:
     rows = [k for k in keep] + [n_out + k for k in keep]
-    return mat[rows, :]
+    return mat[..., rows, :]
 
 
 def restrict(result: GateResult, out_keep, in_keep) -> GateResult:
@@ -225,7 +259,7 @@ def restrict(result: GateResult, out_keep, in_keep) -> GateResult:
     g = _xxpp_rows(result.G, out_keep, no)
     cols = [k for k in in_keep] + [ni + k for k in in_keep]
     return GateResult(
-        G=g[:, cols],
+        G=g[..., cols],
         N=_xxpp_rows(result.N, out_keep, no),
         D=_xxpp_rows(result.D, out_keep, no),
         epsilon=result.epsilon,
@@ -239,4 +273,4 @@ def noise_factors(result: GateResult) -> np.ndarray:
     The gate-noise variance per quadrature is this times epsilon/2 under
     equal squeezing of all cluster modes.
     """
-    return (result.N ** 2).sum(axis=1)
+    return (result.N ** 2).sum(axis=-1)

@@ -576,3 +576,50 @@ def test_cli_import_starts_no_process_machinery():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_optimizer_unloaded():
+    # only `optimize` imports the search and its kernels
+    code = ("import sys, cvmbqc.cli; "
+            "print([m for m in ('cvmbqc.optimizer', 'cvmbqc._kernels') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def _csv_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(sorted(rows, key=lambda row: (row[0], row[1], float(row[2]), row[3:4])))
+    return buf.getvalue()
+
+
+def test_curves_across_a_block_boundary_equal_per_point_rows(capsys):
+    # 34 points: the curve commands realize them as blocks of 25 and 9
+    from cvmbqc import gkp
+    from cvmbqc.reduction import noise_factors
+    grid = [0.25 + 0.75 * i for i in range(34)]
+    noise, error = [], []
+    for db in grid:
+        r, x = lat.db_to_r(db), f"{db:.10g}"
+        delta, var = gkp.resource_variances(r)
+        noise += [["reference", "resource", x, "p", f"{-db:.10g}"],
+                  ["reference", "effective", x, "p", f"{10.0 * math.log10(2.0 * var):.10g}"]]
+        ffcz = gkp.propagate_spikes(gates.target_symplectic("FFCZ"), np.zeros(4), delta)
+        error.append(["baseline", "FFCZ", x, f"{gkp.error_probability(ffcz, delta):.9e}"])
+        for lattice in cli.LATTICES:
+            for gate in ("I", "F", "P1"):
+                res = gates.realize(gates.basis_for(lattice, gate, r))
+                sigma2 = noise_factors(res) * var
+                noise += [[lattice, gate, x, q, f"{10.0 * math.log10(2.0 * v):.10g}"]
+                          for q, v in zip(("x", "p"), sigma2)]
+                perr = gkp.error_probability(gkp.propagate_spikes(res.G, sigma2, delta), delta)
+                error.append([lattice, gate, x, f"{perr:.9e}"])
+    span = ["--db-min", "0.25", "--db-max", "25", "--db-step", "0.75"]
+    _, out, _ = run_cli(["noise-curve"] + span, capsys)
+    assert out == _csv_text(["lattice", "gate", "squeezing_db", "quadrature",
+                             "noise_variance_db"], noise)
+    _, out, _ = run_cli(["error-curve", "--gate", "I", "F", "P1"] + span, capsys)
+    assert out == _csv_text(["lattice", "gate", "squeezing_db", "perr"], error)

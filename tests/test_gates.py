@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cvmbqc import gates
+from cvmbqc import gates, gkp
 from cvmbqc import lattice as lat
+from cvmbqc import reduction as red
 from cvmbqc import symplectic as sp
-from cvmbqc.errors import CacheMissError
+from cvmbqc.errors import CacheMissError, MeasurementDegenerateError
 from cvmbqc.reduction import noise_factors, reduce
 
 ALL_LATTICES = ("TELEPORT", "DBSL", "BSL", "MBSL", "QRL")
@@ -212,3 +213,92 @@ def test_multi_step_plans_keep_the_smallest_rcond():
         parts = [reduce(track.graph, track.angles).rcond for track in plan.steps]
         assert len(parts) > 1
         assert gates.realize(plan).rcond == min(parts)
+
+
+# 32 points: blocks of 25 + 7, of 7 with a ragged 4 last, and of 1
+STACK_GRID = [0.25 + 0.75 * i for i in range(32)]
+STACK_FAMILIES = ([(lattice, g) for lattice in ("DBSL", "BSL", "MBSL", "QRL")
+                   for g in gates.SINGLE_MODE_GATES]
+                  + [("QRL", "FFCZ"), ("DBSL", "SWAP"), ("MBSL", "FFCZ")])
+
+
+def _random_cz_table(path, lattice, dbs, seed, bend=None):
+    """A basis table at ``path`` with random free angles at every point of
+    ``dbs``; ``bend(db, angles)`` may edit a row's angles in place."""
+    rng = np.random.default_rng(seed)
+    n = len(gates.cz_region(lattice, 1.0)[0].free_modes)
+    entries = []
+    for db in dbs:
+        angles = rng.uniform(-math.pi, math.pi, n)
+        if bend is not None:
+            bend(db, angles)
+        entries.append({"lattice": lattice, "squeezing_db": db, "angles": angles.tolist(),
+                        "accepted": True})
+    gates.save_basis_table({"version": 1, "entries": entries}, path)
+    return gates.load_basis_table(path)
+
+
+def _family_plan(lattice, gate_id, db, table):
+    r = lat.db_to_r(db)
+    if gate_id == "FFCZ":
+        return gates.cz_plan(lattice, db, table=table)
+    if gate_id == "SWAP":
+        return gates.dbsl_swap_plan(r)
+    return gates.basis_for(lattice, gate_id, r)
+
+
+@pytest.mark.parametrize("lattice, gate_id", STACK_FAMILIES)
+def test_stacked_plans_realize_bit_for_bit_as_single_points(tmp_path, lattice, gate_id):
+    # the MBSL FFCZ plans come from a table on disk, the rest are closed-form
+    table = _random_cz_table(tmp_path / "table.json", "MBSL", STACK_GRID, seed=3)
+    plans = [_family_plan(lattice, gate_id, db, table) for db in STACK_GRID]
+    singles = [gates.realize(plan) for plan in plans]
+    perrs = [gkp.gate_error_probability(plan) for plan in plans]
+    for size in (1, 7, 25):
+        for start in range(0, len(plans), size):
+            stacked = gates.stack_plans(plans[start:start + size])
+            res = gates.realize(stacked)
+            perr = gkp.gate_error_probability(stacked)
+            assert perr.shape == res.rcond.shape == (len(stacked.r),)
+            for i, single in enumerate(singles[start:start + size]):
+                for name in ("G", "N", "D", "rcond", "epsilon"):
+                    assert np.array_equal(getattr(res, name)[i], getattr(single, name)), name
+                assert perr[i] == perrs[start + i]
+
+
+@pytest.mark.parametrize("d", [0.0, 3e-12])
+def test_one_degenerate_point_fails_its_stack_as_it_fails_alone(tmp_path, d):
+    from cvmbqc import _kernels, optimizer
+
+    def bend(db, angles):
+        if db == 11.0:
+            # free angles 0 and 1 measure the two outputs of one DBSL beam
+            # splitter: at equal angles their measured rows are parallel
+            angles[1] = angles[0] + d
+
+    dbs = [10.0, 10.5, 11.0, 11.5, 12.0]
+    table = _random_cz_table(tmp_path / "table.json", "DBSL", dbs, seed=5, bend=bend)
+    plans = [gates.cz_plan("DBSL", db, table=table) for db in dbs]
+    step = plans[2].steps[0]
+    with pytest.raises(MeasurementDegenerateError):
+        reduce(step.graph, step.angles)
+    frozen = optimizer._region("DBSL", lat.db_to_r(11.0))
+    assert frozen.metrics(gates.find_row(table, "DBSL", 11.0)["angles"])[0] == _kernels.BAD_VALUE
+    with pytest.raises(MeasurementDegenerateError):
+        gates.realize(gates.stack_plans(plans))
+    with pytest.raises(MeasurementDegenerateError):
+        gkp.gate_error_probability(gates.stack_plans(plans))
+    others = plans[:2] + plans[3:]
+    assert gates.realize(gates.stack_plans(others)).rcond.min() >= red.RCOND_MIN
+
+
+def test_stack_plans_refuses_plans_of_different_shape():
+    r = lat.db_to_r(10.0)
+    plan = gates.basis_for("DBSL", "I", r)
+    for other in (gates.basis_for("DBSL", "F", r),             # two steps
+                  gates.basis_for("BSL", "I", r),              # another lattice
+                  gates.basis_for("DBSL", "P1", r),            # another gate
+                  gates.basis_for("DBSL", "I", r, parity=1)):  # other control signs
+        with pytest.raises(ValueError, match="cannot stack"):
+            gates.stack_plans([plan, other])
+    assert gates.realize(gates.stack_plans([plan, plan])).G.shape == (2, 2, 2)
