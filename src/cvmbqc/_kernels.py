@@ -1,11 +1,11 @@
 """Hot numeric kernels of the CZ-basis search, in plain numpy.
 
-The optimizer scores each free-angle vector with :func:`reduce_metrics`,
-and solves and descends with :func:`reduce_jet`, which adds the residual
-Jacobian and the log-perr gradient.  Both evaluate the angle-independent S0
-blocks of a ``FrozenRegion`` through the same elimination and
-error-probability functions as the reference path, and each call is one
-elimination.  :func:`nelder_mead` is the simplex descent of the search that
+The optimizer solves and descends with :func:`reduce_jet`, which evaluates
+the angle-independent S0 blocks of a ``FrozenRegion`` through the same
+elimination and error-probability functions as the reference path, one
+elimination per call.  It scores each free-angle vector with
+:func:`reduce_metrics`, the residual norm and perr of that jet.
+:func:`nelder_mead` is the simplex descent of the search that
 exact roots replaced; no search calls it, and it stays only while
 ``perfbench/tracing.py`` hooks it.  Time the scoring with
 ``python3 perfbench/run.py --trace 1`` (``kernels.eval_us``).  The traced
@@ -28,43 +28,34 @@ BAD_VALUE = 1e12
 
 
 def reduce_metrics(x, frozen):
-    """Gate residual and GKP error probability for free angles ``x``.
-
-    The free angles set the measured rows c S0x + s S0p of the region's
-    ``FrozenRegion``; :func:`reduction.eliminate` then gives the reduced map
-    M, with input columns ordered [real inputs (xxpp) | dummy inputs (xxpp) |
-    cluster momenta].  The residual is |M[:, :n_in] - [T | 0]|_1, the gate
-    error plus any leakage from dummy inputs.  The spike variances are
-    (M o M) w with the frozen per-column weights (delta through real inputs,
-    vacuum 1/2 through dummies, eps/2 through cluster momenta), and perr is
-    :func:`gkp.error_probability` of them.  A basis whose elimination block
-    has an SVD rcond below ``reduction.RCOND_MIN``, the rule ``reduce()``
-    applies, gives ``(BAD_VALUE, 1.0)``; ``eliminate`` computes that SVD only
-    for the rare basis that its Frobenius bound on rcond cannot accept, so a
-    typical evaluation costs one LU solve and no SVD.
-    """
-    theta = (frozen.theta_base + frozen.a_map @ x).reshape(-1, 1)
-    try:
-        m, _ = eliminate(np.cos(theta) * frozen.s0x + np.sin(theta) * frozen.s0p,
-                         frozen.out)
-    except MeasurementDegenerateError:
+    """Gate residual |F|_1 and GKP error probability of :func:`reduce_jet` at
+    free angles ``x``, or ``(BAD_VALUE, 1.0)`` at a degenerate basis."""
+    jet = reduce_jet(x, frozen)
+    if jet is None:
         return BAD_VALUE, 1.0
-    target = frozen.target_full
-    resid = float(np.abs(m[:, :target.shape[1]] - target).sum())
-    return resid, error_probability((m * m) @ frozen.spike_weights, frozen.delta)
+    return float(np.abs(jet[0]).sum()), jet[2]
 
 
 def reduce_jet(x, frozen):
     """``(F, J, perr, grad)`` at free angles ``x``, or None at a degenerate basis.
 
-    F = vec(M[:, :n_in] - [T | 0]) is the residual whose 1-norm
-    :func:`reduce_metrics` reports, J = dF/dx its Jacobian, perr the same
-    error probability and grad the gradient of log perr, all from one
-    elimination.  With K = Y U^-1, W = U^-1 V and the rotated-row
-    derivatives (u'_i | v'_i) = -sin(theta_i) S0x_i + cos(theta_i) S0p_i,
-    the rows R_i = u'_i W - v'_i give dM/dtheta_i = K[:, i] (x) R_i and the
-    spike derivatives ds/dtheta = 2 K o (M diag(w) R^T); ``a_map`` chains
-    both from the measured angles theta to the free angles x.
+    The free angles set the measured rows c S0x + s S0p of the region's
+    ``FrozenRegion``; :func:`reduction.eliminate` then gives the reduced map
+    M, with input columns ordered [real inputs (xxpp) | dummy inputs (xxpp) |
+    cluster momenta].  F = vec(M[:, :n_in] - [T | 0]) is the residual, the
+    gate error plus any leakage from dummy inputs, and J = dF/dx its
+    Jacobian.  The spike variances are (M o M) w with the frozen per-column
+    weights (delta through real inputs, vacuum 1/2 through dummies, eps/2
+    through cluster momenta); perr is :func:`gkp.error_probability` of them
+    and grad the gradient of log perr, all from one elimination.  A basis
+    whose elimination block has an SVD rcond below ``reduction.RCOND_MIN``,
+    the rule ``reduce()`` applies, is degenerate.
+
+    With K = Y U^-1, W = U^-1 V and the rotated-row derivatives
+    (u'_i | v'_i) = -sin(theta_i) S0x_i + cos(theta_i) S0p_i, the rows
+    R_i = u'_i W - v'_i give dM/dtheta_i = K[:, i] (x) R_i and the spike
+    derivatives ds/dtheta = 2 K o (M diag(w) R^T); ``a_map`` chains both
+    from the measured angles theta to the free angles x.
     """
     theta = (frozen.theta_base + frozen.a_map @ x).reshape(-1, 1)
     c, s = np.cos(theta), np.sin(theta)

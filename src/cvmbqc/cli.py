@@ -85,7 +85,7 @@ def _stacked_plans(lattice, gate, grid, table):
     """(squeezings, stacked plan) per block of at most _BLOCK_POINTS grid points."""
     for i in range(0, len(grid), _BLOCK_POINTS):
         dbs = grid[i:i + _BLOCK_POINTS]
-        yield dbs, gates.stack_plans([_plan_for(lattice, gate, db, table) for db in dbs])
+        yield dbs, _plan_for(lattice, gate, np.array(dbs), table)
 
 
 def cmd_noise_curve(args) -> int:
@@ -100,8 +100,8 @@ def cmd_noise_curve(args) -> int:
     for lattice in args.lattice:
         for gate in args.gate:
             for dbs, plan in _stacked_plans(lattice, gate, grid, table):
-                cluster_var = [gkp.resource_variances(r)[1] for r in plan.r.tolist()]
-                sigma2 = noise_factors(gates.realize(plan)) * np.array(cluster_var)[:, None]
+                cluster_var = lat.per_point(gkp.resource_variances, plan.r)[:, 1]
+                sigma2 = noise_factors(gates.realize(plan)) * cluster_var[:, None]
                 names = ["x", "p"] if sigma2.shape[-1] == 2 else ["x1", "x2", "p1", "p2"]
                 for db, point in zip(dbs, sigma2):
                     for name, v in zip(names, point):

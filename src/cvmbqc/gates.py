@@ -6,8 +6,10 @@ basis, kept outputs/inputs).  Realizing a plan reduces every step, keeps its
 chosen modes, and chains the steps, so the combined noise matrix follows the
 two-step composition rule N = [G2 N1 | N2].  Every controlled-Z plan, the
 closed-form QRL one included, is one step on its lattice's :func:`cz_region`.
-:func:`stack_plans` stacks same-shaped plans of several squeezing points into
-one plan that :func:`realize` reduces in one pass per step.
+Every plan constructor takes the squeezing as a number or an array; an
+array gives one plan for the whole block, each step one stacked region graph
+with one angle array per measured mode, which :func:`realize` reduces in one
+pass per step.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,6 @@ __all__ = [
     "GatePlan",
     "PlanTrack",
     "realize",
-    "stack_plans",
     "target_symplectic",
     "cz_region",
     "basis_for",
@@ -88,7 +88,7 @@ class PlanTrack:
 class GatePlan:
     lattice: str
     gate_id: str
-    r: float  # an array of one r per point in a stacked plan
+    r: float  # an array of squeezings in a stacked plan
     steps: tuple  # of PlanTracks, one per step
     target: np.ndarray
 
@@ -103,48 +103,6 @@ def realize(plan: GatePlan) -> GateResult:
             res = restrict(res, track.out_keep, track.in_keep)
         combined = res if combined is None else chain(combined, res)
     return combined
-
-
-# graph fields that vary with the squeezing point; stack_plans stacks them
-_POINT_FIELDS = ("r", "t", "epsilon", "theta_c", "adjacency")
-
-
-def _stack_graphs(graphs) -> lat.ComputationGraph:
-    first = graphs[0]
-    layout = attrgetter(*(f.name for f in fields(first) if f.name not in _POINT_FIELDS))
-    if any(layout(g) != layout(first) for g in graphs):
-        raise ValueError("cannot stack plans whose step graphs differ in layout")
-    # np.stack raises ValueError itself on adjacencies of different sizes
-    return replace(
-        first, **{name: np.stack([getattr(g, name) for g in graphs]) for name in _POINT_FIELDS})
-
-
-def stack_plans(plans) -> GatePlan:
-    """One plan for the points of the same-shaped ``plans`` (a non-empty
-    sequence), which :func:`realize` and :func:`gkp.gate_error_probability`
-    evaluate in one pass.
-
-    Each step's graph gets ``adjacency``, ``r``, ``t``, ``epsilon`` and
-    ``theta_c`` stacked along a leading axis, its angle map one array per
-    measured mode, and the plan one ``r`` per point.  Raises ValueError
-    unless all plans share lattice, gate and step count, and per step the
-    region layout, kept modes and measured modes.
-    """
-    first = plans[0]
-    if any((p.lattice, p.gate_id, len(p.steps)) != (first.lattice, first.gate_id,
-                                                      len(first.steps)) for p in plans):
-        raise ValueError("cannot stack plans of different lattices, gates or step counts")
-    steps = []
-    for tracks in zip(*(p.steps for p in plans)):
-        head = tracks[0]
-        if any((t.out_keep, t.in_keep, t.angles.keys())
-               != (head.out_keep, head.in_keep, head.angles.keys()) for t in tracks):
-            raise ValueError("cannot stack plan steps with different kept or measured modes")
-        angles = {m: np.array([t.angles[m] for t in tracks]) for m in head.angles}
-        steps.append(PlanTrack(_stack_graphs([t.graph for t in tracks]), angles,
-                               head.out_keep, head.in_keep))
-    return GatePlan(first.lattice, first.gate_id, np.array([p.r for p in plans]),
-                    tuple(steps), first.target)
 
 
 def _fourier_byproduct(n: int, m: int) -> np.ndarray:
@@ -171,9 +129,9 @@ def target_symplectic(gate_id: str, signs=(1, 1)) -> np.ndarray:
     raise ValueError(f"unknown gate id {gate_id!r}")
 
 
-def cz_region(lattice: str, r: float, theta_c: float | None = None) -> tuple:
-    """The even-parity CZ region of ``lattice`` at squeezing r, and the
-    Fourier-CZ target it implements: (graph, target)."""
+def cz_region(lattice: str, r, theta_c=None) -> tuple:
+    """The even-parity CZ region of ``lattice`` at squeezing r (stacked for
+    an array), and the Fourier-CZ target it implements: (graph, target)."""
     graph = lat.cz_region_graph(lat.LatticeParams.from_r(lattice, r), theta_c=theta_c)
     return graph, target_symplectic("FFCZ", FFCZ_EXPONENTS[lattice])
 
@@ -228,21 +186,22 @@ def _single_mode_sums(lattice, gate_id, r, parity):
     raise ValueError(f"no closed-form basis for gate {gate_id!r} on {lattice!r}")
 
 
-def basis_for(lattice: str, gate_id: str, r: float, parity: int = 0) -> GatePlan:
-    """Closed-form plan for the single-mode gate set on any built-in lattice."""
+def basis_for(lattice: str, gate_id: str, r, parity: int = 0) -> GatePlan:
+    """Closed-form plan for the single-mode gate set on any built-in lattice,
+    at squeezing r or, stacked, at each r of an array."""
     if gate_id not in SINGLE_MODE_GATES:
         raise ValueError(f"unsupported (lattice, gate) = ({lattice!r}, {gate_id!r}); "
                          "CZ plans come from qrl_cz_plan or the optimizer cache")
-    if r <= 0:
+    if np.any(np.asarray(r) <= 0):
         raise ValueError("squeezing parameter must be positive")
-    if lattice == "TELEPORT":
-        params = lat.LatticeParams.from_t(math.tanh(2.0 * r), lat.effective_epsilon(r))
-    else:
-        params = lat.LatticeParams.from_r(lattice, r)
     keep = (0,) if lattice == "QRL" else None  # one computation mode of the macronode
-    graph = lat.single_step_graph(params, parity=parity)  # every step runs on it
-    steps = tuple(PlanTrack(graph, _step_basis(graph, theta_plus, theta_minus), keep, keep)
-                  for theta_plus, theta_minus in _single_mode_sums(lattice, gate_id, r, parity))
+    # every step runs on the one graph
+    graph = lat.single_step_graph(lat.LatticeParams.from_r(lattice, r), parity=parity)
+    # (theta+, theta-) per step, with r's axes in front
+    sums = np.asarray(lat.per_point(
+        lambda x: _single_mode_sums(lattice, gate_id, x, parity), r))
+    steps = tuple(PlanTrack(graph, _step_basis(graph, step[..., 0], step[..., 1]), keep, keep)
+                  for step in np.moveaxis(sums, -2, 0))
     return GatePlan(lattice, gate_id, r, steps, target_symplectic(gate_id))
 
 
@@ -254,19 +213,20 @@ def _cz_region_plan(lattice, r, free_angles, theta_c=None) -> GatePlan:
                     target)
 
 
-def qrl_cz_angles(r: float) -> tuple:
-    """Free angles of the QRL CZ region at squeezing r.
+def qrl_cz_angles(r) -> tuple:
+    """Free angles of the QRL CZ region at squeezing r; at an array of
+    squeezings, one array per angle.
 
     The coupling device measures (pi/2 + atan 1/2, 0, pi/2 - atan 1/2, 0); each
     device an output path meets next applies the squeezing compensation
     S(tanh 2r)^-1 with (a, a, -a, -a), a = atan(tanh(2r)^-2).
     """
-    a = math.atan(math.tanh(2.0 * r) ** -2)
+    a = lat.per_point(lambda x: math.atan(math.tanh(2.0 * x) ** -2), r)
     return (math.pi / 2 + math.atan(0.5), 0.0, math.pi / 2 - math.atan(0.5), 0.0,
             a, a, -a, -a, a, a, -a, -a)
 
 
-def qrl_cz_plan(r: float) -> GatePlan:
+def qrl_cz_plan(r) -> GatePlan:
     """Closed-form QRL plan: one coupling macronode, then a squeezing
     compensation on each output path, all in the QRL CZ region."""
     return _cz_region_plan("QRL", r, qrl_cz_angles(r))
@@ -276,7 +236,7 @@ DBSL_SWAP_FREE_ANGLES = (math.pi / 4, -math.pi / 4, math.pi / 4, -math.pi / 4,
                          0.0, math.pi / 2, math.pi / 2, 0.0, 0.0, math.pi / 2)
 
 
-def dbsl_swap_plan(r: float) -> GatePlan:
+def dbsl_swap_plan(r) -> GatePlan:
     """Wire swap on the DBSL; the angles are squeezing-independent."""
     graph = lat.cz_region_graph(lat.LatticeParams.from_r("DBSL", r))
     angles = graph.full_basis(DBSL_SWAP_FREE_ANGLES)
@@ -399,9 +359,10 @@ def find_row(table, lattice, db, variable_theta_c=False) -> dict | None:
     return None
 
 
-def cz_plan(lattice: str, db: float, table: dict | None = None,
+def cz_plan(lattice: str, db, table: dict | None = None,
             variable_theta_c: bool = False) -> GatePlan:
-    """Optimized Fourier-CZ plan from the cached basis table.
+    """Optimized Fourier-CZ plan from the cached basis table, at squeezing
+    ``db`` (in dB) or, stacked, at each point of an array of them.
 
     The table's angles are those of the even-parity CZ region, the only
     region the optimizer searches; the QRL plan is closed-form.
@@ -410,15 +371,21 @@ def cz_plan(lattice: str, db: float, table: dict | None = None,
         return qrl_cz_plan(lat.db_to_r(db))
     if table is None:
         table = load_basis_table()
-    row = find_row(table, lattice, db, variable_theta_c)
-    if row is None:
-        raise CacheMissError(
-            f"no cached CZ basis for {lattice} at {db:g} dB"
-            f"{' (variable theta_c)' if variable_theta_c else ''}; run "
-            f"`cvmbqc optimize --lattice {lattice}"
-            f"{' --variable-theta-c' if variable_theta_c else ''} "
-            f"--db-min {db:g} --db-max {db:g}`")
-    return _cz_region_plan(lattice, lat.db_to_r(db), row["angles"], row.get("theta_c"))
+
+    def basis_at(d):
+        row = find_row(table, lattice, d, variable_theta_c)
+        if row is None:
+            raise CacheMissError(
+                f"no cached CZ basis for {lattice} at {d:g} dB"
+                f"{' (variable theta_c)' if variable_theta_c else ''}; run "
+                f"`cvmbqc optimize --lattice {lattice}"
+                f"{' --variable-theta-c' if variable_theta_c else ''} "
+                f"--db-min {d:g} --db-max {d:g}`")
+        return row["angles"] + [row.get("theta_c", lat.DEFAULT_THETA_C[lattice])]
+
+    # one entry per free angle, then theta_c, each in db's shape
+    *angles, theta_c = np.moveaxis(np.asarray(lat.per_point(basis_at, db)), -1, 0)
+    return _cz_region_plan(lattice, lat.db_to_r(db), angles, theta_c)
 
 
 def iter_catalog(r: float):

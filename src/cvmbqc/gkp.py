@@ -72,15 +72,12 @@ def gate_error_probability(plan):
     The plan is realized at its own squeezing r = ``plan.r``, with the
     spike and noise variances of :func:`resource_variances`; the result is
     :func:`error_probability` of the spikes :func:`propagate_spikes` gives.
-    A stacked plan (:func:`gates.stack_plans`) gives an array with one
+    A plan built from an array of squeezings gives an array with one
     probability per point, each computed as that point's plan alone gives it.
     """
     result = gates.realize(plan)
-    r = np.asarray(plan.r, dtype=float)
-    # with math, point by point: numpy's exp and cosh may differ in the last bit
-    delta, cluster_var = (np.reshape(v, r.shape) for v in
-                          zip(*map(resource_variances, r.ravel().tolist())))
+    delta, cluster_var = np.moveaxis(lat.per_point(resource_variances, plan.r), -1, 0)
     spikes = propagate_spikes(result.G, cluster_var[..., None] * noise_factors(result), delta)
     perr = [error_probability(s, d) for s, d in
-            zip(spikes.reshape(-1, spikes.shape[-1]), delta.ravel().tolist())]
-    return np.reshape(perr, r.shape)[()]
+            zip(spikes.reshape(-1, spikes.shape[-1]), np.ravel(delta).tolist())]
+    return np.reshape(perr, np.shape(plan.r))[()]

@@ -11,6 +11,11 @@ beam splitter up to a recombination of the outcomes, so such devices reduce
 to per-mode measurements at the preset basis and are omitted from the mixing
 pairs.  The central control pair of a two-wire coupling region is measured
 in independent bases and keeps its beam splitter.
+
+An array of squeezings r gives one stacked region: ``r``, ``t`` and
+``epsilon`` are arrays of r's shape and the adjacency has r's axes in front,
+which the reduction broadcasts over.  A number is the batch-free case with
+plain-float fields.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ __all__ = [
     "ComputationGraph",
     "db_to_r",
     "r_to_db",
+    "per_point",
     "edge_weight",
     "effective_epsilon",
     "teleport_graph",
@@ -50,6 +56,21 @@ def r_to_db(r: float) -> float:
     return 20.0 * r / math.log(10.0)
 
 
+def per_point(f, r):
+    """``f`` at each point of the squeezing ``r``: f(r) itself for a number,
+    and for an array the values in r's shape, with a further last axis when
+    f returns several.
+
+    Values that depend on r are computed this way, with math, because
+    numpy's tanh, cosh and exp may differ from math's in the last bit.
+    """
+    if np.ndim(r) == 0:
+        return f(r)
+    r = np.asarray(r, dtype=float)
+    values = np.array([f(x) for x in r.ravel().tolist()])
+    return values.reshape(r.shape + values.shape[1:])
+
+
 def _check_r(r: float) -> None:
     if not 0 <= r < math.inf:  # also refuses NaN
         raise ValueError(f"squeezing parameter r must be finite and nonnegative, got {r!r}")
@@ -62,6 +83,7 @@ def effective_epsilon(r: float) -> float:
 
 
 _EDGE_SCALE = {
+    "TELEPORT": lambda r: math.tanh(2.0 * r),
     "DBSL": lambda r: math.tanh(2.0 * r) / 2.0,
     "BSL": lambda r: math.tanh(2.0 * r) / math.sqrt(2.0),
     "MBSL": lambda r: math.tanh(2.0 * r) / math.sqrt(2.0),
@@ -87,10 +109,11 @@ class LatticeParams:
     epsilon: float
 
     @classmethod
-    def from_r(cls, lattice: str, r: float) -> "LatticeParams":
-        if lattice == "TELEPORT":
-            raise ValueError("TELEPORT takes a caller-supplied edge weight; use from_t")
-        return cls(lattice, r, edge_weight(lattice, r), effective_epsilon(r))
+    def from_r(cls, lattice: str, r) -> "LatticeParams":
+        """Edge weight and self-loop at squeezing ``r``, a number or an array
+        (see :func:`per_point`); the TELEPORT edge weight is tanh(2r)."""
+        return cls(lattice, r, per_point(lambda x: edge_weight(lattice, x), r),
+                   per_point(effective_epsilon, r))
 
     @classmethod
     def from_t(cls, t: float, epsilon: float = 1.0) -> "LatticeParams":
@@ -145,10 +168,14 @@ class ComputationGraph:
 def _build(lattice, params, parity, theta_c, labels, edges, inputs, outputs,
            mixing, free, controls) -> ComputationGraph:
     n = len(labels)
-    adjacency = np.zeros((n, n))
+    unit = np.zeros((n, n))
     for i, j, w in edges:
-        adjacency[i, j] += w * params.t
-        adjacency[j, i] += w * params.t
+        unit[i, j] += w
+        unit[j, i] += w
+    # every weight w is +-1 and no mode pair repeats, so scaling the unit
+    # adjacency by t gives exactly w t; + 0.0 turns the -0.0 of a negative
+    # edge at t = 0 into 0.0
+    adjacency = np.multiply.outer(params.t, unit) + 0.0
     measured = tuple(m for m in range(n) if m not in set(outputs))
     return ComputationGraph(
         lattice=lattice,
@@ -170,9 +197,12 @@ def _build(lattice, params, parity, theta_c, labels, edges, inputs, outputs,
 
 def teleport_graph(t: float, epsilon: float = 1.0) -> ComputationGraph:
     """Generalized teleportation: input 0 mixed with cluster mode 1, edge t to output 2."""
-    params = LatticeParams.from_t(t, epsilon)
+    return single_step_graph(LatticeParams.from_t(t, epsilon))
+
+
+def _teleport_step(params, parity, theta_c):
     return _build(
-        "TELEPORT", params, 0, 0.0,
+        "TELEPORT", params, parity, 0.0,
         labels=("in", "anc", "out"),
         edges=[(1, 2, 1.0)],
         inputs=(0,), outputs=(2,),
@@ -386,8 +416,8 @@ def _qrl_cz_region(params, parity, theta_c):
                   mixing=tuple(mixing), free=free, controls=())
 
 
-_SINGLE_STEP = {"DBSL": _dbsl_single_step, "BSL": _bsl_single_step,
-                "MBSL": _mbsl_single_step, "QRL": _qrl_single_step}
+_SINGLE_STEP = {"TELEPORT": _teleport_step, "DBSL": _dbsl_single_step,
+                "BSL": _bsl_single_step, "MBSL": _mbsl_single_step, "QRL": _qrl_single_step}
 _CZ_REGION = {"DBSL": _dbsl_cz_region, "BSL": _bsl_cz_region,
               "MBSL": _mbsl_cz_region, "QRL": _qrl_cz_region}
 
@@ -395,8 +425,6 @@ _CZ_REGION = {"DBSL": _dbsl_cz_region, "BSL": _bsl_cz_region,
 def single_step_graph(params: LatticeParams, parity: int = 0,
                       theta_c: float | None = None) -> ComputationGraph:
     """Minimal graph for one single-mode computation step."""
-    if params.lattice == "TELEPORT":
-        return teleport_graph(params.t, params.epsilon)
     if params.lattice not in _SINGLE_STEP:
         raise ValueError(f"unsupported lattice {params.lattice!r}")
     if parity not in (0, 1):

@@ -192,6 +192,42 @@ def test_dump_graph_to_file(tmp_path, capsys):
     assert doc["lattice"] == "QRL"
 
 
+@pytest.mark.parametrize("db", ["0", "3", "15"])
+def test_dump_graph_teleport_is_the_basis_for_graph(capsys, db):
+    code, out, _ = run_cli(["dump-graph", "--lattice", "TELEPORT", "--db", db], capsys)
+    assert code == 0
+
+    def refuse(name):
+        raise AssertionError(f"non-strict JSON constant {name}")
+
+    doc = json.loads(out, parse_constant=refuse)
+    r = lat.db_to_r(float(db))
+    assert (doc["lattice"], doc["r"], doc["t"]) == ("TELEPORT", r, math.tanh(2.0 * r))
+    assert doc["epsilon"] == lat.effective_epsilon(r)
+    if r > 0:
+        graph = gates.basis_for("TELEPORT", "I", r).steps[0].graph
+        assert doc == json.loads(lat.graph_to_json(graph))
+    code, out, err = run_cli(["dump-graph", "--lattice", "TELEPORT", "--db", db,
+                              "--region", "cz"], capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert "TELEPORT" in err
+
+
+def test_curve_block_builds_each_step_graph_once(capsys, monkeypatch):
+    built = []
+    build = lat._build
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(lat, "_build", counting)
+    code, _, _ = run_cli(["noise-curve"], capsys)
+    assert code == 0
+    # 4 lattices x 3 gates x 4 blocks of 25 points on the 100-point grid
+    assert len(built) == 4 * 3 * 4
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--db", "nan"), ("--db", "inf"), ("--db", "-inf"),
     ("--theta-c", "nan"), ("--theta-c", "inf"),

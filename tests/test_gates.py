@@ -60,6 +60,8 @@ def test_basis_for_validates():
         gates.basis_for("DBSL", "FFCZ", 1.0)
     with pytest.raises(ValueError):
         gates.basis_for("DBSL", "I", 0.0)
+    with pytest.raises(ValueError, match="must be positive"):
+        gates.basis_for("DBSL", "I", np.array([0.5, 0.0, 1.0]))
 
 
 class TestNoiseBook:
@@ -256,7 +258,8 @@ def test_stacked_plans_realize_bit_for_bit_as_single_points(tmp_path, lattice, g
     perrs = [gkp.gate_error_probability(plan) for plan in plans]
     for size in (1, 7, 25):
         for start in range(0, len(plans), size):
-            stacked = gates.stack_plans(plans[start:start + size])
+            stacked = _family_plan(lattice, gate_id, np.array(STACK_GRID[start:start + size]),
+                                   table)
             res = gates.realize(stacked)
             perr = gkp.gate_error_probability(stacked)
             assert perr.shape == res.rcond.shape == (len(stacked.r),)
@@ -285,20 +288,8 @@ def test_one_degenerate_point_fails_its_stack_as_it_fails_alone(tmp_path, d):
     frozen = optimizer._region("DBSL", lat.db_to_r(11.0))
     assert frozen.metrics(gates.find_row(table, "DBSL", 11.0)["angles"])[0] == _kernels.BAD_VALUE
     with pytest.raises(MeasurementDegenerateError):
-        gates.realize(gates.stack_plans(plans))
+        gates.realize(gates.cz_plan("DBSL", np.array(dbs), table=table))
     with pytest.raises(MeasurementDegenerateError):
-        gkp.gate_error_probability(gates.stack_plans(plans))
-    others = plans[:2] + plans[3:]
-    assert gates.realize(gates.stack_plans(others)).rcond.min() >= red.RCOND_MIN
-
-
-def test_stack_plans_refuses_plans_of_different_shape():
-    r = lat.db_to_r(10.0)
-    plan = gates.basis_for("DBSL", "I", r)
-    for other in (gates.basis_for("DBSL", "F", r),             # two steps
-                  gates.basis_for("BSL", "I", r),              # another lattice
-                  gates.basis_for("DBSL", "P1", r),            # another gate
-                  gates.basis_for("DBSL", "I", r, parity=1)):  # other control signs
-        with pytest.raises(ValueError, match="cannot stack"):
-            gates.stack_plans([plan, other])
-    assert gates.realize(gates.stack_plans([plan, plan])).G.shape == (2, 2, 2)
+        gkp.gate_error_probability(gates.cz_plan("DBSL", np.array(dbs), table=table))
+    others = np.array(dbs[:2] + dbs[3:])
+    assert gates.realize(gates.cz_plan("DBSL", others, table=table)).rcond.min() >= red.RCOND_MIN

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 
@@ -108,6 +110,27 @@ def test_zero_squeezing_graph_has_zero_edges():
     g = lat.single_step_graph(params, parity=0)
     assert np.allclose(g.adjacency, 0.0)
     assert g.epsilon == 1.0
+
+
+@pytest.mark.parametrize("lattice", lat.LATTICES)
+def test_stacked_graphs_equal_per_point_graphs(lattice):
+    rs = np.array([0.0, 0.4, 1.7])
+    builds = (lat.single_step_graph,) if lattice == "TELEPORT" else (
+        lat.single_step_graph, lat.cz_region_graph)
+    for build, parity in itertools.product(builds, (0, 1)):
+        stacked = build(lat.LatticeParams.from_r(lattice, rs), parity=parity)
+        for i, r in enumerate(rs.tolist()):
+            single = build(lat.LatticeParams.from_r(lattice, r), parity=parity)
+            for f in dataclasses.fields(single):
+                a, b = getattr(stacked, f.name), getattr(single, f.name)
+                if f.name in ("r", "t", "epsilon", "adjacency"):
+                    a = a[i]
+                    assert np.array_equal(np.signbit(a), np.signbit(b)), f.name
+                assert np.array_equal(a, b), f.name
+        # a negative edge at t = 0 is 0.0, not -0.0
+        assert not np.signbit(stacked.adjacency[0]).any()
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        lat.LatticeParams.from_r(lattice, np.array([0.4, -0.1]))
 
 
 @pytest.mark.parametrize("lattice,n_step,n_cz", [
