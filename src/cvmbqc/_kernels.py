@@ -2,27 +2,26 @@
 
 The optimizer solves and descends with :func:`reduce_jet`, which evaluates
 the angle-independent S0 blocks of a ``FrozenRegion`` through the same
-elimination and error-probability functions as the reference path, one
-elimination per call.  It scores each free-angle vector with
-:func:`reduce_metrics`, the residual norm and perr of that jet.
+elimination and error-probability formula as the reference path, one
+elimination per point.  It takes a stack of free-angle vectors, so that the
+search advances all its starts with one call; :func:`rcond` tells which
+points of a degenerate stack are degenerate.  It scores each free-angle
+vector with :func:`reduce_metrics`, the residual norm and perr of that jet.
 :func:`nelder_mead` is the simplex descent of the search that
 exact roots replaced; no search calls it, and it stays only while
 ``perfbench/tracing.py`` hooks it.  Time the scoring with
-``python3 perfbench/run.py --trace 1`` (``kernels.eval_us``).  The traced
-spans cover only work in the traced process: the solves that
-``optimizer.search`` runs in worker processes leave none, and their counts
-are in ``OptResult``.
+``python3 perfbench/run.py --trace 1`` (``kernels.eval_us``).  The search
+runs no worker processes: its jets run in the calling process, inside the
+traced ``optimizer.search`` span, and its counts are in ``OptResult``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import MeasurementDegenerateError
-from .gkp import SQRT_PI, error_probability
-from .reduction import eliminate
+from .gkp import SQRT_PI, _error_terms
+from .reduction import _rcond, eliminate
 
 BAD_VALUE = 1e12
 
@@ -33,7 +32,25 @@ def reduce_metrics(x, frozen):
     jet = reduce_jet(x, frozen)
     if jet is None:
         return BAD_VALUE, 1.0
-    return float(np.abs(jet[0]).sum()), jet[2]
+    return float(np.abs(jet[0]).sum()), float(jet[2])
+
+
+def _measured_rows(x, frozen):
+    """cos and sin of the measured angles at free angles ``x`` and the
+    measured rows c S0x + s S0p, with the batch axes of ``x`` in front."""
+    # a stacked product per point: each point's rounding is then the same
+    # in any stack (a 2-D (B, n) product is not; its BLAS call depends on B)
+    theta = (frozen.theta_base + (frozen.a_map @ x[..., None])[..., 0])[..., None]
+    c, s = np.cos(theta), np.sin(theta)
+    return c, s, c * frozen.s0x + s * frozen.s0p
+
+
+def rcond(x, frozen):
+    """SVD reciprocal condition number of the elimination block at each point
+    of the stack ``x``: the number the degeneracy rule compares with
+    ``reduction.RCOND_MIN``."""
+    meas = _measured_rows(x, frozen)[2]
+    return _rcond(meas[..., :meas.shape[-2]])
 
 
 def reduce_jet(x, frozen):
@@ -51,45 +68,57 @@ def reduce_jet(x, frozen):
     whose elimination block has an SVD rcond below ``reduction.RCOND_MIN``,
     the rule ``reduce()`` applies, is degenerate.
 
+    ``x`` may carry leading batch axes: the jet is then stacked, one
+    elimination per point, and None if any point is degenerate (find which
+    with :func:`rcond`).  Every product is a stacked one per point, so a
+    point's jet is bit for bit the same in any stack; a single point is
+    evaluated as the stack of one.
+
     With K = Y U^-1, W = U^-1 V and the rotated-row derivatives
     (u'_i | v'_i) = -sin(theta_i) S0x_i + cos(theta_i) S0p_i, the rows
     R_i = u'_i W - v'_i give dM/dtheta_i = K[:, i] (x) R_i and the spike
     derivatives ds/dtheta = 2 K o (M diag(w) R^T); ``a_map`` chains both
     from the measured angles theta to the free angles x.
     """
-    theta = (frozen.theta_base + frozen.a_map @ x).reshape(-1, 1)
-    c, s = np.cos(theta), np.sin(theta)
-    meas = c * frozen.s0x + s * frozen.s0p
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        jet = reduce_jet(x[None], frozen)
+        return None if jet is None else tuple(part[0] for part in jet)
+    c, s, meas = _measured_rows(x, frozen)
     try:
         m, u_inv = eliminate(meas, frozen.out)
     except MeasurementDegenerateError:
         return None
-    k = meas.shape[0]
+    k = meas.shape[-2]
     d_meas = c * frozen.s0p - s * frozen.s0x
     kmat = frozen.out[:, :k] @ u_inv
-    rmat = d_meas[:, :k] @ (u_inv @ meas[:, k:]) - d_meas[:, k:]
+    rmat = d_meas[..., :k] @ (u_inv @ meas[..., k:]) - d_meas[..., k:]
     target = frozen.target_full
     n_in = target.shape[1]
-    f = (m[:, :n_in] - target).ravel()
-    jac = (kmat[:, None, :] * rmat[:, :n_in].T[None]).reshape(f.size, k) @ frozen.a_map
+    f = (m[..., :n_in] - target).reshape(x.shape[:-1] + (-1,))
+    d_f = kmat[..., :, None, :] * np.swapaxes(rmat[..., :n_in], -1, -2)[..., None, :, :]
+    jac = d_f.reshape(f.shape + (k,)) @ frozen.a_map
     spikes = (m * m) @ frozen.spike_weights
-    perr = error_probability(spikes, frozen.delta)
-    d_spikes = 2.0 * kmat * ((m * frozen.spike_weights) @ rmat.T)
-    grad = (_dlog_perr(spikes, frozen.delta, perr) @ d_spikes) @ frozen.a_map
+    perr, erfc = _error_terms(spikes, frozen.delta)
+    d_spikes = 2.0 * kmat * ((m * frozen.spike_weights) @ np.swapaxes(rmat, -1, -2))
+    d_log = _dlog_perr(spikes, frozen.delta, perr, erfc)
+    grad = ((d_log[..., None, :] @ d_spikes) @ frozen.a_map)[..., 0, :]
     return f, jac, perr, grad
 
 
-def _dlog_perr(spikes, delta: float, perr: float) -> np.ndarray:
-    """d log perr / d spike of :func:`gkp.error_probability`.
+def _dlog_perr(spikes, delta: float, perr, erfc) -> np.ndarray:
+    """d log perr / d spike of :func:`gkp.error_probability`, per point of the
+    stack, from the erfc of each correction that perr was summed from.
 
     Correction i succeeds with probability erf(z_i), z_i = sqrt(pi) /
     (2 sqrt(2 v_i)) with v_i = spike_i + delta, and dz_i/dv_i = -z_i / (2 v_i);
     so d perr / d spike_i = prod_j erf(z_j) / erf(z_i) exp(-z_i^2) z_i / (sqrt(pi) v_i).
     """
-    v = np.asarray(spikes) + delta
+    v = spikes + delta
     z = SQRT_PI / (2.0 * np.sqrt(2.0 * v))
-    ok = np.array([math.erf(zi) for zi in z.tolist()])
-    return np.prod(ok) / ok * np.exp(-z * z) * z / (SQRT_PI * v * perr)
+    ok = 1.0 - np.reshape(erfc, v.shape)
+    return (np.prod(ok, axis=-1, keepdims=True) / ok * np.exp(-z * z) * z
+            / (SQRT_PI * v * perr[..., None]))
 
 
 def nelder_mead(f, x0, step, maxiter, ftol):

@@ -47,17 +47,31 @@ def propagate_spikes(G: np.ndarray, sigma2, delta) -> np.ndarray:
     return np.asarray(delta)[..., None] * (G ** 2).sum(axis=-1) + sigma2
 
 
-def error_probability(delta_prime, delta: float) -> float:
-    """Probability that at least one of the 2n quadrature corrections misbins."""
-    total = np.asarray(delta_prime, dtype=float) + delta
-    # 1 - prod(erf) as -expm1(sum log1p(-erfc)): small probabilities keep
-    # their digits instead of cancelling against 1 at high squeezing
-    log_ok = 0.0
-    for v in total.tolist():
-        if v <= 0:
-            raise ValueError("spike variances must be positive")
-        log_ok += math.log1p(-math.erfc(SQRT_PI / (2.0 * math.sqrt(2.0 * v))))
-    return -math.expm1(log_ok)
+def error_probability(delta_prime, delta):
+    """Probability that at least one of the 2n quadrature corrections misbins.
+
+    Spikes with leading batch axes, and a delta of those axes or a number,
+    give one probability per point, each the one that point gets alone."""
+    return _error_terms(delta_prime, delta)[0]
+
+
+def _error_terms(delta_prime, delta):
+    """:func:`error_probability` and the flat list of the erfc of each
+    correction, in the order of the spikes: the probability that it alone
+    misbins."""
+    total = np.asarray(delta_prime, dtype=float) + np.asarray(delta, dtype=float)[..., None]
+    perr, erfc = [], []
+    for row in total.reshape(-1, total.shape[-1]).tolist():
+        # 1 - prod(erf) as -expm1(sum log1p(-erfc)): small probabilities keep
+        # their digits instead of cancelling against 1 at high squeezing
+        log_ok = 0.0
+        for v in row:
+            if v <= 0:
+                raise ValueError("spike variances must be positive")
+            erfc.append(math.erfc(SQRT_PI / (2.0 * math.sqrt(2.0 * v))))
+            log_ok += math.log1p(-erfc[-1])
+        perr.append(-math.expm1(log_ok))
+    return (perr[0] if total.ndim == 1 else np.reshape(perr, total.shape[:-1])), erfc
 
 
 def correction_shift(m: float) -> float:
@@ -78,6 +92,4 @@ def gate_error_probability(plan):
     result = gates.realize(plan)
     delta, cluster_var = np.moveaxis(lat.per_point(resource_variances, plan.r), -1, 0)
     spikes = propagate_spikes(result.G, cluster_var[..., None] * noise_factors(result), delta)
-    perr = [error_probability(s, d) for s, d in
-            zip(spikes.reshape(-1, spikes.shape[-1]), np.ravel(delta).tolist())]
-    return np.reshape(perr, np.shape(plan.r))[()]
+    return error_probability(spikes, delta)

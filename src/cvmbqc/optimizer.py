@@ -14,20 +14,21 @@ target to an entrywise 1-norm below :data:`RESIDUAL_TOL`; among those the
 lowest error probability wins, with residual and then lexicographic order of
 the canonical angles (each free angle mod pi) as tie-breakers.
 
-Each start's solve is a pure function of (region, start), so :func:`search`
-maps them over one forked worker process per CPU in the affinity mask (at
-most one per start), and scores the end points in the calling process in
-start order.  The result is bit-identical to a serial loop for any worker
-count.  Where ``fork`` is not offered, or only one CPU is usable, the solves
-run serially in process.  :class:`OptResult` counts the eliminations, starts,
-workers and roots a search spent and found.
+:func:`search` advances its starts in lockstep in the calling process,
+with no worker processes: one Levenberg-Marquardt iteration, or one step of
+every descent, evaluates the jets of all running starts in one stacked
+:func:`_kernels.reduce_jet`, over start-order blocks of at most _BLOCK
+starts.  Each start's trajectory is bit for bit the one it has alone,
+whatever else is in the stack, so the result is that of a loop over the
+starts, and a tracer of the calling process times the whole search.
+:class:`OptResult` counts the eliminations, starts and roots a search spent
+and found.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -35,7 +36,7 @@ import numpy as np
 from . import _kernels
 from . import gates
 from .gkp import error_probability, propagate_spikes, resource_variances
-from .reduction import noise_factors, restrict, split_s0
+from .reduction import RCOND_MIN, noise_factors, restrict, split_s0
 from .reduction import reduce as reduce_region
 
 __all__ = ["OptimizerConfig", "OptResult", "FrozenRegion", "freeze_region",
@@ -71,6 +72,9 @@ _ARMIJO = 1e-4
 _DECREMENT_TOL = 1e-14
 _MIN_STEP = 1e-6
 _DESCENT_EVALS = 4000
+# The search solves its starts in start-order blocks of at most this many,
+# which bounds the memory of the stacked jets.
+_BLOCK = 256
 
 
 def _is_number(v, kind=numbers.Real) -> bool:
@@ -115,11 +119,10 @@ class OptResult:
     accepted: bool
     theta_c: float | None = None
     # what the search spent: eliminations in its per-start solves, the
-    # starts solved, the worker processes that ran them, and the starts whose
-    # Levenberg-Marquardt solve reached a root (|F|_1 < ROOT_TOL)
+    # starts solved, and the starts whose Levenberg-Marquardt solve reached a
+    # root (|F|_1 < ROOT_TOL)
     evals: int = 0
     descents: int = 0
-    workers: int = 1
     roots: int = 0
 
     def to_row(self, lattice: str, db: float, variable_theta_c: bool = False) -> dict:
@@ -231,59 +234,144 @@ def freeze_region(graph, target, r, out_sel=None, in_real=None,
                         s0x[:, cols], s0p[:, cols], out[rows][:, cols], variable_theta_c)
 
 
-def _solve_start(frozen: FrozenRegion, x0):
-    """One start's job: Levenberg-Marquardt to a root of F, then, where the
-    roots form a continuum, a descent of log perr along it.
+def _jets(frozen: FrozenRegion, xs):
+    """The stacked :func:`_kernels.reduce_jet` at the rows of ``xs`` and a
+    mask of the rows that are not degenerate; a degenerate row's jet is
+    zeros.
 
-    Returns the end point, the eliminations spent and whether LM reached a
-    root (|F|_1 < ROOT_TOL)."""
-    x, jet, evals = _levenberg_marquardt(frozen, np.asarray(x0, dtype=float))
-    root = jet is not None and bool(np.abs(jet[0]).sum() < ROOT_TOL)
-    if root:
-        x, n = _feasible_descent(frozen, x, jet)
-        evals += n
-    return x, evals, root
+    When the stack is degenerate, one stacked :func:`_kernels.rcond` finds
+    the rows below ``reduction.RCOND_MIN`` and the others are evaluated
+    again as one stack, so every row gets what it gets alone."""
+    jet = _kernels.reduce_jet(xs, frozen)
+    if jet is not None:
+        return np.ones(len(xs), dtype=bool), *jet
+    ok = _kernels.rcond(xs, frozen) >= RCOND_MIN
+    if ok.all():
+        raise AssertionError("a stacked elimination was degenerate at no point")
+    f = np.zeros((len(xs), frozen.target_full.size))
+    jac = np.zeros(f.shape + (frozen.n_free,))
+    perr, grad = np.ones(len(xs)), np.zeros(xs.shape)
+    if ok.any():
+        sub_ok, *parts = _jets(frozen, xs[ok])
+        ok[ok] = sub_ok
+        for whole, part in zip((f, jac, perr, grad), parts):
+            whole[ok] = part[sub_ok]
+    return ok, f, jac, perr, grad
+
+
+def _lm_stack(frozen: FrozenRegion, xs):
+    """Levenberg-Marquardt (Levenberg 1944; Marquardt 1963) from every row
+    of ``xs`` in lockstep, with the gain-ratio damping update of Madsen,
+    Nielsen & Tingleff (2004).
+
+    Each start keeps its own damping, nu and evaluation count, and stops at
+    a root, at a step too small to change it, or after _LM_ITERS
+    eliminations.  An iteration solves the damped normal equations of all
+    running starts in one ``np.linalg.solve`` and evaluates their trial
+    points in one stacked jet.  Returns the end points, the :func:`_jets`
+    mask and jet there, and the eliminations spent per start."""
+    x = np.array(xs, dtype=float)
+    ok, f, jac, perr, grad = _jets(frozen, x)
+    b, n = x.shape
+    evals = np.ones(b, dtype=int)
+    damping, nu = np.full(b, math.nan), np.full(b, 2.0)
+    running = ok.copy()
+    while True:
+        running &= evals < _LM_ITERS
+        running[running] = np.abs(f[running]).sum(axis=-1) >= ROOT_TOL
+        idx = np.flatnonzero(running)
+        if not idx.size:
+            return x, ok, f, jac, perr, grad, evals
+        fi, ji = f[idx, :, None], jac[idx]
+        jt = np.swapaxes(ji, -1, -2)
+        g, normal = jt @ fi, jt @ ji
+        fresh = np.isnan(damping[idx])
+        damping[idx[fresh]] = 1e-3 * normal[fresh].diagonal(0, -2, -1).max(axis=-1)
+        mu = damping[idx, None, None]
+        step = np.linalg.solve(normal + mu * np.eye(n), -g)
+        y = x[idx] + step[..., 0]
+        moved = (y != x[idx]).any(axis=-1)
+        running[idx[~moved]] = False
+        idx, fi, g, mu, step, y = idx[moved], fi[moved], g[moved], mu[moved], step[moved], y[moved]
+        if not idx.size:
+            continue
+        t_ok, t_f, t_jac, t_perr, t_grad = _jets(frozen, y)
+        evals[idx] += 1
+        cost = (np.swapaxes(fi, -1, -2) @ fi)[:, 0, 0]
+        new_cost = np.where(t_ok, (t_f[:, None, :] @ t_f[..., None])[:, 0, 0], math.inf)
+        better = new_cost < cost
+        gain = (np.swapaxes(step, -1, -2) @ (mu * step - g))[:, 0, 0]
+        rho = (cost - new_cost)[better] / gain[better]
+        up = idx[better]
+        x[up], f[up], jac[up], perr[up], grad[up] = (
+            y[better], t_f[better], t_jac[better], t_perr[better], t_grad[better])
+        damping[up] *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        nu[up] = 2.0
+        down = idx[~better]
+        damping[down] *= nu[down]
+        nu[down] *= 2.0
 
 
 def _levenberg_marquardt(frozen: FrozenRegion, x):
-    """Damped Gauss-Newton steps on |F|^2 (Levenberg 1944; Marquardt 1963),
-    with the gain-ratio damping update of Madsen, Nielsen & Tingleff (2004).
-    Stops at a root, at a step too small to change x, or after _LM_ITERS
-    eliminations.  Returns the end point, its jet (None if the start is
-    degenerate) and the eliminations spent."""
-    jet = frozen.jet(x)
-    evals, damping, nu = 1, None, 2.0
-    while jet is not None and evals < _LM_ITERS:
-        f, jac = jet[0], jet[1]
-        if np.abs(f).sum() < ROOT_TOL:
-            break
-        grad, normal = jac.T @ f, jac.T @ jac
-        if damping is None:
-            damping = 1e-3 * normal.diagonal().max()
-        step = np.linalg.solve(normal + damping * np.eye(len(x)), -grad)
-        y = x + step
-        if np.array_equal(y, x):
-            break
-        trial = frozen.jet(y)
-        evals += 1
-        cost = f @ f
-        new_cost = math.inf if trial is None else trial[0] @ trial[0]
-        if new_cost < cost:
-            rho = (cost - new_cost) / (step @ (damping * step - grad))
-            x, jet = y, trial
-            damping *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-            nu = 2.0
-        else:
-            damping *= nu
-            nu *= 2.0
-    return x, jet, evals
+    """:func:`_lm_stack` from one start: the end point, its jet (None if the
+    start is degenerate) and the eliminations spent."""
+    x, ok, *jet, evals = _lm_stack(frozen, np.asarray(x, dtype=float)[None])
+    return x[0], tuple(part[0] for part in jet) if ok[0] else None, int(evals[0])
 
 
-def _retract(frozen: FrozenRegion, x):
-    """Gauss-Newton least-norm steps from x back to a root.  Returns the root
-    and its jet, or None, and the eliminations spent."""
+def _lockstep(frozen: FrozenRegion, descents: list) -> list:
+    """Run generator descents side by side and return their results in order.
+
+    Each descent yields the point where it needs a jet and is sent back that
+    jet (None if degenerate); one stacked jet per round serves every
+    pending descent."""
+    results = [None] * len(descents)
+    pending = {}
+
+    def advance(i, jet):
+        try:
+            pending[i] = descents[i].send(jet)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(descents)):
+        advance(i, None)
+    while pending:
+        batch, pending = pending, {}
+        ok, *jet = _jets(frozen, np.array(list(batch.values())))
+        for row, i in enumerate(batch):
+            advance(i, tuple(part[row] for part in jet) if ok[row] else None)
+    return results
+
+
+def _solve_block(frozen: FrozenRegion, starts) -> list:
+    """Each start's solve: Levenberg-Marquardt to a root of F, then, where
+    the roots form a continuum, a descent of log perr along it.
+
+    Returns, per start, the end point, the eliminations spent and whether LM
+    reached a root (|F|_1 < ROOT_TOL)."""
+    x, ok, f, jac, perr, grad, evals = _lm_stack(frozen, starts)
+    root = ok & (np.abs(f).sum(axis=-1) < ROOT_TOL)
+    idx = np.flatnonzero(root)
+    ends = _lockstep(frozen, [_feasible_descent(x[i], (f[i], jac[i], perr[i], grad[i]))
+                              for i in idx])
+    solved = [(x[i], int(evals[i]), False) for i in range(len(x))]
+    for i, (end, n) in zip(idx, ends):
+        solved[i] = (end, int(evals[i]) + n, True)
+    return solved
+
+
+def _solve_start(frozen: FrozenRegion, x0):
+    """:func:`_solve_block` of one start."""
+    return _solve_block(frozen, np.asarray(x0, dtype=float)[None])[0]
+
+
+def _retraction(x):
+    """Gauss-Newton least-norm steps from x back to a root, as a descent for
+    :func:`_lockstep`: returns the root and its jet, or None, and the
+    eliminations spent."""
     for evals in range(1, _RETRACT_ITERS + 1):
-        jet = frozen.jet(x)
+        jet = yield x
         if jet is None:
             break
         if np.abs(jet[0]).sum() < ROOT_TOL:
@@ -292,9 +380,15 @@ def _retract(frozen: FrozenRegion, x):
     return x, None, evals
 
 
-def _feasible_descent(frozen: FrozenRegion, x, jet):
+def _retract(frozen: FrozenRegion, x):
+    """:func:`_retraction` from one point."""
+    return _lockstep(frozen, [_retraction(np.asarray(x, dtype=float))])[0]
+
+
+def _feasible_descent(x, jet):
     """Descend log perr on the root set through the root ``x`` by modified
-    Newton steps in the null space of J (Absil, Mahony & Sepulchre 2008).
+    Newton steps in the null space of J (Absil, Mahony & Sepulchre 2008),
+    as a descent for :func:`_lockstep`.
 
     With Z the null-space rows (the rank is fixed at ``x``), the reduced
     gradient is g = Z grad log perr.  Column i of the reduced Hessian H is
@@ -314,7 +408,7 @@ def _feasible_descent(frozen: FrozenRegion, x, jet):
         grad = null @ jet[3]
         hess = []
         for z in null:
-            _, probe, n = _retract(frozen, x + _PROBE * z)
+            _, probe, n = yield from _retraction(x + _PROBE * z)
             evals += n
             if probe is None:
                 return x, evals
@@ -330,7 +424,7 @@ def _feasible_descent(frozen: FrozenRegion, x, jet):
         step, slope = scale * (null.T @ step), scale * slope
         log_perr, length = math.log(jet[2]), 1.0
         while length >= _MIN_STEP:
-            y, trial, n = _retract(frozen, x + length * step)
+            y, trial, n = yield from _retraction(x + length * step)
             evals += n
             if trial is not None and math.log(trial[2]) < log_perr + _ARMIJO * length * slope:
                 x, jet = y, trial
@@ -342,46 +436,12 @@ def _feasible_descent(frozen: FrozenRegion, x, jet):
     return x, evals
 
 
-# The region a pool worker solves in, set once per worker by _init_worker.
-_worker_region = None
-
-
-def _init_worker(frozen: FrozenRegion) -> None:
-    global _worker_region
-    _worker_region = frozen
-
-
-def _worker_solve(x0):
-    return _solve_start(_worker_region, x0)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def _solve_all(frozen: FrozenRegion, starts: list):
-    """:func:`_solve_start` of every start, in start order, and the number of
-    processes that ran them.
-
-    Forked workers inherit the region through the pool initializer, so a task
-    carries only its start; the pool lives for this call alone.
-    """
-    workers = min(_usable_cpus(), len(starts))
-    if workers > 1:
-        # imported here so that importing the package starts no process machinery;
-        # fork, because spawn and forkserver re-run a caller script that has no
-        # `if __name__ == "__main__"` guard, and such a caller must keep working
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_init_worker,
-                                     initargs=(frozen,)) as pool:
-                return list(pool.map(_worker_solve, starts)), workers
-    return [_solve_start(frozen, x0) for x0 in starts], 1
+def _solve_all(frozen: FrozenRegion, starts: list) -> list:
+    """:func:`_solve_block` of every start, in start order, over blocks of
+    at most _BLOCK starts; a start's solve does not depend on the others in
+    its block, so neither does the result on the block width."""
+    return [solved for i in range(0, len(starts), _BLOCK)
+            for solved in _solve_block(frozen, np.array(starts[i:i + _BLOCK]))]
 
 
 def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> OptResult:
@@ -395,8 +455,7 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
     than a feasible warm start.  Candidates are scored, compared and returned
     at their canonical angles (:meth:`FrozenRegion.canonical`).  When nothing
     meets the residual tolerance the best rejected candidate is returned,
-    flagged.  ``config.weight_grid`` has no effect.  The solves may run in
-    worker processes; the result does not depend on how many.
+    flagged.  ``config.weight_grid`` has no effect.
     """
     rng = np.random.default_rng(config.seed)
     n_free = frozen.n_free
@@ -423,12 +482,12 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
 
     for x0 in starts[:len(warm_starts)]:
         score(x0)
-    solved, workers = _solve_all(frozen, starts)
+    solved = _solve_all(frozen, starts)
     for x, _, _ in solved:
         score(x)
 
     spent = {"evals": sum(n for _, n, _ in solved), "descents": len(starts),
-             "workers": workers, "roots": sum(root for _, _, root in solved)}
+             "roots": sum(root for _, _, root in solved)}
     if best is not None:
         perr, resid, xs = best
         return OptResult(np.array(xs), resid, perr, True, **spent)

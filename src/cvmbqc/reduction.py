@@ -174,7 +174,8 @@ def eliminate(meas: np.ndarray, out: np.ndarray):
     MeasurementDegenerateError when the SVD reciprocal condition number of U
     is below RCOND_MIN.  The SVD runs only when the lower bound
     1/(|U|_F |U^-1|_F) on that rcond is below 100 RCOND_MIN, not finite, or
-    U is exactly singular.  On a stack, one degenerate U raises for all.
+    U is exactly singular, and only on the matrices of a stack where the
+    bound is.  On a stack, one degenerate U raises for all.
     """
     k = meas.shape[-2]
     u = meas[..., :k]
@@ -188,9 +189,11 @@ def eliminate(meas: np.ndarray, out: np.ndarray):
         raise
     u_inv = sol[..., -k:]
     # einsum sums to inf without a numpy warning, and dividing by an inf norm
-    # gives 0; "not <=" also sends a NaN bound to the SVD
-    if not (_sq_norms(u) <= _MAX_NORM_PRODUCT_SQ / _sq_norms(u_inv)).all():
-        _require_rcond(u)
+    # gives 0; "not <=" also sends a NaN bound to the SVD, which runs only on
+    # the matrices of the stack that the bound cannot accept
+    bounded = _sq_norms(u) <= _MAX_NORM_PRODUCT_SQ / _sq_norms(u_inv)
+    if not bounded.all():
+        _require_rcond(u[~bounded])
     return out[..., k:] - out[..., :k] @ sol[..., :-k], u_inv
 
 

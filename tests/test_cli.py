@@ -605,13 +605,31 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 
 
 def test_cli_import_starts_no_process_machinery():
-    # the optimizer imports its process pool only when a search has descents to map
+    # the package starts no processes, so it never imports their machinery
     code = ("import sys, cvmbqc.cli; "
             "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_optimize_runs_its_search_without_process_machinery(tmp_path):
+    # the search solves its starts in process, so a whole optimize run loads
+    # neither multiprocessing nor concurrent.futures
+    config = tmp_path / "optimizer.json"
+    config.write_text(json.dumps({"restarts": 4}))
+    code = ("import sys; from cvmbqc.cli import main; "
+            f"code = main(['optimize', '--lattice', 'DBSL', '--db-min', '15', '--db-max', '15', "
+            f"'--config', {str(config)!r}, '--out', {str(tmp_path / 'table.json')!r}]); "
+            "print(code, [m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+               CVMBQC_CACHE_DIR=str(tmp_path / "cache"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
+    assert len(json.loads((tmp_path / "table.json").read_text())["entries"]) == 1
 
 
 def test_cli_import_leaves_the_optimizer_unloaded():

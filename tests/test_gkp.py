@@ -68,6 +68,19 @@ class TestErrorProbability:
         with pytest.raises(ValueError):
             gkp.error_probability([-0.2], 0.1)
 
+    def test_stack_gives_each_point_its_own_value(self):
+        rng = np.random.default_rng(0)
+        spikes = 10.0 ** rng.uniform(-4, 1, (3, 5, 4))
+        deltas = 10.0 ** rng.uniform(-4, 0, (3, 5))
+        stacked = gkp.error_probability(spikes, deltas)
+        assert stacked.shape == (3, 5)
+        for i in np.ndindex(3, 5):
+            assert stacked[i] == gkp.error_probability(spikes[i], float(deltas[i]))
+        one_delta = gkp.error_probability(spikes, 0.01)
+        assert one_delta[1, 2] == gkp.error_probability(spikes[1, 2], 0.01)
+        with pytest.raises(ValueError):  # one bad point of a stack
+            gkp.error_probability([[0.1, 0.2], [0.3, -0.2]], 0.1)
+
     @given(st.lists(st.floats(1e-4, 10.0), min_size=1, max_size=4),
            st.floats(1e-4, 1.0))
     @settings(max_examples=60, deadline=None)

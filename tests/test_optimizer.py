@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import warnings
 from dataclasses import fields
 
@@ -185,51 +184,61 @@ def test_search_determinism():
     assert a.perr == b.perr
 
 
-def _serial_search(frozen, config):
-    """search() without warm starts, written out as one in-process loop."""
-    rng = np.random.default_rng(config.seed)
-    starts = [rng.uniform(-math.pi, math.pi, frozen.n_free) for _ in range(config.restarts)]
-    best, evals, roots = None, 0, 0
-    for x0 in starts:
-        x, n, root = opt._solve_start(frozen, x0)
-        evals, roots = evals + n, roots + root
-        x = frozen.canonical(x)
-        resid, perr = frozen.metrics(x)
-        key = (perr, resid, tuple(x))
-        if resid < opt.RESIDUAL_TOL and (best is None or key < best):
-            best = key
-    return best, evals, roots
-
-
-def test_pooled_search_equals_a_serial_loop(monkeypatch):
-    frozen = opt._region("MBSL", lat.db_to_r(15.0))
-    cfg = opt.OptimizerConfig(restarts=4, seed=20200527, weight_grid=(1e-8, 1e-4))
-    monkeypatch.setattr(opt, "_usable_cpus", lambda: 3)
-    pooled = opt.search(frozen, cfg)
-    monkeypatch.setattr(opt, "_usable_cpus", lambda: 1)
-    single = opt.search(frozen, cfg)
-    best, evals, roots = _serial_search(frozen, cfg)
-    assert best is not None and pooled.accepted
-    assert (pooled.perr, pooled.residual, tuple(pooled.angles)) == best
-    assert (pooled.descents, pooled.workers, single.workers) == (4, 3, 1)
-    assert pooled.evals == single.evals == evals
-    assert pooled.roots == single.roots == roots
-    assert np.array_equal(pooled.angles, single.angles)
-
-
-def test_cold_mbsl_search_reaches_the_optimum_for_any_worker_count(monkeypatch):
+def test_cold_mbsl_search_reaches_the_optimum():
     cfg = opt.OptimizerConfig(restarts=8, weight_grid=(1e-4,), seed=20200527)
-    results = []
-    for cpus in (1, 3):
-        monkeypatch.setattr(opt, "_usable_cpus", lambda n=cpus: n)
-        results.append(opt.cz_search("MBSL", lat.db_to_r(15.0), cfg))
-    single, pooled = results
-    assert single.accepted
-    assert single.perr == pytest.approx(0.11767573281586881, rel=1e-12)
-    assert single.evals <= 1500  # 4,502 with the projected steepest descent
-    assert (single.perr, single.residual, single.evals, single.roots) == \
-        (pooled.perr, pooled.residual, pooled.evals, pooled.roots)
-    assert np.array_equal(single.angles, pooled.angles)
+    res = opt.cz_search("MBSL", lat.db_to_r(15.0), cfg)
+    assert res.accepted
+    assert res.perr == pytest.approx(0.11767573281586881, rel=1e-12)
+    assert res.evals <= 1500  # 4,502 with the projected steepest descent
+
+
+def _starts(frozen, n, seed=0):
+    return np.random.default_rng(seed).uniform(-math.pi, math.pi, (n, frozen.n_free))
+
+
+def _assert_same_solves(stacked, alone):
+    assert len(stacked) == len(alone)
+    for (x, evals, root), (x1, evals1, root1) in zip(stacked, alone):
+        assert np.array_equal(x, x1)
+        assert (evals, root) == (evals1, root1)
+
+
+@pytest.mark.parametrize("db", [1.0, 15.0, 25.0])
+@pytest.mark.parametrize("lattice, variable_theta_c", [
+    ("DBSL", False), ("BSL", False), ("MBSL", False), ("QRL", False), ("DBSL", True)])
+def test_lockstep_solves_equal_one_start_solves(lattice, variable_theta_c, db):
+    # bit for bit: every per-point product of the stacked jet is a stacked
+    # one, so a start's rounding does not depend on what else is stacked
+    frozen = opt._region(lattice, lat.db_to_r(db), variable_theta_c)
+    starts = _starts(frozen, 8)
+    _assert_same_solves(opt._solve_block(frozen, starts),
+                        [opt._solve_start(frozen, x0) for x0 in starts])
+
+
+def test_lockstep_solves_across_a_block_boundary():
+    # blocks of _BLOCK and 3 starts give what one stack of all of them gives
+    frozen = opt._region("QRL", lat.db_to_r(15.0))
+    starts = _starts(frozen, opt._BLOCK + 3, seed=1)
+    _assert_same_solves(opt._solve_all(frozen, list(starts)), opt._solve_block(frozen, starts))
+
+
+def test_degenerate_start_in_a_stack_gets_what_it_gets_alone():
+    r = 1.0
+    frozen = opt.freeze_region(lat.teleport_graph(math.tanh(2 * r)), np.eye(2), r)
+    degenerate = np.array([0.3, 0.3])  # the d = 0 basis of the degeneracy test
+    assert frozen.jet(degenerate) is None
+    starts = np.insert(_starts(frozen, 6, seed=3), 2, degenerate, axis=0)
+    stacked = opt._solve_block(frozen, starts)
+    _assert_same_solves(stacked, [opt._solve_start(frozen, x0) for x0 in starts])
+    assert np.array_equal(stacked[2][0], degenerate) and stacked[2][1:] == (1, False)
+    assert sum(root for _, _, root in stacked) == 6
+
+
+@pytest.mark.parametrize("n", [1, 5, 11])
+def test_first_end_points_do_not_depend_on_later_starts(n):
+    frozen = opt._region("MBSL", lat.db_to_r(15.0))
+    starts = list(_starts(frozen, 16, seed=4))
+    _assert_same_solves(opt._solve_all(frozen, starts)[:n], opt._solve_all(frozen, starts[:n]))
 
 
 def _reduced_hessian(frozen, x, null, h):
@@ -295,9 +304,7 @@ def test_winner_no_worse_than_steepest_descent(lattice, db, variable_theta_c, st
     assert res.perr <= steepest * (1 + 1e-12)
 
 
-def test_search_writes_nothing_and_warns_nothing(monkeypatch, capsys):
-    # in process, so that capsys sees whatever the solves would print
-    monkeypatch.setattr(opt, "_usable_cpus", lambda: 1)
+def test_search_writes_nothing_and_warns_nothing(capsys):
     cfg = opt.OptimizerConfig(restarts=4, seed=20200527)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -306,16 +313,14 @@ def test_search_writes_nothing_and_warns_nothing(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "")
 
 
-def test_descent_error_in_a_worker_reaches_the_caller(monkeypatch):
+def test_descent_error_reaches_the_caller(monkeypatch):
     def broken(x, frozen):
         raise FloatingPointError("injected")
 
     frozen = opt._region("MBSL", lat.db_to_r(15.0))
-    monkeypatch.setattr(opt, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(_kernels, "reduce_jet", broken)  # fork inherits the patch
+    monkeypatch.setattr(_kernels, "reduce_jet", broken)
     with pytest.raises(FloatingPointError, match="injected"):
         opt.search(frozen, opt.OptimizerConfig(restarts=4, seed=0, weight_grid=(1e-8,)))
-    assert multiprocessing.active_children() == []
 
 
 def test_infeasible_flagged_not_raised():
