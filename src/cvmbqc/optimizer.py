@@ -6,8 +6,8 @@ F = vec(M[:, :n_in] - [T | 0]) to a root with the analytic Jacobian of
 :func:`_kernels.reduce_jet`.  Where the roots form a continuum (BSL, MBSL and
 the variable-theta_c DBSL), a modified Newton descent of log perr follows
 them: gradient and differenced Hessian reduced to the null space of the
-Jacobian, each step retracted onto the roots; isolated roots (DBSL, QRL) are
-kept as they are.
+Jacobian, each step retracted onto the roots by rank-truncated Gauss-Newton
+steps; isolated roots (DBSL, QRL) are kept as they are.
 :class:`OptimizerConfig` sets ``restarts`` and ``seed``; ``weight_grid`` is
 still validated but has no effect.  Accepted solutions must implement the
 target to an entrywise 1-norm below :data:`RESIDUAL_TOL`; among those the
@@ -18,9 +18,11 @@ the canonical angles (each free angle mod pi) as tie-breakers.
 with no worker processes: one Levenberg-Marquardt iteration, or one step of
 every descent, evaluates the jets of all running starts in one stacked
 :func:`_kernels.reduce_jet`, over start-order blocks of at most _BLOCK
-starts.  Each start's trajectory is bit for bit the one it has alone,
-whatever else is in the stack, so the result is that of a loop over the
-starts, and a tracer of the calling process times the whole search.
+starts; one stacked SVD of those Jacobians gives the descents their
+retraction steps and null spaces.  Each start's trajectory is bit for bit
+the one it has alone, whatever else is in the stack, so the result is that
+of a loop over the starts, and a tracer of the calling process times the
+whole search.
 :class:`OptResult` counts the eliminations, starts and roots a search spent
 and found.
 """
@@ -56,8 +58,9 @@ ROOT_TOL = 1e-13
 # Levenberg-Marquardt: at most _LM_ITERS eliminations per start.
 _LM_ITERS = 200
 # Descent along the roots: J's null space is spanned by the right singular
-# vectors whose singular value is below _RANK_TOL times the largest; every
-# point is retracted in at most _RETRACT_ITERS Gauss-Newton steps; the reduced
+# vectors whose singular value is below _RANK_TOL times the largest, and the
+# retraction's Gauss-Newton step inverts only the singular values above it;
+# every point is retracted in at most _RETRACT_ITERS such steps; the reduced
 # Hessian is differenced over probes _PROBE away along the null space (near
 # enough that most probes are already roots to ROOT_TOL); a
 # Newton step is at most _MAX_STEP long and accepted on a strict Armijo
@@ -319,29 +322,50 @@ def _levenberg_marquardt(frozen: FrozenRegion, x):
     return x[0], tuple(part[0] for part in jet) if ok[0] else None, int(evals[0])
 
 
-def _lockstep(frozen: FrozenRegion, descents: list) -> list:
-    """Run generator descents side by side and return their results in order.
+def _served(ok, f, jac, perr, grad):
+    """Per row of a jet stack, the jet and the SVD ``(U, sigma, V^T)`` of its
+    J from one stacked ``np.linalg.svd``, or None where the row is
+    degenerate.  The SVD is thin unless J has fewer rows than columns, so
+    V^T spans every angle direction."""
+    parts = (f, jac, perr, grad,
+             *np.linalg.svd(jac, full_matrices=jac.shape[-2] < jac.shape[-1]))
+    return [row if good else None for row, good in zip(zip(*parts), ok.tolist())]
 
-    Each descent yields the point where it needs a jet and is sent back that
-    jet (None if degenerate); one stacked jet per round serves every
-    pending descent."""
-    results = [None] * len(descents)
+
+def _together(solves):
+    """Run solves side by side as one solve that returns their results in
+    order.  A solve yields a stack of points where it needs jets and is sent
+    back their :func:`_served` entries; each round of this one yields the
+    points of every pending solve as one stack."""
+    results = [None] * len(solves)
     pending = {}
 
-    def advance(i, jet):
+    def advance(i, served):
         try:
-            pending[i] = descents[i].send(jet)
+            pending[i] = solves[i].send(served)
         except StopIteration as stop:
             results[i] = stop.value
 
-    for i in range(len(descents)):
+    for i in range(len(solves)):
         advance(i, None)
     while pending:
         batch, pending = pending, {}
-        ok, *jet = _jets(frozen, np.array(list(batch.values())))
-        for row, i in enumerate(batch):
-            advance(i, tuple(part[row] for part in jet) if ok[row] else None)
+        served = iter((yield np.concatenate(list(batch.values()))))
+        for i, xs in batch.items():
+            advance(i, [next(served) for _ in xs])
     return results
+
+
+def _lockstep(frozen: FrozenRegion, solves: list) -> list:
+    """Run solves :func:`_together` and return their results in order: one
+    stacked jet and one stacked SVD per round serve every point of every
+    pending solve."""
+    run, served = _together(solves), None
+    while True:
+        try:
+            served = _served(*_jets(frozen, run.send(served)))
+        except StopIteration as stop:
+            return stop.value
 
 
 def _solve_block(frozen: FrozenRegion, starts) -> list:
@@ -351,10 +375,9 @@ def _solve_block(frozen: FrozenRegion, starts) -> list:
     Returns, per start, the end point, the eliminations spent and whether LM
     reached a root (|F|_1 < ROOT_TOL)."""
     x, ok, f, jac, perr, grad, evals = _lm_stack(frozen, starts)
-    root = ok & (np.abs(f).sum(axis=-1) < ROOT_TOL)
-    idx = np.flatnonzero(root)
-    ends = _lockstep(frozen, [_feasible_descent(x[i], (f[i], jac[i], perr[i], grad[i]))
-                              for i in idx])
+    idx = np.flatnonzero(ok & (np.abs(f).sum(axis=-1) < ROOT_TOL))
+    jets = _served(ok[idx], f[idx], jac[idx], perr[idx], grad[idx])
+    ends = _lockstep(frozen, [_feasible_descent(x[i], jet) for i, jet in zip(idx, jets)])
     solved = [(x[i], int(evals[i]), False) for i in range(len(x))]
     for i, (end, n) in zip(idx, ends):
         solved[i] = (end, int(evals[i]) + n, True)
@@ -367,16 +390,21 @@ def _solve_start(frozen: FrozenRegion, x0):
 
 
 def _retraction(x):
-    """Gauss-Newton least-norm steps from x back to a root, as a descent for
-    :func:`_lockstep`: returns the root and its jet, or None, and the
-    eliminations spent."""
+    """Minimum-norm Gauss-Newton steps -V diag(1/sigma) U^T F from x back to
+    a root, over the singular values of J above _RANK_TOL times the largest,
+    as a solve for :func:`_lockstep`: returns the root and its served jet,
+    or None, and the eliminations spent.  The smaller singular values that J
+    has off the roots, along the root set's own directions, are not
+    inverted: they would carry the step along the roots, not onto them."""
     for evals in range(1, _RETRACT_ITERS + 1):
-        jet = yield x
+        jet, = yield x[None]
         if jet is None:
             break
-        if np.abs(jet[0]).sum() < ROOT_TOL:
+        f, _, _, _, u, sv, vt = jet
+        if np.abs(f).sum() < ROOT_TOL:
             return x, jet, evals
-        x = x - np.linalg.lstsq(jet[1], jet[0], rcond=None)[0]
+        keep = sv > _RANK_TOL * sv[0]
+        x = x - vt[keep].T @ ((u[:, keep].T @ f) / sv[keep])
     return x, None, evals
 
 
@@ -388,32 +416,30 @@ def _retract(frozen: FrozenRegion, x):
 def _feasible_descent(x, jet):
     """Descend log perr on the root set through the root ``x`` by modified
     Newton steps in the null space of J (Absil, Mahony & Sepulchre 2008),
-    as a descent for :func:`_lockstep`.
+    as a solve for :func:`_lockstep`.
 
-    With Z the null-space rows (the rank is fixed at ``x``), the reduced
-    gradient is g = Z grad log perr.  Column i of the reduced Hessian H is
-    the forward difference of that gradient over a probe retracted from
-    x + _PROBE Z_i, with the probe's gradient projected onto the probe's own
-    null space, which carries the curvature of the root set.  The step
+    With Z the null-space rows of the served SVD (the rank is fixed at
+    ``x``), the reduced gradient is g = Z grad log perr.  Column i of the
+    reduced Hessian H is the forward difference of that gradient over a
+    probe retracted from x + _PROBE Z_i, with the probe's gradient projected
+    onto the probe's own null space, which carries the curvature of the
+    root set; the probes of one step are retracted together.  The step
     -H^-1 g uses |eigenvalues| of the symmetrized H floored at 1e-3 of the
     largest, so it descends where H is indefinite; it is capped at _MAX_STEP
     and backtracked from unit length, each trial retracted onto the roots.
     An isolated root (J of full column rank) is returned as it is.  Returns
     the end point and the eliminations spent."""
-    _, sv, vt = np.linalg.svd(jet[1])
-    rank = int((sv > _RANK_TOL * sv[0]).sum())
+    rank = int((jet[5] > _RANK_TOL * jet[5][0]).sum())
     evals = 0
     while rank < len(x) and evals < _DESCENT_EVALS:
-        null = vt[rank:]
+        null = jet[6][rank:]
         grad = null @ jet[3]
-        hess = []
-        for z in null:
-            _, probe, n = yield from _retraction(x + _PROBE * z)
-            evals += n
-            if probe is None:
-                return x, evals
-            znew = np.linalg.svd(probe[1])[2][rank:]
-            hess.append((null @ (znew.T @ (znew @ probe[3])) - grad) / _PROBE)
+        probes = yield from _together([_retraction(x + _PROBE * z) for z in null])
+        evals += sum(n for _, _, n in probes)
+        if any(probe is None for _, probe, _ in probes):
+            return x, evals
+        hess = [(null @ (probe[6][rank:].T @ (probe[6][rank:] @ probe[3])) - grad) / _PROBE
+                for _, probe, _ in probes]
         lam, vec = np.linalg.eigh(np.add(hess, np.transpose(hess)) / 2)
         lam = np.maximum(np.abs(lam), 1e-3 * np.abs(lam).max())
         step = -vec @ ((vec.T @ grad) / lam)
@@ -428,7 +454,6 @@ def _feasible_descent(x, jet):
             evals += n
             if trial is not None and math.log(trial[2]) < log_perr + _ARMIJO * length * slope:
                 x, jet = y, trial
-                vt = np.linalg.svd(jet[1])[2]
                 break
             length /= 2.0
         else:

@@ -189,7 +189,42 @@ def test_cold_mbsl_search_reaches_the_optimum():
     res = opt.cz_search("MBSL", lat.db_to_r(15.0), cfg)
     assert res.accepted
     assert res.perr == pytest.approx(0.11767573281586881, rel=1e-12)
-    assert res.evals <= 1500  # 4,502 with the projected steepest descent
+    assert res.evals <= 600  # 739 with lstsq retraction steps, 4,502 with steepest descent
+
+
+def test_no_cold_mbsl_retraction_uses_up_its_steps(monkeypatch):
+    # 19 of 241 did with lstsq's epsilon cutoff, which inverts the small
+    # singular values that J has off the root set
+    spent = []
+    retraction = opt._retraction
+
+    def counted(x):
+        result = yield from retraction(x)
+        spent.append(result[2])
+        return result
+
+    monkeypatch.setattr(opt, "_retraction", counted)
+    cfg = opt.OptimizerConfig(restarts=8, weight_grid=(1e-4,), seed=20200527)
+    assert opt.cz_search("MBSL", lat.db_to_r(15.0), cfg).accepted
+    assert spent and max(spent) < opt._RETRACT_ITERS
+
+
+def test_retraction_step_is_the_rank_truncated_least_squares_step():
+    frozen = opt._region("MBSL", lat.db_to_r(15.0))
+    x, ok, f, *_ = opt._lm_stack(frozen, _starts(frozen, 4))
+    checked = 0
+    for x0 in x[ok & (np.abs(f).sum(axis=-1) < opt.ROOT_TOL)]:
+        y = x0 + 1e-2 * np.random.default_rng(checked).normal(size=frozen.n_free)
+        fy, jac, *_ = frozen.jet(y)
+        sv = np.linalg.svd(jac, compute_uv=False) / np.linalg.norm(jac, 2)
+        assert ((sv > 1e2 * opt._RANK_TOL) | (sv < 1e-2 * opt._RANK_TOL)).all()  # a clear gap
+        retraction = opt._retraction(y)
+        served = opt._served(*opt._jets(frozen, next(retraction)))
+        step = y - retraction.send(served)[0]
+        expected = np.linalg.lstsq(jac, fy, rcond=opt._RANK_TOL)[0]
+        assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
+        checked += 1
+    assert checked >= 2
 
 
 def _starts(frozen, n, seed=0):
@@ -213,6 +248,19 @@ def test_lockstep_solves_equal_one_start_solves(lattice, variable_theta_c, db):
     starts = _starts(frozen, 8)
     _assert_same_solves(opt._solve_block(frozen, starts),
                         [opt._solve_start(frozen, x0) for x0 in starts])
+
+
+@pytest.mark.parametrize("lattice, variable_theta_c", [
+    ("DBSL", False), ("BSL", False), ("MBSL", False), ("QRL", False), ("DBSL", True)])
+def test_stacked_svd_of_a_jet_stack_equals_one_matrix_svds(lattice, variable_theta_c):
+    # batch invariance of the descents rests on this: LAPACK runs per matrix
+    frozen = opt._region(lattice, lat.db_to_r(15.0), variable_theta_c)
+    x, *_ = opt._lm_stack(frozen, _starts(frozen, 8))  # roots among them
+    stack = np.concatenate([x, _starts(frozen, 8, seed=1)])
+    ok, *jet = opt._jets(frozen, stack)
+    for jac, served in zip(jet[1], opt._served(ok, *jet)):
+        for part, alone in zip(served[4:], np.linalg.svd(jac, full_matrices=False)):
+            assert np.array_equal(part, alone)
 
 
 def test_lockstep_solves_across_a_block_boundary():
