@@ -1,27 +1,25 @@
 """Hot numeric kernels of the CZ-basis search, in plain numpy.
 
-The optimizer solves and descends with :func:`reduce_jet`, which evaluates
-the angle-independent S0 blocks of a ``FrozenRegion`` through the same
-elimination and error-probability formula as the reference path, one
+The optimizer solves, descends and scores with :func:`reduce_jet`, which
+evaluates the angle-independent S0 blocks of a ``FrozenRegion`` through the
+same elimination and error-probability formula as the reference path, one
 elimination per point.  It takes a stack of free-angle vectors, so that the
-search advances all its starts with one call; :func:`rcond` tells which
-points of a degenerate stack are degenerate.  It scores each free-angle
-vector with :func:`reduce_metrics`, the residual norm and perr of that jet.
-:func:`nelder_mead` is the simplex descent of the search that
-exact roots replaced; no search calls it, and it stays only while
-``perfbench/tracing.py`` hooks it.  Time the scoring with
-``python3 perfbench/run.py --trace 1`` (``kernels.eval_us``).  The search
-runs no worker processes: its jets run in the calling process, inside the
-traced ``optimizer.search`` span, and its counts are in ``OptResult``.
+search advances all its starts, and scores all its candidates, with one
+call; the elimination's per-point mask tells which points are degenerate.
+:func:`reduce_metrics` is the residual norm and perr of one point's jet, and
+:func:`nelder_mead` the simplex descent that exact roots replaced; no search
+calls either, and they stay only while ``perfbench/tracing.py`` hooks them.
+The search runs no worker processes: its jets run in the calling process,
+inside the traced ``optimizer.search`` span, and its counts are in
+``OptResult``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import MeasurementDegenerateError
 from .gkp import SQRT_PI, _error_terms
-from .reduction import _rcond, eliminate
+from .reduction import eliminate
 
 BAD_VALUE = 1e12
 
@@ -29,10 +27,10 @@ BAD_VALUE = 1e12
 def reduce_metrics(x, frozen):
     """Gate residual |F|_1 and GKP error probability of :func:`reduce_jet` at
     free angles ``x``, or ``(BAD_VALUE, 1.0)`` at a degenerate basis."""
-    jet = reduce_jet(x, frozen)
-    if jet is None:
+    ok, f, _, perr, _ = reduce_jet(np.asarray(x, dtype=float)[None], frozen)
+    if not ok[0]:
         return BAD_VALUE, 1.0
-    return float(np.abs(jet[0]).sum()), float(jet[2])
+    return float(np.abs(f[0]).sum()), float(perr[0])
 
 
 def _measured_rows(x, frozen):
@@ -45,16 +43,9 @@ def _measured_rows(x, frozen):
     return c, s, c * frozen.s0x + s * frozen.s0p
 
 
-def rcond(x, frozen):
-    """SVD reciprocal condition number of the elimination block at each point
-    of the stack ``x``: the number the degeneracy rule compares with
-    ``reduction.RCOND_MIN``."""
-    meas = _measured_rows(x, frozen)[2]
-    return _rcond(meas[..., :meas.shape[-2]])
-
-
 def reduce_jet(x, frozen):
-    """``(F, J, perr, grad)`` at free angles ``x``, or None at a degenerate basis.
+    """``(ok, F, J, perr, grad)`` at each point of the stack ``x`` of free
+    angles.
 
     The free angles set the measured rows c S0x + s S0p of the region's
     ``FrozenRegion``; :func:`reduction.eliminate` then gives the reduced map
@@ -64,15 +55,13 @@ def reduce_jet(x, frozen):
     Jacobian.  The spike variances are (M o M) w with the frozen per-column
     weights (delta through real inputs, vacuum 1/2 through dummies, eps/2
     through cluster momenta); perr is :func:`gkp.error_probability` of them
-    and grad the gradient of log perr, all from one elimination.  A basis
-    whose elimination block has an SVD rcond below ``reduction.RCOND_MIN``,
-    the rule ``reduce()`` applies, is degenerate.
+    and grad the gradient of log perr, all from one elimination.  ``ok`` is
+    the elimination's mask: a point it rejects, by the rule ``reduce()``
+    applies, gets F, J and grad zero and perr 1.
 
-    ``x`` may carry leading batch axes: the jet is then stacked, one
-    elimination per point, and None if any point is degenerate (find which
-    with :func:`rcond`).  Every product is a stacked one per point, so a
-    point's jet is bit for bit the same in any stack; a single point is
-    evaluated as the stack of one.
+    The stack carries one elimination per point, and every product is a
+    stacked one per point, so a point's jet is bit for bit the same in any
+    stack; a single point is evaluated as the stack of one.
 
     With K = Y U^-1, W = U^-1 V and the rotated-row derivatives
     (u'_i | v'_i) = -sin(theta_i) S0x_i + cos(theta_i) S0p_i, the rows
@@ -80,15 +69,8 @@ def reduce_jet(x, frozen):
     derivatives ds/dtheta = 2 K o (M diag(w) R^T); ``a_map`` chains both
     from the measured angles theta to the free angles x.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        jet = reduce_jet(x[None], frozen)
-        return None if jet is None else tuple(part[0] for part in jet)
     c, s, meas = _measured_rows(x, frozen)
-    try:
-        m, u_inv = eliminate(meas, frozen.out)
-    except MeasurementDegenerateError:
-        return None
+    m, u_inv, ok = eliminate(meas, frozen.out)
     k = meas.shape[-2]
     d_meas = c * frozen.s0p - s * frozen.s0x
     kmat = frozen.out[:, :k] @ u_inv
@@ -103,7 +85,9 @@ def reduce_jet(x, frozen):
     d_spikes = 2.0 * kmat * ((m * frozen.spike_weights) @ np.swapaxes(rmat, -1, -2))
     d_log = _dlog_perr(spikes, frozen.delta, perr, erfc)
     grad = ((d_log[..., None, :] @ d_spikes) @ frozen.a_map)[..., 0, :]
-    return f, jac, perr, grad
+    if not ok.all():
+        f[~ok], jac[~ok], perr[~ok], grad[~ok] = 0.0, 0.0, 1.0, 0.0
+    return ok, f, jac, perr, grad
 
 
 def _dlog_perr(spikes, delta: float, perr, erfc) -> np.ndarray:

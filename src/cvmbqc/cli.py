@@ -219,7 +219,9 @@ def cmd_verify(args) -> int:
             reports.append(rep)
             ok &= rep["pass"]
     table = gates.load_basis_table()
-    rows = [row for row in table["entries"] if row.get("accepted")]
+    # every row a CZ plan is built from, with or without an "accepted" key
+    rows = [row for row in table["entries"] if gates.find_row(
+        table, row["lattice"], row["squeezing_db"], bool(row.get("variable_theta_c"))) is row]
     for row in rows[::args.cache_stride]:
         vtc = bool(row.get("variable_theta_c"))
         plan = gates.cz_plan(row["lattice"], row["squeezing_db"], table=table,

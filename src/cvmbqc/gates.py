@@ -275,6 +275,8 @@ def _is_valid_row(row) -> bool:
         return False
     if "theta_c" in row and not _is_finite_number(row["theta_c"]):
         return False
+    if not isinstance(row.get("accepted", True), bool):
+        return False
     return not row.get("variable_theta_c") or (row["lattice"] == "DBSL" and "theta_c" in row)
 
 
@@ -286,7 +288,8 @@ def load_basis_table(path: str | Path | None = None) -> dict:
     is an object with a ``lattice`` in :data:`CACHED_CZ_LATTICES`, a finite
     number ``squeezing_db``, a list ``angles`` of one finite number per free
     mode of that lattice's :func:`cz_region`, a finite number ``theta_c`` if
-    it has one, and ``theta_c`` on a DBSL row if it sets ``variable_theta_c``.
+    it has one, a bool ``accepted`` if it has one, and ``theta_c`` on a DBSL
+    row if it sets ``variable_theta_c``.
     """
     p = Path(path) if path is not None else default_table_path()
     if not p.exists():
@@ -305,9 +308,9 @@ def load_basis_table(path: str | Path | None = None) -> dict:
             counts = ", ".join(f"{lt} {_n_free_angles(lt)}" for lt in CACHED_CZ_LATTICES)
             raise ValueError(f"malformed basis table {p}: entry {i} is not a "
                              f"{'/'.join(CACHED_CZ_LATTICES)} row with a finite "
-                             f"'squeezing_db', finite 'angles' ({counts}) and a finite "
-                             "'theta_c' if any; a 'variable_theta_c' row is a DBSL row "
-                             "with a 'theta_c'")
+                             f"'squeezing_db', finite 'angles' ({counts}), a finite "
+                             "'theta_c' if any and a bool 'accepted' if any; a "
+                             "'variable_theta_c' row is a DBSL row with a 'theta_c'")
     return table
 
 
@@ -352,7 +355,8 @@ def update_basis_table(row: dict, path: str | Path | None = None) -> Path:
 
 
 def find_row(table, lattice, db, variable_theta_c=False) -> dict | None:
-    """The accepted row at (lattice, variable_theta_c, db), or None."""
+    """The first row at (lattice, variable_theta_c, db) that is not marked
+    ``"accepted": false``, or None: the row every CZ plan there is built from."""
     for row in table["entries"]:
         if _is_row(row, lattice, db, variable_theta_c) and row.get("accepted", True):
             return row

@@ -22,7 +22,11 @@ starts; one stacked SVD of those Jacobians gives the descents their
 retraction steps and null spaces.  Each start's trajectory is bit for bit
 the one it has alone, whatever else is in the stack, so the result is that
 of a loop over the starts, and a tracer of the calling process times the
-whole search.
+whole search.  The exact warm starts and every end point are then scored
+from one more stacked jet.  A degenerate point is one that the jet's mask,
+the elimination's per-point degeneracy rule, rejects: no solve moves onto
+one or on from one, and a candidate there scores residual
+``_kernels.BAD_VALUE`` and perr 1.
 :class:`OptResult` counts the eliminations, starts and roots a search spent
 and found.
 """
@@ -38,7 +42,7 @@ import numpy as np
 from . import _kernels
 from . import gates
 from .gkp import error_probability, propagate_spikes, resource_variances
-from .reduction import RCOND_MIN, noise_factors, restrict, split_s0
+from .reduction import noise_factors, restrict, split_s0
 from .reduction import reduce as reduce_region
 
 __all__ = ["OptimizerConfig", "OptResult", "FrozenRegion", "freeze_region",
@@ -175,14 +179,16 @@ class FrozenRegion:
 
     def jet(self, x):
         """``(F, J, perr, grad log perr)`` at ``x``, or None at a degenerate basis."""
-        return _kernels.reduce_jet(np.asarray(x, dtype=float), self)
+        ok, *jet = _kernels.reduce_jet(np.asarray(x, dtype=float)[None], self)
+        return tuple(part[0] for part in jet) if ok[0] else None
 
     def canonical(self, x) -> np.ndarray:
         """Each free angle's representative mod pi: in [-pi/2, pi/2), and a
         variable theta_c in [0, pi).  Every free angle is pi-periodic,
-        because flipping the sign of a measured row leaves M unchanged."""
+        because flipping the sign of a measured row leaves M unchanged.
+        ``x`` may be a stack of free-angle vectors."""
         y = np.fmod(np.asarray(x, dtype=float), math.pi)  # exact
-        lo = np.full(len(y), -math.pi / 2)
+        lo = np.full(y.shape[-1], -math.pi / 2)
         if self.variable_theta_c:
             lo[-1] = 0.0
         # each shift by pi is exact in the usual case |y| >= pi/2 (Sterbenz)
@@ -237,31 +243,6 @@ def freeze_region(graph, target, r, out_sel=None, in_real=None,
                         s0x[:, cols], s0p[:, cols], out[rows][:, cols], variable_theta_c)
 
 
-def _jets(frozen: FrozenRegion, xs):
-    """The stacked :func:`_kernels.reduce_jet` at the rows of ``xs`` and a
-    mask of the rows that are not degenerate; a degenerate row's jet is
-    zeros.
-
-    When the stack is degenerate, one stacked :func:`_kernels.rcond` finds
-    the rows below ``reduction.RCOND_MIN`` and the others are evaluated
-    again as one stack, so every row gets what it gets alone."""
-    jet = _kernels.reduce_jet(xs, frozen)
-    if jet is not None:
-        return np.ones(len(xs), dtype=bool), *jet
-    ok = _kernels.rcond(xs, frozen) >= RCOND_MIN
-    if ok.all():
-        raise AssertionError("a stacked elimination was degenerate at no point")
-    f = np.zeros((len(xs), frozen.target_full.size))
-    jac = np.zeros(f.shape + (frozen.n_free,))
-    perr, grad = np.ones(len(xs)), np.zeros(xs.shape)
-    if ok.any():
-        sub_ok, *parts = _jets(frozen, xs[ok])
-        ok[ok] = sub_ok
-        for whole, part in zip((f, jac, perr, grad), parts):
-            whole[ok] = part[sub_ok]
-    return ok, f, jac, perr, grad
-
-
 def _lm_stack(frozen: FrozenRegion, xs):
     """Levenberg-Marquardt (Levenberg 1944; Marquardt 1963) from every row
     of ``xs`` in lockstep, with the gain-ratio damping update of Madsen,
@@ -271,10 +252,11 @@ def _lm_stack(frozen: FrozenRegion, xs):
     a root, at a step too small to change it, or after _LM_ITERS
     eliminations.  An iteration solves the damped normal equations of all
     running starts in one ``np.linalg.solve`` and evaluates their trial
-    points in one stacked jet.  Returns the end points, the :func:`_jets`
-    mask and jet there, and the eliminations spent per start."""
+    points in one stacked jet.  Returns the end points, the
+    :func:`_kernels.reduce_jet` mask and jet there, and the eliminations
+    spent per start."""
     x = np.array(xs, dtype=float)
-    ok, f, jac, perr, grad = _jets(frozen, x)
+    ok, f, jac, perr, grad = _kernels.reduce_jet(x, frozen)
     b, n = x.shape
     evals = np.ones(b, dtype=int)
     damping, nu = np.full(b, math.nan), np.full(b, 2.0)
@@ -298,7 +280,7 @@ def _lm_stack(frozen: FrozenRegion, xs):
         idx, fi, g, mu, step, y = idx[moved], fi[moved], g[moved], mu[moved], step[moved], y[moved]
         if not idx.size:
             continue
-        t_ok, t_f, t_jac, t_perr, t_grad = _jets(frozen, y)
+        t_ok, t_f, t_jac, t_perr, t_grad = _kernels.reduce_jet(y, frozen)
         evals[idx] += 1
         cost = (np.swapaxes(fi, -1, -2) @ fi)[:, 0, 0]
         new_cost = np.where(t_ok, (t_f[:, None, :] @ t_f[..., None])[:, 0, 0], math.inf)
@@ -313,13 +295,6 @@ def _lm_stack(frozen: FrozenRegion, xs):
         down = idx[~better]
         damping[down] *= nu[down]
         nu[down] *= 2.0
-
-
-def _levenberg_marquardt(frozen: FrozenRegion, x):
-    """:func:`_lm_stack` from one start: the end point, its jet (None if the
-    start is degenerate) and the eliminations spent."""
-    x, ok, *jet, evals = _lm_stack(frozen, np.asarray(x, dtype=float)[None])
-    return x[0], tuple(part[0] for part in jet) if ok[0] else None, int(evals[0])
 
 
 def _served(ok, f, jac, perr, grad):
@@ -363,7 +338,7 @@ def _lockstep(frozen: FrozenRegion, solves: list) -> list:
     run, served = _together(solves), None
     while True:
         try:
-            served = _served(*_jets(frozen, run.send(served)))
+            served = _served(*_kernels.reduce_jet(run.send(served), frozen))
         except StopIteration as stop:
             return stop.value
 
@@ -384,11 +359,6 @@ def _solve_block(frozen: FrozenRegion, starts) -> list:
     return solved
 
 
-def _solve_start(frozen: FrozenRegion, x0):
-    """:func:`_solve_block` of one start."""
-    return _solve_block(frozen, np.asarray(x0, dtype=float)[None])[0]
-
-
 def _retraction(x):
     """Minimum-norm Gauss-Newton steps -V diag(1/sigma) U^T F from x back to
     a root, over the singular values of J above _RANK_TOL times the largest,
@@ -406,11 +376,6 @@ def _retraction(x):
         keep = sv > _RANK_TOL * sv[0]
         x = x - vt[keep].T @ ((u[:, keep].T @ f) / sv[keep])
     return x, None, evals
-
-
-def _retract(frozen: FrozenRegion, x):
-    """:func:`_retraction` from one point."""
-    return _lockstep(frozen, [_retraction(np.asarray(x, dtype=float))])[0]
 
 
 def _feasible_descent(x, jet):
@@ -478,9 +443,11 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
     also scored as a candidate in its own right, under the same acceptance
     rule and tie-break as the solve results, so the result is never worse
     than a feasible warm start.  Candidates are scored, compared and returned
-    at their canonical angles (:meth:`FrozenRegion.canonical`).  When nothing
-    meets the residual tolerance the best rejected candidate is returned,
-    flagged.  ``config.weight_grid`` has no effect.
+    at their canonical angles (:meth:`FrozenRegion.canonical`), all of them
+    in one stacked jet per _BLOCK candidates; a degenerate candidate scores
+    residual ``_kernels.BAD_VALUE`` and perr 1.  When nothing meets the
+    residual tolerance the first best rejected candidate, by residual and
+    then perr, is returned, flagged.  ``config.weight_grid`` has no effect.
     """
     rng = np.random.default_rng(config.seed)
     n_free = frozen.n_free
@@ -491,33 +458,22 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
         starts.append(rng.uniform(-math.pi, math.pi, n_free))
     starts = starts[:max(config.restarts, 2 * len(warm_starts))]
 
-    best = None
-    best_rejected = None
-
-    def score(x):
-        nonlocal best, best_rejected
-        x = frozen.canonical(x)
-        resid, perr = frozen.metrics(x)
-        key = (perr, resid, tuple(x))
-        if resid < RESIDUAL_TOL:
-            if best is None or key < best:
-                best = key
-        elif best_rejected is None or (resid, perr) < best_rejected[:2]:
-            best_rejected = (resid, perr, tuple(x))
-
-    for x0 in starts[:len(warm_starts)]:
-        score(x0)
     solved = _solve_all(frozen, starts)
-    for x, _, _ in solved:
-        score(x)
-
+    xs = frozen.canonical(np.array(starts[:len(warm_starts)] + [x for x, _, _ in solved]))
+    resid, perr = [], []
+    for i in range(0, len(xs), _BLOCK):
+        ok, f, _, block_perr, _ = _kernels.reduce_jet(xs[i:i + _BLOCK], frozen)
+        resid += np.where(ok, np.abs(f).sum(axis=-1), _kernels.BAD_VALUE).tolist()
+        perr += block_perr.tolist()
     spent = {"evals": sum(n for _, n, _ in solved), "descents": len(starts),
              "roots": sum(root for _, _, root in solved)}
-    if best is not None:
-        perr, resid, xs = best
-        return OptResult(np.array(xs), resid, perr, True, **spent)
-    resid, perr, xs = best_rejected
-    return OptResult(np.array(xs), resid, perr, False, **spent)
+    accepted = [(perr[i], resid[i], tuple(x)) for i, x in enumerate(xs)
+                if resid[i] < RESIDUAL_TOL]
+    if accepted:
+        best = min(accepted)
+        return OptResult(np.array(best[2]), best[1], best[0], True, **spent)
+    i = min(range(len(xs)), key=lambda i: (resid[i], perr[i]))
+    return OptResult(xs[i], resid[i], perr[i], False, **spent)
 
 
 def evaluate_free_angles(lattice: str, r: float, angles, theta_c: float | None = None):

@@ -13,11 +13,14 @@ against the measured quadratures and reads off
 where q_in stacks the input-mode quadratures (xxpp) followed by the p
 quadratures of all cluster modes.  The N columns therefore correspond to the
 cluster-mode momenta in ascending mode order; D columns follow the graph's
-measured-mode order.  :func:`split_s0` and :func:`eliminate` are shared with
-the CZ-basis search kernel, so both paths judge degeneracy by one rule: a
-basis is rejected when the SVD reciprocal condition number of U is below
-RCOND_MIN.  :func:`eliminate` takes U^-1 V and U^-1 from one solve and runs
-the SVD only when the cheaper Frobenius bound on rcond cannot accept U.
+measured-mode order.
+
+Degeneracy has one rule, decided per point in :func:`eliminate`, which the
+CZ-basis search kernel shares: a basis is rejected when the SVD reciprocal
+condition number of U is below RCOND_MIN.  :func:`eliminate` takes U^-1 V
+and U^-1 from one solve, runs the SVD only where the cheaper Frobenius bound
+on rcond cannot accept U, and returns the mask of accepted points;
+:func:`reduce` raises for a basis it rejects.
 
 Every function here broadcasts over leading batch axes: a graph whose
 ``adjacency`` (and r, t, epsilon) are stacked, and a basis whose angles are
@@ -144,14 +147,6 @@ def _rcond(u: np.ndarray):
     return np.divide(sv[..., -1], top, out=np.zeros_like(top), where=top > 0)[()]
 
 
-def _require_rcond(u: np.ndarray) -> None:
-    """Raise MeasurementDegenerateError if any U of the stack is degenerate."""
-    rcond = np.min(_rcond(u))
-    if rcond < RCOND_MIN:
-        raise MeasurementDegenerateError(
-            f"measurement basis is degenerate (rcond={rcond:.2e})")
-
-
 @functools.cache
 def _identity(k: int) -> np.ndarray:
     # kept: a fresh np.eye costs as much as the rest of assembling [V | I]
@@ -167,15 +162,16 @@ def _sq_norms(a: np.ndarray):
 
 
 def eliminate(meas: np.ndarray, out: np.ndarray):
-    """(M, U^-1) with M = Z - Y U^-1 V for measured rows (U | V) and output
-    rows (Y | Z), both split after their first k = len(meas) columns.
+    """(M, U^-1, ok) with M = Z - Y U^-1 V for measured rows (U | V) and
+    output rows (Y | Z), both split after their first k = len(meas) columns.
 
-    One solve against [V | I] gives U^-1 V and U^-1 together.  Raises
-    MeasurementDegenerateError when the SVD reciprocal condition number of U
-    is below RCOND_MIN.  The SVD runs only when the lower bound
-    1/(|U|_F |U^-1|_F) on that rcond is below 100 RCOND_MIN, not finite, or
-    U is exactly singular, and only on the matrices of a stack where the
-    bound is.  On a stack, one degenerate U raises for all.
+    One solve against [V | I] gives U^-1 V and U^-1 together.  ``ok`` is
+    false, per point of a stack, where the SVD reciprocal condition number
+    of U is below RCOND_MIN; the SVD runs only on the matrices whose lower
+    bound 1/(|U|_F |U^-1|_F) on that rcond is below 100 RCOND_MIN or not
+    finite, or on the whole stack when some U is exactly singular, in which
+    case the rejected U's are replaced by I and the stack is solved again.
+    A rejected point's U^-1 V and U^-1 are zero, so its M is Z.
     """
     k = meas.shape[-2]
     u = meas[..., :k]
@@ -185,16 +181,19 @@ def eliminate(meas: np.ndarray, out: np.ndarray):
     try:
         sol = np.linalg.solve(u, rhs)
     except np.linalg.LinAlgError:
-        _require_rcond(u)
-        raise
-    u_inv = sol[..., -k:]
-    # einsum sums to inf without a numpy warning, and dividing by an inf norm
-    # gives 0; "not <=" also sends a NaN bound to the SVD, which runs only on
-    # the matrices of the stack that the bound cannot accept
-    bounded = _sq_norms(u) <= _MAX_NORM_PRODUCT_SQ / _sq_norms(u_inv)
-    if not bounded.all():
-        _require_rcond(u[~bounded])
-    return out[..., k:] - out[..., :k] @ sol[..., :-k], u_inv
+        ok = _rcond(u) >= RCOND_MIN
+        if ok.all():
+            raise
+        sol = np.linalg.solve(np.where(ok[..., None, None], u, _identity(k)), rhs)
+    else:
+        # einsum sums to inf without a numpy warning, and dividing by an inf
+        # norm gives 0; "not <=" also sends a NaN bound to the SVD
+        ok = np.asarray(_sq_norms(u) <= _MAX_NORM_PRODUCT_SQ / _sq_norms(sol[..., -k:]))
+        if not ok.all():
+            ok[~ok] = _rcond(u[~ok]) >= RCOND_MIN
+    if not ok.all():
+        sol[~ok] = 0.0
+    return out[..., k:] - out[..., :k] @ sol[..., :-k], sol[..., -k:], ok
 
 
 def reduce(graph, basis) -> GateResult:
@@ -202,9 +201,8 @@ def reduce(graph, basis) -> GateResult:
 
     ``basis`` maps each measured mode to its angle, a number or an array of
     the graph's batch shape; output-mode angles are fixed at zero.  Raises
-    MeasurementDegenerateError when the basis leaves the elimination system
-    singular (reciprocal condition number below RCOND_MIN), on a stack when
-    it does so at any point.
+    MeasurementDegenerateError when :func:`eliminate` rejects the basis, on
+    a stack when it rejects any point.
     """
     measured = list(graph.measured_modes)
     missing = [m for m in measured if m not in basis]
@@ -214,8 +212,12 @@ def reduce(graph, basis) -> GateResult:
     theta = np.stack(np.broadcast_arrays(*[np.asarray(basis[m], dtype=float)
                                            for m in measured]), axis=-1)[..., None]
     meas = np.cos(theta) * s0x + np.sin(theta) * s0p
-    m, u_inv = eliminate(meas, out)
+    m, u_inv, ok = eliminate(meas, out)
     k = len(measured)
+    rcond = _rcond(meas[..., :k])
+    if not ok.all():
+        raise MeasurementDegenerateError(
+            f"measurement basis is degenerate (rcond={np.min(rcond):.2e})")
     d = out[..., :k] @ u_inv
     k2 = 2 * len(graph.input_modes)
     return GateResult(
@@ -223,7 +225,7 @@ def reduce(graph, basis) -> GateResult:
         N=m[..., k2:],
         D=d,
         epsilon=getattr(graph, "epsilon", float("nan")),
-        rcond=_rcond(meas[..., :k]),
+        rcond=rcond,
     )
 
 

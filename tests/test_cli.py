@@ -89,6 +89,8 @@ MALFORMED_TABLES = {
     "row-huge-int-angle": _one_row_table(angles=[10 ** 400] + [0.0] * 9),
     "row-bool-angle": _one_row_table(angles=[True] + [0.0] * 9),
     "row-string-theta-c": _one_row_table(theta_c="x"),
+    "row-string-accepted": _one_row_table(accepted="no"),
+    "row-int-accepted": _one_row_table(accepted=1),
     "theta-c-row-without-theta-c": _one_row_table(variable_theta_c=True),
     "theta-c-row-string-theta-c": _one_row_table(variable_theta_c=True, theta_c="x"),
     "theta-c-row-on-bsl": _one_row_table(lattice="BSL", angles=[0.0] * 12,
@@ -568,6 +570,21 @@ def test_verify_corrupted_cache_fails(capsys, tmp_path, monkeypatch):
     assert code == cli.EXIT_VERIFY
     doc = json.loads(out)
     assert not doc["pass"]
+
+
+@pytest.mark.parametrize("accepted", [{}, {"accepted": True}, {"accepted": False}])
+def test_verify_checks_every_row_a_plan_is_built_from(capsys, tmp_path, monkeypatch, accepted):
+    # a row without "accepted" is served like an accepted one, so it is verified too
+    monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
+    _write_cache(tmp_path, [{
+        "lattice": "DBSL", "squeezing_db": 12.0,
+        "angles": [0.3, -0.2, 0.5, 0.1, -0.7, 0.9, 0.2, -0.4, 0.6, 0.8], **accepted,
+    }])
+    code, out, _ = run_cli(["verify", "--r", "1.0", "--cache-stride", "1"], capsys)
+    plans = [rep.get("plan") for rep in json.loads(out)["reports"]]
+    served = accepted.get("accepted", True)
+    assert ("DBSL:FFCZ@12dB" in plans) == served
+    assert code == (cli.EXIT_VERIFY if served else cli.EXIT_OK)
 
 
 def test_verify_checks_variable_theta_c_rows(capsys, tmp_path, monkeypatch):

@@ -63,9 +63,9 @@ def test_jet_matches_central_differences(lattice, variable_theta_c):
     # near a root, where the solves and the descent use the derivatives
     frozen = opt._region(lattice, lat.db_to_r(15.0), variable_theta_c)
     rng = np.random.default_rng(1)
-    x, jet, _ = opt._levenberg_marquardt(frozen, rng.uniform(-math.pi, math.pi, frozen.n_free))
-    assert np.abs(jet[0]).sum() < opt.ROOT_TOL
-    x = x + rng.normal(0.0, 0.05, frozen.n_free)
+    x, _, f, *_ = opt._lm_stack(frozen, rng.uniform(-math.pi, math.pi, (1, frozen.n_free)))
+    assert np.abs(f[0]).sum() < opt.ROOT_TOL
+    x = x[0] + rng.normal(0.0, 0.05, frozen.n_free)
     _, jac, _, grad = frozen.jet(x)
     h = 1e-3  # Richardson extrapolation of two central differences: O(h^4)
     fd = (4 * _central_differences(frozen, x, h / 2) - _central_differences(frozen, x, h)) / 3
@@ -79,13 +79,13 @@ def test_lm_root_agrees_with_scipy_least_squares():
     frozen = opt._region("DBSL", lat.db_to_r(15.0))
     # from this start both solvers reach the same one of the two DBSL roots mod pi
     x0 = np.random.default_rng(0).uniform(-math.pi, math.pi, frozen.n_free)
-    x, jet, _ = opt._levenberg_marquardt(frozen, x0)
+    x, _, f, _, perr, *_ = opt._lm_stack(frozen, x0[None])
     ref = least_squares(lambda y: frozen.jet(y)[0], x0, jac=lambda y: frozen.jet(y)[1],
                         method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    assert np.abs(jet[0]).sum() < opt.ROOT_TOL
+    assert np.abs(f[0]).sum() < opt.ROOT_TOL
     assert frozen.metrics(ref.x)[0] < opt.ROOT_TOL
-    assert jet[2] == pytest.approx(frozen.metrics(ref.x)[1], rel=1e-9)
-    np.testing.assert_allclose(frozen.canonical(x), frozen.canonical(ref.x), rtol=0, atol=1e-9)
+    assert perr[0] == pytest.approx(frozen.metrics(ref.x)[1], rel=1e-9)
+    np.testing.assert_allclose(frozen.canonical(x[0]), frozen.canonical(ref.x), rtol=0, atol=1e-9)
 
 
 def test_angles_are_canonical_mod_pi():
@@ -192,6 +192,28 @@ def test_cold_mbsl_search_reaches_the_optimum():
     assert res.evals <= 600  # 739 with lstsq retraction steps, 4,502 with steepest descent
 
 
+def test_winners_are_bit_identical_to_per_candidate_scoring():
+    # literals from the search that scored each candidate with its own
+    # one-point jet; the stacked scoring pass must not move a bit
+    res = opt.cz_search("MBSL", lat.db_to_r(15.0), opt.OptimizerConfig(restarts=8, seed=20200527))
+    assert res.angles.tolist() == [
+        -0.785398163397456, 0.7853981633974403, 1.57079632679489, 5.2479169285435586e-17,
+        0.6164228318068213, -0.6164228318068017, 4.2537849918568225e-15, -1.5707963267948957,
+        0.4652495283334749, -0.46524952833347505, -1.5707963267948757, 1.5707963267948735]
+    assert (res.perr, res.residual, res.accepted) == (0.11767573281586766, 3.1350649437800814e-15,
+                                                      True)
+    assert (res.evals, res.roots, res.descents) == (559, 8, 8)
+    # a degenerate exact warm start is a candidate that scores BAD_VALUE
+    r = 1.0
+    frozen = opt.freeze_region(lat.teleport_graph(math.tanh(2 * r)), np.eye(2), r)
+    res = opt.search(frozen, opt.OptimizerConfig(restarts=6, seed=3),
+                     warm_starts=[np.array([0.3, 0.3])])
+    assert res.angles.tolist() == [0.80371175462753, -0.80371175462753]
+    assert (res.perr, res.residual, res.accepted) == (0.17195552770533246, 2.2006601992804018e-16,
+                                                      True)
+    assert (res.evals, res.roots, res.descents) == (42, 5, 6)
+
+
 def test_no_cold_mbsl_retraction_uses_up_its_steps(monkeypatch):
     # 19 of 241 did with lstsq's epsilon cutoff, which inverts the small
     # singular values that J has off the root set
@@ -219,7 +241,7 @@ def test_retraction_step_is_the_rank_truncated_least_squares_step():
         sv = np.linalg.svd(jac, compute_uv=False) / np.linalg.norm(jac, 2)
         assert ((sv > 1e2 * opt._RANK_TOL) | (sv < 1e-2 * opt._RANK_TOL)).all()  # a clear gap
         retraction = opt._retraction(y)
-        served = opt._served(*opt._jets(frozen, next(retraction)))
+        served = opt._served(*_kernels.reduce_jet(next(retraction), frozen))
         step = y - retraction.send(served)[0]
         expected = np.linalg.lstsq(jac, fy, rcond=opt._RANK_TOL)[0]
         assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -229,6 +251,10 @@ def test_retraction_step_is_the_rank_truncated_least_squares_step():
 
 def _starts(frozen, n, seed=0):
     return np.random.default_rng(seed).uniform(-math.pi, math.pi, (n, frozen.n_free))
+
+
+def _one_start_solves(frozen, starts):
+    return [opt._solve_block(frozen, x0[None])[0] for x0 in starts]
 
 
 def _assert_same_solves(stacked, alone):
@@ -247,7 +273,7 @@ def test_lockstep_solves_equal_one_start_solves(lattice, variable_theta_c, db):
     frozen = opt._region(lattice, lat.db_to_r(db), variable_theta_c)
     starts = _starts(frozen, 8)
     _assert_same_solves(opt._solve_block(frozen, starts),
-                        [opt._solve_start(frozen, x0) for x0 in starts])
+                        _one_start_solves(frozen, starts))
 
 
 @pytest.mark.parametrize("lattice, variable_theta_c", [
@@ -257,7 +283,7 @@ def test_stacked_svd_of_a_jet_stack_equals_one_matrix_svds(lattice, variable_the
     frozen = opt._region(lattice, lat.db_to_r(15.0), variable_theta_c)
     x, *_ = opt._lm_stack(frozen, _starts(frozen, 8))  # roots among them
     stack = np.concatenate([x, _starts(frozen, 8, seed=1)])
-    ok, *jet = opt._jets(frozen, stack)
+    ok, *jet = _kernels.reduce_jet(stack, frozen)
     for jac, served in zip(jet[1], opt._served(ok, *jet)):
         for part, alone in zip(served[4:], np.linalg.svd(jac, full_matrices=False)):
             assert np.array_equal(part, alone)
@@ -277,7 +303,7 @@ def test_degenerate_start_in_a_stack_gets_what_it_gets_alone():
     assert frozen.jet(degenerate) is None
     starts = np.insert(_starts(frozen, 6, seed=3), 2, degenerate, axis=0)
     stacked = opt._solve_block(frozen, starts)
-    _assert_same_solves(stacked, [opt._solve_start(frozen, x0) for x0 in starts])
+    _assert_same_solves(stacked, _one_start_solves(frozen, starts))
     assert np.array_equal(stacked[2][0], degenerate) and stacked[2][1:] == (1, False)
     assert sum(root for _, _, root in stacked) == 6
 
@@ -294,7 +320,7 @@ def _reduced_hessian(frozen, x, null, h):
     point retracted from x + h (Z_i +- Z_j); at a stationary point this is
     the Riemannian Hessian for any retraction."""
     def log_perr(y):
-        return math.log(opt._retract(frozen, y)[1][2])
+        return math.log(opt._lockstep(frozen, [opt._retraction(y)])[0][1][2])
 
     d = len(null)
     hess = np.empty((d, d))
@@ -445,3 +471,48 @@ def test_nearly_parallel_cz_rows_follow_the_svd_rule(d, degenerate):
             reduce_region(frozen.graph, basis)
     else:
         assert reduce_region(frozen.graph, basis).rcond >= red.RCOND_MIN
+
+
+def test_eliminate_decides_degeneracy_per_point_of_a_mixed_stack():
+    # exactly singular U's (LAPACK refuses them), one the SVD rejects (DBSL
+    # d = 3e-12), one only the SVD accepts (d = 1e-10, inside the margin of
+    # the Frobenius bound) and healthy points, in one stack per region
+    r = 1.0
+    teleport = opt.freeze_region(lat.teleport_graph(math.tanh(2 * r)), np.eye(2), r)
+    dbsl = opt._region("DBSL", lat.db_to_r(15.0))
+    x = np.random.default_rng(5).uniform(-math.pi, math.pi, dbsl.n_free)
+    near = np.repeat(x[None], 4, axis=0)
+    near[:, 1] = x[0] + np.array([0.0, 3e-12, 1e-10, 1e-8])
+    cases = [(teleport, np.array([[0.3, 0.3], [0.3, 0.5], [1.1, -0.4]]), [False, True, True]),
+             (dbsl, np.concatenate([near, _starts(dbsl, 3, seed=6)]),
+              [False, False, True, True, True, True, True])]
+    for frozen, xs, expected in cases:
+        graph = frozen.graph
+        theta = frozen.theta_base + xs @ frozen.a_map.T
+        s0x, s0p, out = red.split_s0(graph)
+        meas = np.cos(theta)[..., None] * s0x + np.sin(theta)[..., None] * s0p
+        bases = [dict(zip(graph.measured_modes, row)) for row in theta]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m, u_inv, ok = red.eliminate(meas, out)
+            raised = []
+            for basis in bases:
+                try:
+                    reduce_region(graph, basis)
+                    raised.append(False)
+                except MeasurementDegenerateError:
+                    raised.append(True)
+            alone = [red.eliminate(row, out) for row in meas]
+            kernel_ok = _kernels.reduce_jet(xs, frozen)[0]
+        assert ok.tolist() == expected == [not bad for bad in raised]
+        assert np.array_equal(kernel_ok, ok)
+        for i, (m1, u_inv1, ok1) in enumerate(alone):
+            assert ok1 == ok[i]
+            assert np.array_equal(m[i], m1) and np.array_equal(u_inv[i], u_inv1)
+        assert np.array_equal(m[~ok], np.broadcast_to(out[:, len(theta[0]):], m[~ok].shape))
+        assert not u_inv[~ok].any()
+        stacked = {mode: theta[:, i] for i, mode in enumerate(graph.measured_modes)}
+        with pytest.raises(MeasurementDegenerateError):
+            reduce_region(graph, stacked)
+        good = {mode: angles[ok] for mode, angles in stacked.items()}
+        assert reduce_region(graph, good).rcond.min() >= red.RCOND_MIN
