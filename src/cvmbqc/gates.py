@@ -273,11 +273,11 @@ def _is_valid_row(row) -> bool:
             and len(row["angles"]) == _n_free_angles(row["lattice"])
             and all(_is_finite_number(a) for a in row["angles"])):
         return False
-    if "theta_c" in row and not _is_finite_number(row["theta_c"]):
-        return False
     if not isinstance(row.get("accepted", True), bool):
         return False
-    return not row.get("variable_theta_c") or (row["lattice"] == "DBSL" and "theta_c" in row)
+    if row.get("variable_theta_c"):
+        return row["lattice"] == "DBSL" and _is_finite_number(row.get("theta_c"))
+    return "theta_c" not in row
 
 
 def load_basis_table(path: str | Path | None = None) -> dict:
@@ -287,9 +287,10 @@ def load_basis_table(path: str | Path | None = None) -> dict:
     file when it is not a JSON object with a list ``entries`` whose every row
     is an object with a ``lattice`` in :data:`CACHED_CZ_LATTICES`, a finite
     number ``squeezing_db``, a list ``angles`` of one finite number per free
-    mode of that lattice's :func:`cz_region`, a finite number ``theta_c`` if
-    it has one, a bool ``accepted`` if it has one, and ``theta_c`` on a DBSL
-    row if it sets ``variable_theta_c``.
+    mode of that lattice's :func:`cz_region` and a bool ``accepted`` if it
+    has one.  A row carries ``theta_c`` exactly when it sets
+    ``variable_theta_c``; such a row is a DBSL row and its ``theta_c`` a
+    finite number.
     """
     p = Path(path) if path is not None else default_table_path()
     if not p.exists():
@@ -308,9 +309,10 @@ def load_basis_table(path: str | Path | None = None) -> dict:
             counts = ", ".join(f"{lt} {_n_free_angles(lt)}" for lt in CACHED_CZ_LATTICES)
             raise ValueError(f"malformed basis table {p}: entry {i} is not a "
                              f"{'/'.join(CACHED_CZ_LATTICES)} row with a finite "
-                             f"'squeezing_db', finite 'angles' ({counts}), a finite "
-                             "'theta_c' if any and a bool 'accepted' if any; a "
-                             "'variable_theta_c' row is a DBSL row with a 'theta_c'")
+                             f"'squeezing_db', finite 'angles' ({counts}) and a bool "
+                             "'accepted' if any; a row has a 'theta_c' exactly when it "
+                             "sets 'variable_theta_c', and then is a DBSL row with a "
+                             "finite 'theta_c'")
     return table
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "LatticeParams",
     "ComputationGraph",
     "db_to_r",
-    "r_to_db",
     "per_point",
     "edge_weight",
     "effective_epsilon",
@@ -50,10 +49,6 @@ DEFAULT_THETA_C = {"DBSL": math.pi / 4, "BSL": math.pi / 4, "MBSL": math.pi / 2}
 def db_to_r(db: float) -> float:
     """Squeezing parameter r from squeezing in dB (variance e^{-2r} vs vacuum)."""
     return db * math.log(10.0) / 20.0
-
-
-def r_to_db(r: float) -> float:
-    return 20.0 * r / math.log(10.0)
 
 
 def per_point(f, r):

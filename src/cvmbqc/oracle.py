@@ -219,7 +219,7 @@ def verify_plan(plan: GatePlan, tol: float = 1e-9) -> dict:
     dummy_cols = circuit.dummy_modes + [t + c for c in circuit.dummy_modes]
     max_dummy_dev = float(np.abs(m_eff[:, dummy_cols]).max()) if dummy_cols else 0.0
 
-    eps = result.epsilon
+    eps = plan.steps[0].graph.epsilon  # every step of a plan is built at one squeezing
     rng = np.random.default_rng(20200527)
     probes = [0.5 * np.eye(2 * k)]
     for _ in range(3):

@@ -25,16 +25,16 @@ on rcond cannot accept U, and returns the mask of accepted points;
 Every function here broadcasts over leading batch axes: a graph whose
 ``adjacency`` (and r, t, epsilon) are stacked, and a basis whose angles are
 arrays of the same batch shape, reduce in one call to a GateResult whose
-matrices, ``epsilon`` and ``rcond`` carry that batch shape in front.  The
-stack is reduced matrix by matrix with the same LAPACK and BLAS calls as a
-single region, so each point's result is bit for bit the one it gets alone;
-a single region is the batch-free case.
+matrices carry that batch shape in front.  The stack is reduced matrix by
+matrix with the same LAPACK and BLAS calls as a single region, so each
+point's result is bit for bit the one it gets alone; a single region is the
+batch-free case.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -83,15 +83,12 @@ class GateResult:
     ``G`` acts on the input quadratures (xxpp), the columns of ``N`` are the
     cluster momenta in ascending mode order and the columns of ``D`` the
     measurement outcomes in the graph's measured-mode order.  A stacked
-    result puts its batch axes in front of every matrix, ``epsilon`` and
-    ``rcond``.
+    result puts its batch axes in front of every matrix.
     """
 
     G: np.ndarray
     N: np.ndarray
     D: np.ndarray
-    epsilon: float = field(default=float("nan"))
-    rcond: float = field(default=float("nan"))
 
     @property
     def n_outputs(self) -> int:
@@ -202,7 +199,8 @@ def reduce(graph, basis) -> GateResult:
     ``basis`` maps each measured mode to its angle, a number or an array of
     the graph's batch shape; output-mode angles are fixed at zero.  Raises
     MeasurementDegenerateError when :func:`eliminate` rejects the basis, on
-    a stack when it rejects any point.
+    a stack when it rejects any point; only then is an SVD run, over the
+    rejected points, for the smallest rcond the message reports.
     """
     measured = list(graph.measured_modes)
     missing = [m for m in measured if m not in basis]
@@ -214,26 +212,15 @@ def reduce(graph, basis) -> GateResult:
     meas = np.cos(theta) * s0x + np.sin(theta) * s0p
     m, u_inv, ok = eliminate(meas, out)
     k = len(measured)
-    rcond = _rcond(meas[..., :k])
     if not ok.all():
-        raise MeasurementDegenerateError(
-            f"measurement basis is degenerate (rcond={np.min(rcond):.2e})")
-    d = out[..., :k] @ u_inv
+        rcond = np.min(_rcond(meas[~ok][..., :k]))
+        raise MeasurementDegenerateError(f"measurement basis is degenerate (rcond={rcond:.2e})")
     k2 = 2 * len(graph.input_modes)
-    return GateResult(
-        G=m[..., :k2],
-        N=m[..., k2:],
-        D=d,
-        epsilon=getattr(graph, "epsilon", float("nan")),
-        rcond=rcond,
-    )
+    return GateResult(G=m[..., :k2], N=m[..., k2:], D=out[..., :k] @ u_inv)
 
 
 def chain(first: GateResult, second: GateResult) -> GateResult:
-    """Compose two computation steps: G = G2 G1, N = [G2 N1 | N2], D likewise.
-
-    The composite keeps the smaller rcond of the two steps (NaN if either is
-    unknown)."""
+    """Compose two computation steps: G = G2 G1, N = [G2 N1 | N2], D likewise."""
     if second.G.shape[-1] != first.G.shape[-2]:
         raise ValueError(
             f"cannot chain: first step outputs {first.n_outputs} modes, "
@@ -243,8 +230,6 @@ def chain(first: GateResult, second: GateResult) -> GateResult:
         G=g2 @ first.G,
         N=np.concatenate([g2 @ first.N, second.N], axis=-1),
         D=np.concatenate([g2 @ first.D, second.D], axis=-1),
-        epsilon=np.where(np.isnan(first.epsilon), second.epsilon, first.epsilon)[()],
-        rcond=np.minimum(first.rcond, second.rcond)[()],
     )
 
 
@@ -267,8 +252,6 @@ def restrict(result: GateResult, out_keep, in_keep) -> GateResult:
         G=g[..., cols],
         N=_xxpp_rows(result.N, out_keep, no),
         D=_xxpp_rows(result.D, out_keep, no),
-        epsilon=result.epsilon,
-        rcond=result.rcond,
     )
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -95,6 +96,7 @@ MALFORMED_TABLES = {
     "theta-c-row-string-theta-c": _one_row_table(variable_theta_c=True, theta_c="x"),
     "theta-c-row-on-bsl": _one_row_table(lattice="BSL", angles=[0.0] * 12,
                                          variable_theta_c=True, theta_c=0.7),
+    "fixed-row-with-theta-c": _one_row_table(theta_c=0.7),
 }
 
 
@@ -507,6 +509,28 @@ def test_csv_outputs_are_byte_stable(capsys):
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
+
+
+# sha256 of the CSVs the four default-grid curve commands print, captured
+# with numpy 2.4 and OpenBLAS 0.3 on x86-64.  A change that moves a digest
+# must list the rows it changes in CHANGES.md and update the digest here.
+DEFAULT_CURVE_DIGESTS = [
+    (["noise-curve"], "d901e233571c5fbff0abff2340ce81c12985574be941d11901e761e5b596db76"),
+    (["error-curve", "--gate", "I", "F", "P1"],
+     "b32179e2014c5ff8e3e0bf356ea4a1ad82cbc80e4cd41cca7c563a0ba094a185"),
+    (["error-curve", "--lattice", "QRL", "--gate", "FFCZ"],
+     "49659207d0f5ba4ab73d841d039b6e1b11c36c7f4bcadd7832dbaac5b0654fc1"),
+    (["noise-curve", "--lattice", "DBSL", "--gate", "SWAP"],
+     "0056e0dd135eea7b1297e977c1666a5cd7d620b34264f61f6bf30fb101635fac"),
+]
+
+
+@pytest.mark.parametrize("args, digest", DEFAULT_CURVE_DIGESTS,
+                         ids=["noise", "error-I-F-P1", "error-QRL-FFCZ", "noise-DBSL-SWAP"])
+def test_default_curve_csvs_are_pinned(capsys, args, digest):
+    code, out, _ = run_cli(args, capsys)
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_rows_rederivable_by_library_calls(capsys):

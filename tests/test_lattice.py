@@ -53,10 +53,6 @@ def test_effective_epsilon_is_3db_above_resource_at_high_squeezing():
     assert gap_db == pytest.approx(10 * math.log10(2.0), abs=0.01)
 
 
-def test_db_roundtrip():
-    assert lat.r_to_db(lat.db_to_r(13.7)) == pytest.approx(13.7, rel=1e-14)
-
-
 def test_teleport_graph_shape():
     g = lat.teleport_graph(0.8)
     assert g.n_modes == 3
