@@ -3,11 +3,12 @@ measured-mode angles, then minimize the GKP error probability on the solutions.
 
 From each start, a Levenberg-Marquardt solve drives the gate residual
 F = vec(M[:, :n_in] - [T | 0]) to a root with the analytic Jacobian of
-:func:`_kernels.reduce_jet`.  Where the roots form a continuum (BSL, MBSL and
-the variable-theta_c DBSL), a modified Newton descent of log perr follows
-them: gradient and differenced Hessian reduced to the null space of the
-Jacobian, each step retracted onto the roots by rank-truncated Gauss-Newton
-steps; isolated roots (DBSL, QRL) are kept as they are.
+:func:`_kernels.reduce_residual`.  Where the roots form a continuum (BSL,
+MBSL and the variable-theta_c DBSL), a modified Newton descent of log perr
+follows them: the gradient and the exact Hessian of the Lagrangian
+log perr - lam^T F, both reduced to the null space of the Jacobian, each
+step retracted onto the roots by rank-truncated Gauss-Newton steps;
+isolated roots (DBSL, QRL) are kept as they are.
 :class:`OptimizerConfig` sets ``restarts`` and ``seed``; ``weight_grid`` is
 still validated but has no effect.  Accepted solutions must implement the
 target to an entrywise 1-norm below :data:`RESIDUAL_TOL`; among those the
@@ -17,15 +18,17 @@ the canonical angles (each free angle mod pi) as tie-breakers.
 :func:`search` advances its starts in lockstep in the calling process,
 with no worker processes: one Levenberg-Marquardt iteration, or one step of
 every descent, evaluates the jets of all running starts in one stacked
-:func:`_kernels.reduce_jet`, over start-order blocks of at most _BLOCK
-starts; one stacked SVD of those Jacobians gives the descents their
-retraction steps and null spaces.  Each start's trajectory is bit for bit
-the one it has alone, whatever else is in the stack, so the result is that
-of a loop over the starts, and a tracer of the calling process times the
-whole search.  The exact warm starts and every end point are then scored
-from one more stacked jet.  A degenerate point is one that the jet's mask,
-the elimination's per-point degeneracy rule, rejects: no solve moves onto
-one or on from one, and a candidate there scores residual
+:func:`_kernels.reduce_residual` or :func:`_kernels.reduce_jet`, over
+start-order blocks of at most _BLOCK starts; one stacked SVD of those
+Jacobians gives the descents their retraction steps and null spaces, and
+one stacked :func:`_kernels.lagrangian_hessian` the Hessians of the descents
+that took a step.  Each start's trajectory is bit for bit the one it has
+alone, whatever else is in the stack, so the result is that of a loop over
+the starts, and a tracer of the calling process times the whole search.
+The exact warm starts and every end point are then scored from one more
+stacked jet.  A degenerate point is one that the jet's mask, the
+elimination's per-point degeneracy rule, rejects: no solve moves onto one
+or on from one, and a candidate there scores residual
 ``_kernels.BAD_VALUE`` and perr 1.
 :class:`OptResult` counts the eliminations, starts and roots a search spent
 and found.
@@ -64,16 +67,13 @@ _LM_ITERS = 200
 # Descent along the roots: J's null space is spanned by the right singular
 # vectors whose singular value is below _RANK_TOL times the largest, and the
 # retraction's Gauss-Newton step inverts only the singular values above it;
-# every point is retracted in at most _RETRACT_ITERS such steps; the reduced
-# Hessian is differenced over probes _PROBE away along the null space (near
-# enough that most probes are already roots to ROOT_TOL); a
+# every point is retracted in at most _RETRACT_ITERS such steps; a
 # Newton step is at most _MAX_STEP long and accepted on a strict Armijo
 # decrease _ARMIJO of log perr; the descent ends when the Newton decrement
 # falls below _DECREMENT_TOL, when no step down to _MIN_STEP of the Newton
 # step decreases log perr, or after _DESCENT_EVALS eliminations.
 _RANK_TOL = 1e-8
 _RETRACT_ITERS = 8
-_PROBE = 1e-7
 _MAX_STEP = 0.5
 _ARMIJO = 1e-4
 _DECREMENT_TOL = 1e-14
@@ -125,9 +125,10 @@ class OptResult:
     perr: float
     accepted: bool
     theta_c: float | None = None
-    # what the search spent: eliminations in its per-start solves, the
-    # starts solved, and the starts whose Levenberg-Marquardt solve reached a
-    # root (|F|_1 < ROOT_TOL)
+    # what the search spent: eliminations in its per-start solves (a
+    # descent evaluates its Levenberg-Marquardt root once more, for perr and
+    # its derivatives), the starts solved, and the starts whose
+    # Levenberg-Marquardt solve reached a root (|F|_1 < ROOT_TOL)
     evals: int = 0
     descents: int = 0
     roots: int = 0
@@ -179,7 +180,7 @@ class FrozenRegion:
 
     def jet(self, x):
         """``(F, J, perr, grad log perr)`` at ``x``, or None at a degenerate basis."""
-        ok, *jet = _kernels.reduce_jet(np.asarray(x, dtype=float)[None], self)
+        ok, *jet, _ = _kernels.reduce_jet(np.asarray(x, dtype=float)[None], self)
         return tuple(part[0] for part in jet) if ok[0] else None
 
     def canonical(self, x) -> np.ndarray:
@@ -251,12 +252,12 @@ def _lm_stack(frozen: FrozenRegion, xs):
     Each start keeps its own damping, nu and evaluation count, and stops at
     a root, at a step too small to change it, or after _LM_ITERS
     eliminations.  An iteration solves the damped normal equations of all
-    running starts in one ``np.linalg.solve`` and evaluates their trial
-    points in one stacked jet.  Returns the end points, the
-    :func:`_kernels.reduce_jet` mask and jet there, and the eliminations
-    spent per start."""
+    running starts in one ``np.linalg.solve`` and evaluates F and J at their
+    trial points in one stacked :func:`_kernels.reduce_residual`.  Returns
+    the end points, the elimination's mask and F and J there, and the
+    eliminations spent per start."""
     x = np.array(xs, dtype=float)
-    ok, f, jac, perr, grad = _kernels.reduce_jet(x, frozen)
+    ok, f, jac = _kernels.reduce_residual(x, frozen)
     b, n = x.shape
     evals = np.ones(b, dtype=int)
     damping, nu = np.full(b, math.nan), np.full(b, 2.0)
@@ -266,7 +267,7 @@ def _lm_stack(frozen: FrozenRegion, xs):
         running[running] = np.abs(f[running]).sum(axis=-1) >= ROOT_TOL
         idx = np.flatnonzero(running)
         if not idx.size:
-            return x, ok, f, jac, perr, grad, evals
+            return x, ok, f, jac, evals
         fi, ji = f[idx, :, None], jac[idx]
         jt = np.swapaxes(ji, -1, -2)
         g, normal = jt @ fi, jt @ ji
@@ -280,7 +281,7 @@ def _lm_stack(frozen: FrozenRegion, xs):
         idx, fi, g, mu, step, y = idx[moved], fi[moved], g[moved], mu[moved], step[moved], y[moved]
         if not idx.size:
             continue
-        t_ok, t_f, t_jac, t_perr, t_grad = _kernels.reduce_jet(y, frozen)
+        t_ok, t_f, t_jac = _kernels.reduce_residual(y, frozen)
         evals[idx] += 1
         cost = (np.swapaxes(fi, -1, -2) @ fi)[:, 0, 0]
         new_cost = np.where(t_ok, (t_f[:, None, :] @ t_f[..., None])[:, 0, 0], math.inf)
@@ -288,8 +289,7 @@ def _lm_stack(frozen: FrozenRegion, xs):
         gain = (np.swapaxes(step, -1, -2) @ (mu * step - g))[:, 0, 0]
         rho = (cost - new_cost)[better] / gain[better]
         up = idx[better]
-        x[up], f[up], jac[up], perr[up], grad[up] = (
-            y[better], t_f[better], t_jac[better], t_perr[better], t_grad[better])
+        x[up], f[up], jac[up] = y[better], t_f[better], t_jac[better]
         damping[up] *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
         nu[up] = 2.0
         down = idx[~better]
@@ -297,64 +297,69 @@ def _lm_stack(frozen: FrozenRegion, xs):
         nu[down] *= 2.0
 
 
-def _served(ok, f, jac, perr, grad):
-    """Per row of a jet stack, the jet and the SVD ``(U, sigma, V^T)`` of its
-    J from one stacked ``np.linalg.svd``, or None where the row is
+def _served(ok, f, jac, perr, grad, terms):
+    """Per row of a :func:`_kernels.reduce_jet` stack, the jet, the SVD
+    ``(U, sigma, V^T)`` of its J from one stacked ``np.linalg.svd``, and the
+    stack's terms with the row's index in them, or None where the row is
     degenerate.  The SVD is thin unless J has fewer rows than columns, so
     V^T spans every angle direction."""
-    parts = (f, jac, perr, grad,
-             *np.linalg.svd(jac, full_matrices=jac.shape[-2] < jac.shape[-1]))
-    return [row if good else None for row, good in zip(zip(*parts), ok.tolist())]
+    parts = (f, jac, perr, grad, *np.linalg.svd(jac, full_matrices=jac.shape[-2] < jac.shape[-1]))
+    return [(*row, terms, j) if good else None
+            for j, (row, good) in enumerate(zip(zip(*parts), ok.tolist()))]
 
 
-def _together(solves):
-    """Run solves side by side as one solve that returns their results in
-    order.  A solve yields a stack of points where it needs jets and is sent
-    back their :func:`_served` entries; each round of this one yields the
-    points of every pending solve as one stack."""
-    results = [None] * len(solves)
-    pending = {}
+def _lockstep(frozen: FrozenRegion, solves: list) -> list:
+    """Run solves side by side and return their results in order.
 
-    def advance(i, served):
+    A solve yields either a point, and is sent back its :func:`_served`
+    entry, or a served entry and multipliers lam, and is sent back the
+    free-angle Hessian of log perr - lam^T F there.  Each round first
+    answers every pending Hessian request from one stacked
+    :func:`_kernels.lagrangian_hessian`, then serves the points of every
+    solve from one stacked jet and one stacked SVD."""
+    results, requests = [None] * len(solves), {}
+
+    def advance(i, reply):
         try:
-            pending[i] = solves[i].send(served)
+            requests[i] = solves[i].send(reply)
         except StopIteration as stop:
             results[i] = stop.value
 
     for i in range(len(solves)):
         advance(i, None)
-    while pending:
-        batch, pending = pending, {}
-        served = iter((yield np.concatenate(list(batch.values()))))
-        for i, xs in batch.items():
-            advance(i, [next(served) for _ in xs])
+    while requests:
+        asks = [i for i, request in requests.items() if isinstance(request, tuple)]
+        if asks:
+            jets, lams = zip(*(requests.pop(i) for i in asks))
+            # a solve asks at a row of the round just served
+            terms = [part[[jet[-1] for jet in jets]] for part in jets[0][-2]]
+            for i, hess in zip(asks, _kernels.lagrangian_hessian(terms, np.stack(lams), frozen)):
+                advance(i, hess)
+            continue
+        batch, requests = requests, {}
+        served = _served(*_kernels.reduce_jet(np.array(list(batch.values())), frozen))
+        for i, jet in zip(batch, served):
+            advance(i, jet)
     return results
-
-
-def _lockstep(frozen: FrozenRegion, solves: list) -> list:
-    """Run solves :func:`_together` and return their results in order: one
-    stacked jet and one stacked SVD per round serve every point of every
-    pending solve."""
-    run, served = _together(solves), None
-    while True:
-        try:
-            served = _served(*_kernels.reduce_jet(run.send(served), frozen))
-        except StopIteration as stop:
-            return stop.value
 
 
 def _solve_block(frozen: FrozenRegion, starts) -> list:
     """Each start's solve: Levenberg-Marquardt to a root of F, then, where
-    the roots form a continuum, a descent of log perr along it.
+    J is rank deficient there and the roots form a continuum, a descent of
+    log perr along it.
 
     Returns, per start, the end point, the eliminations spent and whether LM
     reached a root (|F|_1 < ROOT_TOL)."""
-    x, ok, f, jac, perr, grad, evals = _lm_stack(frozen, starts)
-    idx = np.flatnonzero(ok & (np.abs(f).sum(axis=-1) < ROOT_TOL))
-    jets = _served(ok[idx], f[idx], jac[idx], perr[idx], grad[idx])
-    ends = _lockstep(frozen, [_feasible_descent(x[i], jet) for i, jet in zip(idx, jets)])
-    solved = [(x[i], int(evals[i]), False) for i in range(len(x))]
-    for i, (end, n) in zip(idx, ends):
+    x, ok, f, jac, evals = _lm_stack(frozen, starts)
+    root = ok & (np.abs(f).sum(axis=-1) < ROOT_TOL)
+    solved = [(x[i], int(evals[i]), bool(root[i])) for i in range(len(x))]
+    idx = np.flatnonzero(root)
+    sv = np.linalg.svd(jac[idx], compute_uv=False)
+    rank = (sv > _RANK_TOL * sv[:, :1]).sum(axis=-1)
+    descend = rank < x.shape[1]
+    ends = _lockstep(frozen, [_feasible_descent(x[i], r)
+                              for i, r in zip(idx[descend], rank[descend].tolist())])
+    for i, (end, n) in zip(idx[descend], ends):
         solved[i] = (end, int(evals[i]) + n, True)
     return solved
 
@@ -367,10 +372,10 @@ def _retraction(x):
     has off the roots, along the root set's own directions, are not
     inverted: they would carry the step along the roots, not onto them."""
     for evals in range(1, _RETRACT_ITERS + 1):
-        jet, = yield x[None]
+        jet = yield x
         if jet is None:
             break
-        f, _, _, _, u, sv, vt = jet
+        f, _, _, _, u, sv, vt, *_ = jet
         if np.abs(f).sum() < ROOT_TOL:
             return x, jet, evals
         keep = sv > _RANK_TOL * sv[0]
@@ -378,42 +383,38 @@ def _retraction(x):
     return x, None, evals
 
 
-def _feasible_descent(x, jet):
-    """Descend log perr on the root set through the root ``x`` by modified
-    Newton steps in the null space of J (Absil, Mahony & Sepulchre 2008),
-    as a solve for :func:`_lockstep`.
+def _feasible_descent(x, rank):
+    """Descend log perr on the root set through the root ``x``, where J has
+    rank ``rank``, by modified Newton steps in the null space of J, as a
+    solve for :func:`_lockstep`.
 
-    With Z the null-space rows of the served SVD (the rank is fixed at
-    ``x``), the reduced gradient is g = Z grad log perr.  Column i of the
-    reduced Hessian H is the forward difference of that gradient over a
-    probe retracted from x + _PROBE Z_i, with the probe's gradient projected
-    onto the probe's own null space, which carries the curvature of the
-    root set; the probes of one step are retracted together.  The step
-    -H^-1 g uses |eigenvalues| of the symmetrized H floored at 1e-3 of the
-    largest, so it descends where H is indefinite; it is capped at _MAX_STEP
-    and backtracked from unit length, each trial retracted onto the roots.
-    An isolated root (J of full column rank) is returned as it is.  Returns
-    the end point and the eliminations spent."""
-    rank = int((jet[5] > _RANK_TOL * jet[5][0]).sum())
-    evals = 0
-    while rank < len(x) and evals < _DESCENT_EVALS:
-        null = jet[6][rank:]
-        grad = null @ jet[3]
-        probes = yield from _together([_retraction(x + _PROBE * z) for z in null])
-        evals += sum(n for _, _, n in probes)
-        if any(probe is None for _, probe, _ in probes):
-            return x, evals
-        hess = [(null @ (probe[6][rank:].T @ (probe[6][rank:] @ probe[3])) - grad) / _PROBE
-                for _, probe, _ in probes]
-        lam, vec = np.linalg.eigh(np.add(hess, np.transpose(hess)) / 2)
-        lam = np.maximum(np.abs(lam), 1e-3 * np.abs(lam).max())
-        step = -vec @ ((vec.T @ grad) / lam)
+    With Z the null-space rows of the served SVD (the rank stays that at
+    ``x``), the reduced gradient is g = Z grad log perr and the reduced
+    Hessian is H = Z Hess(log perr - lam^T F) Z^T, the Riemannian Hessian of
+    log perr on the root set (Absil, Mahony & Sepulchre 2008, sec. 5.5),
+    with the multipliers lam = U_r diag(1/sigma_r) V_r^T grad log perr of the
+    served SVD truncated to the rank.  The step -H^-1 g uses |eigenvalues|
+    of the symmetrized H floored at 1e-3 of the largest, so it descends
+    where H is indefinite; it is capped at _MAX_STEP and backtracked from
+    unit length, each trial retracted onto the roots.  Returns the end point
+    and the eliminations spent, the one that serves ``x`` included."""
+    jet = yield x
+    evals = 1
+    while evals < _DESCENT_EVALS:
+        _, _, perr, grad, u, sv, vt, *_ = jet
+        null = vt[rank:]
+        lam = u[:, :rank] @ ((vt[:rank] @ grad) / sv[:rank])
+        hess = null @ (yield jet, lam) @ null.T
+        grad = null @ grad
+        eig, vec = np.linalg.eigh((hess + hess.T) / 2)
+        eig = np.maximum(np.abs(eig), 1e-3 * np.abs(eig).max())
+        step = -vec @ ((vec.T @ grad) / eig)
         slope = grad @ step
         if not -slope >= _DECREMENT_TOL:
             break
         scale = min(1.0, _MAX_STEP / np.linalg.norm(step))
         step, slope = scale * (null.T @ step), scale * slope
-        log_perr, length = math.log(jet[2]), 1.0
+        log_perr, length = math.log(perr), 1.0
         while length >= _MIN_STEP:
             y, trial, n = yield from _retraction(x + length * step)
             evals += n
@@ -462,7 +463,7 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
     xs = frozen.canonical(np.array(starts[:len(warm_starts)] + [x for x, _, _ in solved]))
     resid, perr = [], []
     for i in range(0, len(xs), _BLOCK):
-        ok, f, _, block_perr, _ = _kernels.reduce_jet(xs[i:i + _BLOCK], frozen)
+        ok, f, _, block_perr, *_ = _kernels.reduce_jet(xs[i:i + _BLOCK], frozen)
         resid += np.where(ok, np.abs(f).sum(axis=-1), _kernels.BAD_VALUE).tolist()
         perr += block_perr.tolist()
     spent = {"evals": sum(n for _, n, _ in solved), "descents": len(starts),

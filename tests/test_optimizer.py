@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,12 +83,12 @@ def test_lm_root_agrees_with_scipy_least_squares():
     frozen = opt._region("DBSL", lat.db_to_r(15.0))
     # from this start both solvers reach the same one of the two DBSL roots mod pi
     x0 = np.random.default_rng(0).uniform(-math.pi, math.pi, frozen.n_free)
-    x, _, f, _, perr, *_ = opt._lm_stack(frozen, x0[None])
+    x, _, f, *_ = opt._lm_stack(frozen, x0[None])
     ref = least_squares(lambda y: frozen.jet(y)[0], x0, jac=lambda y: frozen.jet(y)[1],
                         method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
     assert np.abs(f[0]).sum() < opt.ROOT_TOL
     assert frozen.metrics(ref.x)[0] < opt.ROOT_TOL
-    assert perr[0] == pytest.approx(frozen.metrics(ref.x)[1], rel=1e-9)
+    assert frozen.metrics(x[0])[1] == pytest.approx(frozen.metrics(ref.x)[1], rel=1e-9)
     np.testing.assert_allclose(frozen.canonical(x[0]), frozen.canonical(ref.x), rtol=0, atol=1e-9)
 
 
@@ -189,20 +193,24 @@ def test_cold_mbsl_search_reaches_the_optimum():
     res = opt.cz_search("MBSL", lat.db_to_r(15.0), cfg)
     assert res.accepted
     assert res.perr == pytest.approx(0.11767573281586881, rel=1e-12)
-    assert res.evals <= 600  # 739 with lstsq retraction steps, 4,502 with steepest descent
+    # 402 with the exact reduced Hessian; 559 with a differenced one, 739
+    # with lstsq retraction steps, 4,502 with steepest descent
+    assert res.evals <= 420
 
 
 def test_winners_are_bit_identical_to_per_candidate_scoring():
-    # literals from the search that scored each candidate with its own
-    # one-point jet; the stacked scoring pass must not move a bit
+    # literals that scoring each candidate with its own one-point jet gives
+    # (retaken, and checked that way, when the descent's reduced Hessian
+    # became the exact one and moved the MBSL winner by rounding); the
+    # stacked scoring pass must not move a bit
     res = opt.cz_search("MBSL", lat.db_to_r(15.0), opt.OptimizerConfig(restarts=8, seed=20200527))
     assert res.angles.tolist() == [
-        -0.785398163397456, 0.7853981633974403, 1.57079632679489, 5.2479169285435586e-17,
-        0.6164228318068213, -0.6164228318068017, 4.2537849918568225e-15, -1.5707963267948957,
-        0.4652495283334749, -0.46524952833347505, -1.5707963267948757, 1.5707963267948735]
-    assert (res.perr, res.residual, res.accepted) == (0.11767573281586766, 3.1350649437800814e-15,
+        -0.785398163397449, 0.7853981633974475, 1.570796326794896, 8.284677132847681e-17,
+        0.6164228318068122, -0.6164228318068108, 1.5900708985928302e-16, -1.5707963267948963,
+        0.46524952833347494, -0.4652495283334749, -1.5707963267948934, 1.5707963267948954]
+    assert (res.perr, res.residual, res.accepted) == (0.11767573281586771, 2.1648778147356316e-15,
                                                       True)
-    assert (res.evals, res.roots, res.descents) == (559, 8, 8)
+    assert (res.evals, res.roots, res.descents) == (402, 8, 8)
     # a degenerate exact warm start is a candidate that scores BAD_VALUE
     r = 1.0
     frozen = opt.freeze_region(lat.teleport_graph(math.tanh(2 * r)), np.eye(2), r)
@@ -241,8 +249,8 @@ def test_retraction_step_is_the_rank_truncated_least_squares_step():
         sv = np.linalg.svd(jac, compute_uv=False) / np.linalg.norm(jac, 2)
         assert ((sv > 1e2 * opt._RANK_TOL) | (sv < 1e-2 * opt._RANK_TOL)).all()  # a clear gap
         retraction = opt._retraction(y)
-        served = opt._served(*_kernels.reduce_jet(next(retraction), frozen))
-        step = y - retraction.send(served)[0]
+        served = opt._served(*_kernels.reduce_jet(next(retraction)[None], frozen))
+        step = y - retraction.send(served[0])
         expected = np.linalg.lstsq(jac, fy, rcond=opt._RANK_TOL)[0]
         assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
         checked += 1
@@ -285,7 +293,7 @@ def test_stacked_svd_of_a_jet_stack_equals_one_matrix_svds(lattice, variable_the
     stack = np.concatenate([x, _starts(frozen, 8, seed=1)])
     ok, *jet = _kernels.reduce_jet(stack, frozen)
     for jac, served in zip(jet[1], opt._served(ok, *jet)):
-        for part, alone in zip(served[4:], np.linalg.svd(jac, full_matrices=False)):
+        for part, alone in zip(served[4:7], np.linalg.svd(jac, full_matrices=False)):
             assert np.array_equal(part, alone)
 
 
@@ -345,6 +353,102 @@ def test_descent_ends_at_a_strict_local_minimum(lattice, variable_theta_c):
     assert np.linalg.norm(null @ grad) <= 1e-6
     # measured: 0.36/1.07 (BSL), 0.20/0.29/1.17 (MBSL), 2.01 (DBSL with theta_c)
     assert np.linalg.eigvalsh(_reduced_hessian(frozen, res.angles, null, 1e-3)).min() > 0
+
+
+def _rank(jac):
+    sv = np.linalg.svd(jac, compute_uv=False)
+    return int((sv > opt._RANK_TOL * sv[0]).sum())
+
+
+def _exact_reduced_hessian(frozen, x, rank):
+    """The served jet at x and the reduced Hessian the descent from x asks
+    for first: its multipliers, the kernel's Hessian, its null space."""
+    descent = opt._feasible_descent(x, rank)
+    jet = opt._served(*_kernels.reduce_jet(next(descent)[None], frozen))[0]
+    asked, lam = descent.send(jet)
+    assert asked is jet
+    null = jet[6][rank:]
+    terms = [part[[0]] for part in jet[-2]]
+    return jet, null @ _kernels.lagrangian_hessian(terms, lam[None], frozen)[0] @ null.T
+
+
+def _differenced_reduced_hessian(frozen, x, jet, rank, h):
+    """Forward differences of the projected gradient over probes retracted
+    from x + h Z_i, each probe's gradient projected onto its own null space."""
+    null = jet[6][rank:]
+    grad = null @ jet[3]
+    cols = []
+    for z in null:
+        _, probe, _ = opt._lockstep(frozen, [opt._retraction(x + h * z)])[0]
+        probe_null = probe[6][rank:]
+        cols.append((null @ (probe_null.T @ (probe_null @ probe[3])) - grad) / h)
+    return np.array(cols)
+
+
+@pytest.mark.parametrize("lattice, variable_theta_c", [
+    ("BSL", False), ("MBSL", False), ("DBSL", True)])
+def test_exact_reduced_hessian_matches_differences(lattice, variable_theta_c):
+    frozen = opt._region(lattice, lat.db_to_r(15.0), variable_theta_c)
+    x, ok, f, jac, _ = opt._lm_stack(frozen, _starts(frozen, 16))
+    roots = [(x[i], _rank(jac[i]))
+             for i in np.flatnonzero(ok & (np.abs(f).sum(axis=-1) < opt.ROOT_TOL))]
+    roots = [(y, rank) for y, rank in roots if rank < frozen.n_free][:5]
+    assert len(roots) == 5
+    for y, rank in roots:
+        jet, exact = _exact_reduced_hessian(frozen, y, rank)
+        assert np.linalg.norm(jet[6][rank:] @ jet[3]) > 1e-2  # not stationary
+        differenced = _differenced_reduced_hessian(frozen, y, jet, rank, 1e-7)
+        assert np.abs(exact - differenced).max() <= 1e-5 * np.abs(exact).max()
+    # at the winner, a stationary point, central differences of log perr
+    # along the roots give the same Hessian for any retraction
+    best = opt.search(frozen, opt.OptimizerConfig(restarts=8, seed=20200527)).angles
+    rank = _rank(frozen.jet(best)[1])
+    jet, exact = _exact_reduced_hessian(frozen, best, rank)
+    for reference in (_differenced_reduced_hessian(frozen, best, jet, rank, 1e-7),
+                      _reduced_hessian(frozen, best, jet[6][rank:], 1e-3)):
+        assert np.abs(exact - reference).max() <= 1e-5 * np.abs(exact).max()
+    # a row of a stacked Hessian is the one it gets alone, from its own jet
+    # or gathered from the stack's terms
+    stack = np.array([best] + [y for y, _ in roots])
+    ok, *jet, terms = _kernels.reduce_jet(stack, frozen)
+    assert ok.all()
+    lam = np.random.default_rng(0).normal(size=jet[0].shape)
+    stacked = _kernels.lagrangian_hessian(terms, lam, frozen)
+    for i, y in enumerate(stack):
+        alone = _kernels.lagrangian_hessian(_kernels.reduce_jet(y[None], frozen)[-1], lam[[i]],
+                                            frozen)
+        gathered = _kernels.lagrangian_hessian([part[[i]] for part in terms], lam[[i]], frozen)
+        assert np.array_equal(stacked[i], alone[0]) and np.array_equal(stacked[i], gathered[0])
+
+
+def test_variable_theta_c_descent_does_not_crawl_at_a_rank_drop():
+    # one start walked to where sigma_10 / sigma_1 is about 1.6e-7 and, with
+    # a differenced reduced Hessian there, ran to _DESCENT_EVALS (5,718
+    # eliminations for the search)
+    res = opt.cz_search("DBSL", lat.db_to_r(20.0), opt.OptimizerConfig(restarts=16, seed=11),
+                        variable_theta_c=True)
+    assert res.accepted
+    assert res.perr == pytest.approx(0.001057384726736686, rel=1e-12)
+    assert res.evals <= 2500
+
+
+def test_first_search_imports_no_masked_arrays_and_no_scipy():
+    # a fresh interpreter's first search may import numpy.random; a lazily
+    # imported numpy.ma (for example through np.unique) or scipy would add
+    # its import time to every process's first search
+    code = (
+        "import sys\n"
+        "from cvmbqc import lattice, optimizer\n"
+        "before = set(sys.modules)\n"
+        "config = optimizer.OptimizerConfig(restarts=2)\n"
+        "optimizer.cz_search('MBSL', lattice.db_to_r(15.0), config)\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n")
+    src = str(Path(opt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert not [name for name in proc.stdout.split()
+                if name.split(".")[:2] == ["numpy", "ma"] or name.split(".")[0] == "scipy"]
 
 
 # Best perr of 16-start searches (seed 11) with the projected steepest
