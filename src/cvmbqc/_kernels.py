@@ -7,9 +7,9 @@ so that the search advances all its starts, and scores all its candidates,
 with one call; the elimination's per-point mask tells which points are
 degenerate.  The optimizer's Levenberg-Marquardt solves read the residual and
 its Jacobian from :func:`reduce_residual`; its descents and its scoring add
-the error probability and its gradient from :func:`reduce_jet`, and the
-descents the Hessian that :func:`lagrangian_hessian` assembles from the
-terms of that same elimination.
+the error probability and its gradient from :func:`reduce_jet`; a root that
+a descent is served also gets, in the same round, the Hessian that
+:func:`lagrangian_hessian` assembles from the terms of that elimination.
 :func:`reduce_metrics` is the residual norm and perr of one point's jet, and
 :func:`nelder_mead` the simplex descent that exact roots replaced; no search
 calls either, and they stay only while ``perfbench/tracing.py`` hooks them.

@@ -16,20 +16,18 @@ lowest error probability wins, with residual and then lexicographic order of
 the canonical angles (each free angle mod pi) as tie-breakers.
 
 :func:`search` advances its starts in lockstep in the calling process,
-with no worker processes: one Levenberg-Marquardt iteration, or one step of
-every descent, evaluates the jets of all running starts in one stacked
-:func:`_kernels.reduce_residual` or :func:`_kernels.reduce_jet`, over
-start-order blocks of at most _BLOCK starts; one stacked SVD of those
-Jacobians gives the descents their retraction steps and null spaces, and
-one stacked :func:`_kernels.lagrangian_hessian` the Hessians of the descents
-that took a step.  Each start's trajectory is bit for bit the one it has
-alone, whatever else is in the stack, so the result is that of a loop over
-the starts, and a tracer of the calling process times the whole search.
-The exact warm starts and every end point are then scored from one more
-stacked jet.  A degenerate point is one that the jet's mask, the
-elimination's per-point degeneracy rule, rejects: no solve moves onto one
-or on from one, and a candidate there scores residual
-``_kernels.BAD_VALUE`` and perr 1.
+over start-order blocks of at most _BLOCK starts.  A Levenberg-Marquardt
+iteration evaluates every running start in one stacked
+:func:`_kernels.reduce_residual`.  A descent yields one point at a time, and
+a lockstep round serves the points of all descents together: one stacked
+:func:`_kernels.reduce_jet`, one stacked SVD of the Jacobians and, at the
+points that are roots, one stacked :func:`_kernels.lagrangian_hessian`.
+Each start's trajectory is bit for bit the one it has alone, whatever else
+is in the stack, so the result is that of a loop over the starts.  The
+exact warm starts and every end point are then scored from one more stacked
+jet.  A degenerate point is one that the jet's mask, the elimination's
+per-point degeneracy rule, rejects: no solve moves onto one or on from one,
+and a candidate there scores residual ``_kernels.BAD_VALUE`` and perr 1.
 :class:`OptResult` counts the eliminations, starts and roots a search spent
 and found.
 """
@@ -297,49 +295,51 @@ def _lm_stack(frozen: FrozenRegion, xs):
         nu[down] *= 2.0
 
 
-def _served(ok, f, jac, perr, grad, terms):
-    """Per row of a :func:`_kernels.reduce_jet` stack, the jet, the SVD
-    ``(U, sigma, V^T)`` of its J from one stacked ``np.linalg.svd``, and the
-    stack's terms with the row's index in them, or None where the row is
-    degenerate.  The SVD is thin unless J has fewer rows than columns, so
-    V^T spans every angle direction."""
-    parts = (f, jac, perr, grad, *np.linalg.svd(jac, full_matrices=jac.shape[-2] < jac.shape[-1]))
-    return [(*row, terms, j) if good else None
-            for j, (row, good) in enumerate(zip(zip(*parts), ok.tolist()))]
+def _served(frozen: FrozenRegion, x, ranks) -> list:
+    """One lockstep round: per point of the stack ``x``, the jet of one
+    stacked :func:`_kernels.reduce_jet`, the SVD ``(U, sigma, V^T)`` of its J
+    from one stacked ``np.linalg.svd`` and a Hessian, or None where the point
+    is degenerate.  At a root (|F|_1 < ROOT_TOL) whose solve has a rank r in
+    ``ranks``, the Hessian is that of log perr - lam^T F over the free
+    angles, lam = U_r diag(1/sigma_r) V_r^T grad log perr, from one stacked
+    :func:`_kernels.lagrangian_hessian` over all such roots; elsewhere, and
+    for a rank None, it is None.  The SVD is thin unless J has fewer rows
+    than columns, so V^T spans every angle direction."""
+    ok, f, jac, perr, grad, terms = _kernels.reduce_jet(x, frozen)
+    u, sv, vt = np.linalg.svd(jac, full_matrices=jac.shape[-2] < jac.shape[-1])
+    hess = [None] * len(x)
+    roots = [(j, r) for j, r in enumerate(ranks)
+             if r is not None and ok[j] and np.abs(f[j]).sum() < ROOT_TOL]
+    if roots:
+        idx = [j for j, _ in roots]
+        lam = np.stack([u[j][:, :r] @ ((vt[j][:r] @ grad[j]) / sv[j][:r]) for j, r in roots])
+        for j, h in zip(idx, _kernels.lagrangian_hessian([p[idx] for p in terms], lam, frozen)):
+            hess[j] = h
+    rows = zip(f, jac, perr, grad, u, sv, vt, hess)
+    return [row if good else None for row, good in zip(rows, ok.tolist())]
 
 
-def _lockstep(frozen: FrozenRegion, solves: list) -> list:
+def _lockstep(frozen: FrozenRegion, solves: list, ranks: list) -> list:
     """Run solves side by side and return their results in order.
 
-    A solve yields either a point, and is sent back its :func:`_served`
-    entry, or a served entry and multipliers lam, and is sent back the
-    free-angle Hessian of log perr - lam^T F there.  Each round first
-    answers every pending Hessian request from one stacked
-    :func:`_kernels.lagrangian_hessian`, then serves the points of every
-    solve from one stacked jet and one stacked SVD."""
-    results, requests = [None] * len(solves), {}
+    A solve yields a point and is sent back its :func:`_served` entry, with
+    the Hessian at a root if the solve's entry in ``ranks`` is a rank; each
+    round serves the points of every running solve from one stacked jet."""
+    results, points = [None] * len(solves), {}
 
     def advance(i, reply):
         try:
-            requests[i] = solves[i].send(reply)
+            points[i] = solves[i].send(reply)
         except StopIteration as stop:
             results[i] = stop.value
 
     for i in range(len(solves)):
         advance(i, None)
-    while requests:
-        asks = [i for i, request in requests.items() if isinstance(request, tuple)]
-        if asks:
-            jets, lams = zip(*(requests.pop(i) for i in asks))
-            # a solve asks at a row of the round just served
-            terms = [part[[jet[-1] for jet in jets]] for part in jets[0][-2]]
-            for i, hess in zip(asks, _kernels.lagrangian_hessian(terms, np.stack(lams), frozen)):
-                advance(i, hess)
-            continue
-        batch, requests = requests, {}
-        served = _served(*_kernels.reduce_jet(np.array(list(batch.values())), frozen))
-        for i, jet in zip(batch, served):
-            advance(i, jet)
+    while points:
+        batch, points = points, {}
+        served = _served(frozen, np.array(list(batch.values())), [ranks[i] for i in batch])
+        for i, row in zip(batch, served):
+            advance(i, row)
     return results
 
 
@@ -357,8 +357,9 @@ def _solve_block(frozen: FrozenRegion, starts) -> list:
     sv = np.linalg.svd(jac[idx], compute_uv=False)
     rank = (sv > _RANK_TOL * sv[:, :1]).sum(axis=-1)
     descend = rank < x.shape[1]
-    ends = _lockstep(frozen, [_feasible_descent(x[i], r)
-                              for i, r in zip(idx[descend], rank[descend].tolist())])
+    ranks = rank[descend].tolist()
+    ends = _lockstep(frozen, [_feasible_descent(x[i], r) for i, r in zip(idx[descend], ranks)],
+                     ranks)
     for i, (end, n) in zip(idx[descend], ends):
         solved[i] = (end, int(evals[i]) + n, True)
     return solved
@@ -375,7 +376,7 @@ def _retraction(x):
         jet = yield x
         if jet is None:
             break
-        f, _, _, _, u, sv, vt, *_ = jet
+        f, _, _, _, u, sv, vt, _ = jet
         if np.abs(f).sum() < ROOT_TOL:
             return x, jet, evals
         keep = sv > _RANK_TOL * sv[0]
@@ -390,21 +391,19 @@ def _feasible_descent(x, rank):
 
     With Z the null-space rows of the served SVD (the rank stays that at
     ``x``), the reduced gradient is g = Z grad log perr and the reduced
-    Hessian is H = Z Hess(log perr - lam^T F) Z^T, the Riemannian Hessian of
-    log perr on the root set (Absil, Mahony & Sepulchre 2008, sec. 5.5),
-    with the multipliers lam = U_r diag(1/sigma_r) V_r^T grad log perr of the
-    served SVD truncated to the rank.  The step -H^-1 g uses |eigenvalues|
-    of the symmetrized H floored at 1e-3 of the largest, so it descends
-    where H is indefinite; it is capped at _MAX_STEP and backtracked from
-    unit length, each trial retracted onto the roots.  Returns the end point
-    and the eliminations spent, the one that serves ``x`` included."""
+    Hessian is H = Z Hess(log perr - lam^T F) Z^T, from the Hessian served
+    with each root: the Riemannian Hessian of log perr on the root set
+    (Absil, Mahony & Sepulchre 2008, sec. 5.5).  The step -H^-1 g uses
+    |eigenvalues| of the symmetrized H floored at 1e-3 of the largest, so it
+    descends where H is indefinite; it is capped at _MAX_STEP and backtracked
+    from unit length, each trial retracted onto the roots.  Returns the end
+    point and the eliminations spent, the one that serves ``x`` included."""
     jet = yield x
     evals = 1
     while evals < _DESCENT_EVALS:
-        _, _, perr, grad, u, sv, vt, *_ = jet
+        _, _, perr, grad, _, _, vt, hess = jet
         null = vt[rank:]
-        lam = u[:, :rank] @ ((vt[:rank] @ grad) / sv[:rank])
-        hess = null @ (yield jet, lam) @ null.T
+        hess = null @ hess @ null.T
         grad = null @ grad
         eig, vec = np.linalg.eigh((hess + hess.T) / 2)
         eig = np.maximum(np.abs(eig), 1e-3 * np.abs(eig).max())
@@ -457,7 +456,6 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
         starts.append(w + rng.normal(0.0, 0.05, n_free))
     while len(starts) < config.restarts:
         starts.append(rng.uniform(-math.pi, math.pi, n_free))
-    starts = starts[:max(config.restarts, 2 * len(warm_starts))]
 
     solved = _solve_all(frozen, starts)
     xs = frozen.canonical(np.array(starts[:len(warm_starts)] + [x for x, _, _ in solved]))

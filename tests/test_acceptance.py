@@ -5,9 +5,12 @@ everything else is closed-form or oracle-backed and self-contained.  The table
 is regenerated section by section with the fixed base seed 20200527, the DBSL
 before its variable theta_c rows:
 
-    cvmbqc optimize --lattice DBSL --db-min 1 --db-max 25 --db-step 0.5 --seed 20200527
-    cvmbqc optimize --lattice BSL --db-min 1 --db-max 25 --db-step 0.5 --seed 20200527
-    cvmbqc optimize --lattice MBSL --db-min 1 --db-max 25 --db-step 0.5 --seed 20200527
+    cvmbqc optimize --lattice DBSL --db-min 0.25 --db-max 25 --db-step 0.25 \
+        --seed 20200527
+    cvmbqc optimize --lattice BSL --db-min 0.25 --db-max 25 --db-step 0.25 \
+        --seed 20200527
+    cvmbqc optimize --lattice MBSL --db-min 0.25 --db-max 25 --db-step 0.25 \
+        --seed 20200527
     cvmbqc optimize --lattice DBSL --variable-theta-c --db-min 5 --db-max 25 --db-step 1 \
         --seed 20200527
 """

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import subprocess
@@ -220,6 +221,11 @@ def test_winners_are_bit_identical_to_per_candidate_scoring():
     assert (res.perr, res.residual, res.accepted) == (0.17195552770533246, 2.2006601992804018e-16,
                                                       True)
     assert (res.evals, res.roots, res.descents) == (42, 5, 6)
+    # more exact warm starts than restarts / 2: each is solved, and so is its
+    # jittered copy, with no random start
+    warm = [np.array(w) for w in ([0.3, 0.3], [0.1, -0.2], [0.7, 0.4], [-1.0, 0.5])]
+    res = opt.search(frozen, opt.OptimizerConfig(restarts=6, seed=3), warm_starts=warm)
+    assert res.descents == 2 * len(warm)
 
 
 def test_no_cold_mbsl_retraction_uses_up_its_steps(monkeypatch):
@@ -239,6 +245,40 @@ def test_no_cold_mbsl_retraction_uses_up_its_steps(monkeypatch):
     assert spent and max(spent) < opt._RETRACT_ITERS
 
 
+def test_each_hessian_is_served_with_its_jet(monkeypatch):
+    # a descent yields only points; the Hessian at a root comes with the
+    # root's jet, so no round serves Hessians alone (56 rounds did when a
+    # descent asked for its Hessian a round after its jet)
+    counts = {"rounds": 0, "jets": 0}
+    serving = []
+    served, reduce_jet, hessian = opt._served, _kernels.reduce_jet, _kernels.lagrangian_hessian
+
+    def counted_served(*args):
+        counts["rounds"] += 1
+        serving.append(True)
+        try:
+            return served(*args)
+        finally:
+            serving.pop()
+
+    def counted_jet(*args):
+        counts["jets"] += 1
+        return reduce_jet(*args)
+
+    def checked_hessian(*args):
+        assert serving, "a Hessian served outside a lockstep round's jet"
+        return hessian(*args)
+
+    monkeypatch.setattr(opt, "_served", counted_served)
+    monkeypatch.setattr(_kernels, "reduce_jet", counted_jet)
+    monkeypatch.setattr(_kernels, "lagrangian_hessian", checked_hessian)
+    cfg = opt.OptimizerConfig(restarts=8, weight_grid=(1e-4,), seed=20200527)
+    res = opt.cz_search("MBSL", lat.db_to_r(15.0), cfg)
+    assert res.accepted and res.evals == 402
+    # 33 lockstep rounds, and one more stacked jet scores the candidates
+    assert counts == {"rounds": 33, "jets": 34}
+
+
 def test_retraction_step_is_the_rank_truncated_least_squares_step():
     frozen = opt._region("MBSL", lat.db_to_r(15.0))
     x, ok, f, *_ = opt._lm_stack(frozen, _starts(frozen, 4))
@@ -249,7 +289,7 @@ def test_retraction_step_is_the_rank_truncated_least_squares_step():
         sv = np.linalg.svd(jac, compute_uv=False) / np.linalg.norm(jac, 2)
         assert ((sv > 1e2 * opt._RANK_TOL) | (sv < 1e-2 * opt._RANK_TOL)).all()  # a clear gap
         retraction = opt._retraction(y)
-        served = opt._served(*_kernels.reduce_jet(next(retraction)[None], frozen))
+        served = opt._served(frozen, next(retraction)[None], [None])
         step = y - retraction.send(served[0])
         expected = np.linalg.lstsq(jac, fy, rcond=opt._RANK_TOL)[0]
         assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -291,10 +331,18 @@ def test_stacked_svd_of_a_jet_stack_equals_one_matrix_svds(lattice, variable_the
     frozen = opt._region(lattice, lat.db_to_r(15.0), variable_theta_c)
     x, *_ = opt._lm_stack(frozen, _starts(frozen, 8))  # roots among them
     stack = np.concatenate([x, _starts(frozen, 8, seed=1)])
-    ok, *jet = _kernels.reduce_jet(stack, frozen)
-    for jac, served in zip(jet[1], opt._served(ok, *jet)):
+    _, _, jacs, *_ = _kernels.reduce_jet(stack, frozen)
+    ranks = [_rank(jac) for jac in jacs]
+    stacked = opt._served(frozen, stack, ranks)
+    for jac, served in zip(jacs, stacked):
         for part, alone in zip(served[4:7], np.linalg.svd(jac, full_matrices=False)):
             assert np.array_equal(part, alone)
+    # and a root's Hessian, gathered from the stack's terms, is the one it
+    # is served alone; the random starts are not roots and get none
+    roots = [i for i, served in enumerate(stacked) if served[7] is not None]
+    assert roots and max(roots) < len(x)
+    for i in roots:
+        assert np.array_equal(stacked[i][7], opt._served(frozen, stack[[i]], [ranks[i]])[0][7])
 
 
 def test_lockstep_solves_across_a_block_boundary():
@@ -328,7 +376,7 @@ def _reduced_hessian(frozen, x, null, h):
     point retracted from x + h (Z_i +- Z_j); at a stationary point this is
     the Riemannian Hessian for any retraction."""
     def log_perr(y):
-        return math.log(opt._lockstep(frozen, [opt._retraction(y)])[0][1][2])
+        return math.log(opt._lockstep(frozen, [opt._retraction(y)], [None])[0][1][2])
 
     d = len(null)
     hess = np.empty((d, d))
@@ -361,15 +409,20 @@ def _rank(jac):
 
 
 def _exact_reduced_hessian(frozen, x, rank):
-    """The served jet at x and the reduced Hessian the descent from x asks
-    for first: its multipliers, the kernel's Hessian, its null space."""
+    """The served jet at x and the reduced Hessian the descent from x reads
+    first: the Hessian served with the jet, in the jet's null space."""
     descent = opt._feasible_descent(x, rank)
-    jet = opt._served(*_kernels.reduce_jet(next(descent)[None], frozen))[0]
-    asked, lam = descent.send(jet)
-    assert asked is jet
-    null = jet[6][rank:]
-    terms = [part[[0]] for part in jet[-2]]
-    return jet, null @ _kernels.lagrangian_hessian(terms, lam[None], frozen)[0] @ null.T
+    jet = opt._served(frozen, next(descent)[None], [rank])[0]
+    # the served Hessian is the kernel's, at the multipliers of the served SVD
+    _, _, _, grad, u, sv, vt, hess = jet
+    lam = u[:, :rank] @ ((vt[:rank] @ grad) / sv[:rank])
+    terms = _kernels.reduce_jet(x[None], frozen)[-1]
+    assert np.array_equal(hess, _kernels.lagrangian_hessian(terms, lam[None], frozen)[0])
+    # and the descent, sent the jet, yields its next point or ends
+    with contextlib.suppress(StopIteration):
+        assert isinstance(descent.send(jet), np.ndarray)
+    null = vt[rank:]
+    return jet, null @ hess @ null.T
 
 
 def _differenced_reduced_hessian(frozen, x, jet, rank, h):
@@ -379,7 +432,7 @@ def _differenced_reduced_hessian(frozen, x, jet, rank, h):
     grad = null @ jet[3]
     cols = []
     for z in null:
-        _, probe, _ = opt._lockstep(frozen, [opt._retraction(x + h * z)])[0]
+        _, probe, _ = opt._lockstep(frozen, [opt._retraction(x + h * z)], [None])[0]
         probe_null = probe[6][rank:]
         cols.append((null @ (probe_null.T @ (probe_null @ probe[3])) - grad) / h)
     return np.array(cols)
