@@ -61,12 +61,12 @@ def reduce_residual(x, frozen):
 
 def _residual_terms(x, frozen):
     """F and J with the elimination's mask and the factors they are built
-    from: M, U^-1, the rotated-row derivatives u' of the U block, K and R."""
+    from: M, U^-1, the rotated-row derivatives u' of the U block, and R,
+    with K = Y U^-1 as :func:`reduction.eliminate` returns it."""
     c, s, meas = _measured_rows(x, frozen)
-    m, u_inv, ok = eliminate(meas, frozen.out)
+    m, kmat, u_inv, ok = eliminate(meas, frozen.out)
     k = meas.shape[-2]
     d_meas = c * frozen.s0p - s * frozen.s0x
-    kmat = frozen.out[:, :k] @ u_inv
     rmat = d_meas[..., :k] @ (u_inv @ meas[..., k:]) - d_meas[..., k:]
     target = frozen.target_full
     n_in = target.shape[1]
@@ -142,9 +142,9 @@ def lagrangian_hessian(terms, lam, frozen) -> np.ndarray:
     n_in = frozen.target_full.shape[1]
     lam_m = lam.reshape(kmat.shape[:-2] + frozen.target_full.shape)
     qmat = k_t @ (2.0 * d_log[..., None] * smat - lam_m @ np.swapaxes(rmat[..., :n_in], -1, -2))
-    # packed operands: numpy's matmul rounds the strided views u' and U^-1
-    # differently from the packed rows that a stack gathers from them
-    cross = (np.ascontiguousarray(d_u) @ np.ascontiguousarray(u_inv)) * qmat
+    # packed operand: numpy's matmul rounds the strided view u' differently
+    # from the packed rows that a stack gathers from it (U^-1 is packed)
+    cross = (np.ascontiguousarray(d_u) @ u_inv) * qmat
     v = spikes + frozen.delta
     q = 1.0 - perr[..., None]
     curv = d_log * ((math.pi / (8.0 * v) - 1.5) / v + d_log * perr[..., None] / q)

@@ -17,10 +17,11 @@ measured-mode order.
 
 Degeneracy has one rule, decided per point in :func:`eliminate`, which the
 CZ-basis search kernel shares: a basis is rejected when the SVD reciprocal
-condition number of U is below RCOND_MIN.  :func:`eliminate` takes U^-1 V
-and U^-1 from one solve, runs the SVD only where the cheaper Frobenius bound
-on rcond cannot accept U, and returns the mask of accepted points;
-:func:`reduce` raises for a basis it rejects.
+condition number of U is below RCOND_MIN.  :func:`eliminate` inverts U
+once, forms K = Y U^-1 and M = Z - K V from that inverse, runs the SVD only
+where the cheaper Frobenius bound on rcond cannot accept U, and returns the
+mask of accepted points; :func:`reduce` raises for a basis it rejects and
+takes D = K.
 
 Every function here broadcasts over leading batch axes: a graph whose
 ``adjacency`` (and r, t, epsilon) are stacked, and a basis whose angles are
@@ -33,7 +34,6 @@ batch-free case.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -144,53 +144,44 @@ def _rcond(u: np.ndarray):
     return np.divide(sv[..., -1], top, out=np.zeros_like(top), where=top > 0)[()]
 
 
-@functools.cache
-def _identity(k: int) -> np.ndarray:
-    # kept: a fresh np.eye costs as much as the rest of assembling [V | I]
-    # in every search evaluation
-    eye = np.eye(k)
-    eye.flags.writeable = False
-    return eye
-
-
 def _sq_norms(a: np.ndarray):
     """Squared Frobenius norm of each matrix of the stack."""
     return np.einsum("...ij,...ij->...", a, a)
 
 
 def eliminate(meas: np.ndarray, out: np.ndarray):
-    """(M, U^-1, ok) with M = Z - Y U^-1 V for measured rows (U | V) and
-    output rows (Y | Z), both split after their first k = len(meas) columns.
+    """(M, K, U^-1, ok) with K = Y U^-1 and M = Z - K V for measured rows
+    (U | V) and output rows (Y | Z), both split after their first
+    k = len(meas) columns.
 
-    One solve against [V | I] gives U^-1 V and U^-1 together.  ``ok`` is
-    false, per point of a stack, where the SVD reciprocal condition number
-    of U is below RCOND_MIN; the SVD runs only on the matrices whose lower
-    bound 1/(|U|_F |U^-1|_F) on that rcond is below 100 RCOND_MIN or not
-    finite, or on the whole stack when some U is exactly singular, in which
-    case the rejected U's are replaced by I and the stack is solved again.
-    A rejected point's U^-1 V and U^-1 are zero, so its M is Z.
+    U is inverted once, in one stacked call, and K and M are formed from
+    that inverse.  ``ok`` is false, per point of a stack, where the SVD
+    reciprocal condition number of U is below RCOND_MIN; the SVD runs only
+    on the matrices whose lower bound 1/(|U|_F |U^-1|_F) on that rcond is
+    below 100 RCOND_MIN or not finite, or on the whole stack when some U is
+    exactly singular, in which case the rejected U's are replaced by I and
+    the stack is inverted again.  A rejected point's U^-1 and K are zero,
+    so its M is Z.
     """
     k = meas.shape[-2]
     u = meas[..., :k]
-    rhs = np.empty(meas.shape)  # [V | I] is as wide as [U | V]
-    rhs[..., :-k] = meas[..., k:]
-    rhs[..., -k:] = _identity(k)
     try:
-        sol = np.linalg.solve(u, rhs)
+        u_inv = np.linalg.inv(u)
     except np.linalg.LinAlgError:
         ok = _rcond(u) >= RCOND_MIN
         if ok.all():
             raise
-        sol = np.linalg.solve(np.where(ok[..., None, None], u, _identity(k)), rhs)
+        u_inv = np.linalg.inv(np.where(ok[..., None, None], u, np.eye(k)))
     else:
         # einsum sums to inf without a numpy warning, and dividing by an inf
         # norm gives 0; "not <=" also sends a NaN bound to the SVD
-        ok = np.asarray(_sq_norms(u) <= _MAX_NORM_PRODUCT_SQ / _sq_norms(sol[..., -k:]))
+        ok = np.asarray(_sq_norms(u) <= _MAX_NORM_PRODUCT_SQ / _sq_norms(u_inv))
         if not ok.all():
             ok[~ok] = _rcond(u[~ok]) >= RCOND_MIN
     if not ok.all():
-        sol[~ok] = 0.0
-    return out[..., k:] - out[..., :k] @ sol[..., :-k], sol[..., -k:], ok
+        u_inv[~ok] = 0.0
+    kmat = out[..., :k] @ u_inv
+    return out[..., k:] - kmat @ meas[..., k:], kmat, u_inv, ok
 
 
 def reduce(graph, basis) -> GateResult:
@@ -210,13 +201,12 @@ def reduce(graph, basis) -> GateResult:
     theta = np.stack(np.broadcast_arrays(*[np.asarray(basis[m], dtype=float)
                                            for m in measured]), axis=-1)[..., None]
     meas = np.cos(theta) * s0x + np.sin(theta) * s0p
-    m, u_inv, ok = eliminate(meas, out)
-    k = len(measured)
+    m, kmat, _, ok = eliminate(meas, out)
     if not ok.all():
-        rcond = np.min(_rcond(meas[~ok][..., :k]))
+        rcond = np.min(_rcond(meas[~ok][..., :len(measured)]))
         raise MeasurementDegenerateError(f"measurement basis is degenerate (rcond={rcond:.2e})")
     k2 = 2 * len(graph.input_modes)
-    return GateResult(G=m[..., :k2], N=m[..., k2:], D=out[..., :k] @ u_inv)
+    return GateResult(G=m[..., :k2], N=m[..., k2:], D=kmat)
 
 
 def chain(first: GateResult, second: GateResult) -> GateResult:

@@ -202,14 +202,15 @@ def test_cold_mbsl_search_reaches_the_optimum():
 def test_winners_are_bit_identical_to_per_candidate_scoring():
     # literals that scoring each candidate with its own one-point jet gives
     # (retaken, and checked that way, when the descent's reduced Hessian
-    # became the exact one and moved the MBSL winner by rounding); the
-    # stacked scoring pass must not move a bit
+    # became the exact one, and when the elimination came to form U^-1 by
+    # one inverse; each moved the MBSL winner by rounding); the stacked
+    # scoring pass must not move a bit
     res = opt.cz_search("MBSL", lat.db_to_r(15.0), opt.OptimizerConfig(restarts=8, seed=20200527))
     assert res.angles.tolist() == [
-        -0.785398163397449, 0.7853981633974475, 1.570796326794896, 8.284677132847681e-17,
-        0.6164228318068122, -0.6164228318068108, 1.5900708985928302e-16, -1.5707963267948963,
-        0.46524952833347494, -0.4652495283334749, -1.5707963267948934, 1.5707963267948954]
-    assert (res.perr, res.residual, res.accepted) == (0.11767573281586771, 2.1648778147356316e-15,
+        -0.7853981633974483, 0.7853981633974483, -1.5707963267948966, 3.354462025160308e-17,
+        0.6164228318068111, -0.6164228318068115, -3.1439755123494453e-16, -1.5707963267948961,
+        0.4652495283334749, -0.465249528333475, -1.5707963267948957, -1.5707963267948957]
+    assert (res.perr, res.residual, res.accepted) == (0.11767573281586778, 2.8760593161593137e-15,
                                                       True)
     assert (res.evals, res.roots, res.descents) == (402, 8, 8)
     # a degenerate exact warm start is a candidate that scores BAD_VALUE
@@ -218,7 +219,7 @@ def test_winners_are_bit_identical_to_per_candidate_scoring():
     res = opt.search(frozen, opt.OptimizerConfig(restarts=6, seed=3),
                      warm_starts=[np.array([0.3, 0.3])])
     assert res.angles.tolist() == [0.80371175462753, -0.80371175462753]
-    assert (res.perr, res.residual, res.accepted) == (0.17195552770533246, 2.2006601992804018e-16,
+    assert (res.perr, res.residual, res.accepted) == (0.17195552770533246, 1.6991062459413624e-16,
                                                       True)
     assert (res.evals, res.roots, res.descents) == (42, 5, 6)
     # more exact warm starts than restarts / 2: each is solved, and so is its
@@ -651,7 +652,7 @@ def test_eliminate_decides_degeneracy_per_point_of_a_mixed_stack():
         bases = [dict(zip(graph.measured_modes, row)) for row in theta]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            m, u_inv, ok = red.eliminate(meas, out)
+            m, kmat, u_inv, ok = red.eliminate(meas, out)
             raised = []
             for basis in bases:
                 try:
@@ -663,11 +664,12 @@ def test_eliminate_decides_degeneracy_per_point_of_a_mixed_stack():
             kernel_ok = _kernels.reduce_jet(xs, frozen)[0]
         assert ok.tolist() == expected == [not bad for bad in raised]
         assert np.array_equal(kernel_ok, ok)
-        for i, (m1, u_inv1, ok1) in enumerate(alone):
+        for i, (m1, kmat1, u_inv1, ok1) in enumerate(alone):
             assert ok1 == ok[i]
             assert np.array_equal(m[i], m1) and np.array_equal(u_inv[i], u_inv1)
+            assert np.array_equal(kmat[i], kmat1)
         assert np.array_equal(m[~ok], np.broadcast_to(out[:, len(theta[0]):], m[~ok].shape))
-        assert not u_inv[~ok].any()
+        assert not u_inv[~ok].any() and not kmat[~ok].any()
         stacked = {mode: theta[:, i] for i, mode in enumerate(graph.measured_modes)}
         with pytest.raises(MeasurementDegenerateError):
             reduce_region(graph, stacked)

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvmbqc import gates
 from cvmbqc import lattice as lat
 from cvmbqc import reduction as red
 from cvmbqc import symplectic as sp
@@ -333,11 +335,63 @@ def test_eliminate_degeneracy_at_extreme_scales(tiny, degenerate):
     u = np.diag([tiny, 1.0])
     meas = np.hstack([u, np.ones((2, 2))])
     out = np.ones((2, 4))
-    m, u_inv, ok = red.eliminate(meas, out)
+    m, kmat, u_inv, ok = red.eliminate(meas, out)
     assert ok == (not degenerate)
     if degenerate:
-        assert not u_inv.any()
+        assert not u_inv.any() and not kmat.any()
         assert np.array_equal(m, out[:, 2:])
     else:
         assert np.array_equal(u_inv, np.diag([1.0 / tiny, 1.0]))
-        assert np.array_equal(m, out[:, 2:] - out[:, :2] @ np.linalg.solve(u, meas[:, 2:]))
+        assert np.array_equal(kmat, out[:, :2] @ u_inv)
+        assert np.array_equal(m, out[:, 2:] - (out[:, :2] @ u_inv) @ meas[:, 2:])
+        # the solve-based M of the same elimination agrees to rounding
+        solved = out[:, 2:] - out[:, :2] @ np.linalg.solve(u, meas[:, 2:])
+        assert np.abs(m - solved).max() <= 1e-15 * np.abs(solved).max()
+
+
+def _curve_and_table_plans():
+    """One 25-point stacked plan per default-curve gate of every lattice (both
+    step parities, the teleport step and the shipped CZ bases included), and
+    the CZ plans of every 7th row of the shipped table, one stack per section."""
+    dbs = np.arange(1.0, 26.0)
+    r = lat.db_to_r(dbs)
+    table = gates.load_basis_table()
+    plans = [gates.basis_for(lattice, gate_id, r, parity)
+             for lattice in ("TELEPORT", "DBSL", "BSL", "MBSL", "QRL")
+             for gate_id in gates.SINGLE_MODE_GATES for parity in (0, 1)]
+    plans += [gates.cz_plan(lattice, dbs, table=table) for lattice in ("DBSL", "BSL", "MBSL", "QRL")]
+    plans.append(gates.dbsl_swap_plan(r))
+    sections = {}
+    for row in table["entries"][::7]:
+        key = (row["lattice"], "theta_c" in row)
+        sections.setdefault(key, []).append(row["squeezing_db"])
+    plans += [gates.cz_plan(lattice, np.array(points), table=table, variable_theta_c=vtc)
+              for (lattice, vtc), points in sections.items()]
+    return plans
+
+
+def test_eliminate_forms_k_from_its_one_inverse():
+    # K = Y U^-1 comes from the U^-1 that eliminate returns, bit for bit, and
+    # is the D of reduce(); M = Z - K V agrees with the solve-based M
+    regions = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for plan in _curve_and_table_plans():
+            for track in plan.steps:
+                graph, basis = track.graph, track.angles
+                s0x, s0p, out = red.split_s0(graph)
+                theta = np.stack(np.broadcast_arrays(
+                    *[np.asarray(basis[m], dtype=float) for m in graph.measured_modes]),
+                    axis=-1)[..., None]
+                meas = np.cos(theta) * s0x + np.sin(theta) * s0p
+                k = len(graph.measured_modes)
+                m, kmat, u_inv, ok = red.eliminate(meas, out)
+                assert ok.all()
+                assert np.array_equal(kmat, out[..., :k] @ u_inv)
+                assert np.array_equal(red.reduce(graph, basis).D, kmat)
+                solved = out[..., k:] - out[..., :k] @ np.linalg.solve(meas[..., :k],
+                                                                       meas[..., k:])
+                scale = np.abs(solved).max(axis=(-2, -1))
+                assert (np.abs(m - solved).max(axis=(-2, -1)) <= 1e-13 * scale).all()
+                regions += 1
+    assert regions >= 40
