@@ -1,14 +1,14 @@
 """Gate plans: closed-form basis settings per lattice plus the optimizer-backed
 controlled-Z cache.
 
-A plan is a tuple of steps, each one :class:`PlanTrack` (region graph, full
-basis, kept outputs/inputs).  Realizing a plan reduces every step, keeps its
+A plan is a tuple of steps, each one :class:`PlanTrack` (region graph, basis,
+kept outputs/inputs).  Realizing a plan reduces every step, keeps its
 chosen modes, and chains the steps, so the combined noise matrix follows the
 two-step composition rule N = [G2 N1 | N2].  Every controlled-Z plan, the
 closed-form QRL one included, is one step on its lattice's :func:`cz_region`.
 Every plan constructor takes the squeezing as a number or an array; an
 array gives one plan for the whole block, each step one stacked region graph
-with one angle array per measured mode, which :func:`realize` reduces in one
+with a basis that has r's axes in front, which :func:`realize` reduces in one
 pass per step.
 """
 
@@ -28,7 +28,7 @@ from . import __version__
 from . import lattice as lat
 from . import symplectic as sp
 from .errors import CacheMissError
-from .reduction import GateResult, basis_from_sums, chain, reduce, restrict
+from .reduction import GateResult, chain, reduce, restrict
 
 __all__ = [
     "GatePlan",
@@ -65,11 +65,11 @@ CZ_KEEP = (0, 1)
 
 @dataclass(frozen=True)
 class PlanTrack:
-    """One plan step: its region graph, full basis, and the output and input
-    positions the step keeps, in order (default: all of them)."""
+    """One plan step: its region graph, its basis (the graph's full_basis)
+    and the output and input positions it keeps, in order (default: all)."""
 
     graph: lat.ComputationGraph
-    angles: dict
+    angles: np.ndarray
     out_keep: tuple = None
     in_keep: tuple = None
     keeps_all: bool = field(init=False)
@@ -129,24 +129,20 @@ def target_symplectic(gate_id: str, signs=(1, 1)) -> np.ndarray:
     raise ValueError(f"unknown gate id {gate_id!r}")
 
 
-def cz_region(lattice: str, r, theta_c=None) -> tuple:
+def cz_region(lattice: str, r) -> tuple:
     """The even-parity CZ region of ``lattice`` at squeezing r (stacked for
     an array), and the Fourier-CZ target it implements: (graph, target)."""
-    graph = lat.cz_region_graph(lat.LatticeParams.from_r(lattice, r), theta_c=theta_c)
+    graph = lat.cz_region_graph(lat.LatticeParams.from_r(lattice, r))
     return graph, target_symplectic("FFCZ", FFCZ_EXPONENTS[lattice])
 
 
 def _step_basis(graph, theta_plus, theta_minus):
-    """Basis for one single-mode step: the wire pair carries (theta+, theta-)."""
-    mode_in, mode_partner = graph.free_modes[0], graph.free_modes[1]
-    extra = graph.control_angles()
-    if graph.lattice == "QRL":
-        # basis restriction theta_A = theta_D, theta_B = theta_C applies the
-        # same gate to both computation modes of the macronode
-        a_in = 0.5 * (theta_plus + theta_minus)
-        a_pa = 0.5 * (theta_plus - theta_minus)
-        return {0: a_in, 1: a_in, 2: a_pa, 3: a_pa}
-    return basis_from_sums(mode_in, mode_partner, theta_plus, theta_minus, extra)
+    """Basis for one single-mode step with theta+- = theta_in +- theta_partner
+    on its free modes, the input-side ones first: two of each on the QRL,
+    where equal angles apply one gate to both computation modes."""
+    h = len(graph.free_modes) // 2
+    return graph.full_basis([0.5 * (theta_plus + theta_minus)] * h
+                            + [0.5 * (theta_plus - theta_minus)] * h)
 
 
 def _single_mode_sums(lattice, gate_id, r, parity):
@@ -205,12 +201,11 @@ def basis_for(lattice: str, gate_id: str, r, parity: int = 0) -> GatePlan:
     return GatePlan(lattice, gate_id, r, steps, target_symplectic(gate_id))
 
 
-def _cz_region_plan(lattice, r, free_angles, theta_c=None) -> GatePlan:
+def _cz_region_plan(lattice, r, free_angles, variable_theta_c=False) -> GatePlan:
     """One-step Fourier-CZ plan on the CZ region of ``lattice``."""
-    graph, target = cz_region(lattice, r, theta_c)
-    return GatePlan(lattice, "FFCZ", r,
-                    (PlanTrack(graph, graph.full_basis(free_angles), CZ_KEEP, CZ_KEEP),),
-                    target)
+    graph, target = cz_region(lattice, r)
+    basis = graph.full_basis(free_angles, variable_theta_c)
+    return GatePlan(lattice, "FFCZ", r, (PlanTrack(graph, basis, CZ_KEEP, CZ_KEEP),), target)
 
 
 def qrl_cz_angles(r) -> tuple:
@@ -390,8 +385,8 @@ def cz_plan(lattice: str, db, table: dict | None = None,
         return row["angles"] + [row.get("theta_c", lat.DEFAULT_THETA_C[lattice])]
 
     # one entry per free angle, then theta_c, each in db's shape
-    *angles, theta_c = np.moveaxis(np.asarray(lat.per_point(basis_at, db)), -1, 0)
-    return _cz_region_plan(lattice, lat.db_to_r(db), angles, theta_c)
+    angles = np.moveaxis(np.asarray(lat.per_point(basis_at, db)), -1, 0)
+    return _cz_region_plan(lattice, lat.db_to_r(db), angles, variable_theta_c=True)
 
 
 def iter_catalog(r: float):

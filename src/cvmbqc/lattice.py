@@ -6,6 +6,10 @@ output modes, the balanced-beamsplitter mixing pairs of the measurement
 devices, and the preset control-mode bases.  Cylinder bookkeeping (temporal
 circumference, mode duration) never enters the numerics, only the labels.
 
+A region's angle map (:meth:`ComputationGraph.angle_map`) is the one rule
+that turns free angles, theta_c last where it varies, into a basis: the
+measured-mode angle vector that the reduction, the search and the oracle read.
+
 A control-mode device measuring both inputs at equal bases commutes with its
 beam splitter up to a recombination of the outcomes, so such devices reduce
 to per-mode measurements at the preset basis and are omitted from the mixing
@@ -145,19 +149,32 @@ class ComputationGraph:
         inputs = set(self.input_modes)
         return tuple(m for m in range(self.n_modes) if m not in inputs)
 
-    def control_angles(self, theta_c: float | None = None) -> dict:
-        tc = self.theta_c if theta_c is None else theta_c
-        return {m: s * tc for m, s in self.control_modes}
+    def angle_map(self, variable_theta_c: bool = False) -> tuple:
+        """``(theta_base, a_map)``: the measured-mode angles, in
+        measured_modes order, are theta_base + a_map @ x at the free angles
+        x, in free_modes order.  A control mode sits at its sign times
+        theta_c: the graph's theta_c, in theta_base, or with
+        ``variable_theta_c`` one more free angle, the last."""
+        pos = {m: i for i, m in enumerate(self.measured_modes)}
+        theta_base = np.zeros(len(pos))
+        a_map = np.zeros((len(pos), len(self.free_modes) + variable_theta_c))
+        for i, m in enumerate(self.free_modes):
+            a_map[pos[m], i] = 1.0
+        for m, sign in self.control_modes:
+            if variable_theta_c:
+                a_map[pos[m], -1] = sign
+            else:
+                theta_base[pos[m]] = sign * self.theta_c
+        return theta_base, a_map
 
-    def full_basis(self, free_angles) -> dict:
-        """Angle map over all measured modes from the free angles (in free_modes order)."""
-        free_angles = list(free_angles)
-        if len(free_angles) != len(self.free_modes):
-            raise ValueError(
-                f"expected {len(self.free_modes)} free angles, got {len(free_angles)}")
-        angles = self.control_angles()
-        angles.update(zip(self.free_modes, free_angles))
-        return angles
+    def full_basis(self, free_angles, variable_theta_c: bool = False) -> np.ndarray:
+        """The basis at the free angles of :meth:`angle_map`, each a number or
+        an array: the measured-mode angles, with the batch axes in front."""
+        theta_base, a_map = self.angle_map(variable_theta_c)
+        if len(free_angles) != a_map.shape[1]:
+            raise ValueError(f"expected {a_map.shape[1]} free angles, got {len(free_angles)}")
+        x = np.stack(np.broadcast_arrays(*free_angles), axis=-1).astype(float)
+        return theta_base + (a_map @ x[..., None])[..., 0]
 
 
 def _build(lattice, params, parity, theta_c, labels, edges, inputs, outputs,

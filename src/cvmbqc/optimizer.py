@@ -42,6 +42,7 @@ import numpy as np
 
 from . import _kernels
 from . import gates
+from . import lattice as lat
 from .gkp import error_probability, propagate_spikes, resource_variances
 from .reduction import noise_factors, restrict, split_s0
 from .reduction import reduce as reduce_region
@@ -51,6 +52,9 @@ __all__ = ["OptimizerConfig", "OptResult", "FrozenRegion", "freeze_region",
 
 # The default of OptimizerConfig.weight_grid, which no longer weights anything.
 DEFAULT_WEIGHTS = (1e-8, 1e-6, 1e-4, 1e-2, 1.0)
+
+# search() builds every start before it solves one; bounded like a CLI grid.
+MAX_RESTARTS = 10 ** 6
 
 # Acceptance: a solution implements the target when |G - T|_1 (plus any
 # dummy-input leakage) is below this; the basis table ships only such rows.
@@ -101,8 +105,9 @@ class OptimizerConfig:
         object.__setattr__(self, "weight_grid", tuple(grid))
         if not _is_number(self.restarts, numbers.Integral):
             raise ValueError(f"restarts must be an integer, got {self.restarts!r}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if not 1 <= self.restarts <= MAX_RESTARTS:
+            raise ValueError(f"restarts must be at least 1 and at most {MAX_RESTARTS}, "
+                             f"got {self.restarts}")
         if not _is_number(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -201,9 +206,10 @@ def freeze_region(graph, target, r, out_sel=None, in_real=None,
 
     ``out_sel`` picks and orders the compared output modes, ``in_real`` the
     input modes carrying encoded states; remaining inputs are dummies whose
-    leakage is penalized in the residual and budgeted as vacuum noise.  With
-    ``variable_theta_c`` the last free variable scales every preset control
-    basis by its alternation sign.
+    leakage is penalized in the residual and budgeted as vacuum noise.  The
+    free angles map to the measured ones by the graph's
+    :meth:`lattice.ComputationGraph.angle_map`, with ``variable_theta_c``
+    the last of them the control basis theta_c.
     """
     s0x, s0p, out = split_s0(graph)
     k = s0x.shape[0]
@@ -215,19 +221,7 @@ def freeze_region(graph, target, r, out_sel=None, in_real=None,
            + [k + i for i in in_dummy] + [k + n_in + i for i in in_dummy])
     cols = list(range(k)) + ins + list(range(k + 2 * n_in, s0x.shape[1]))
     rows = out_sel + [n_out + i for i in out_sel]
-
-    measured = list(graph.measured_modes)
-    theta_base = np.zeros(k)
-    pos = {m: i for i, m in enumerate(measured)}
-    n_free = len(graph.free_modes) + (1 if variable_theta_c else 0)
-    a_map = np.zeros((k, n_free))
-    for i, m in enumerate(graph.free_modes):
-        a_map[pos[m], i] = 1.0
-    for m, sign in graph.control_modes:
-        if variable_theta_c:
-            a_map[pos[m], n_free - 1] = sign
-        else:
-            theta_base[pos[m]] = sign * graph.theta_c
+    theta_base, a_map = graph.angle_map(variable_theta_c)
 
     n_real, n_dummy = 2 * len(in_real), 2 * len(in_dummy)
     target = np.asarray(target, dtype=float)
@@ -476,14 +470,16 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
 
 
 def evaluate_free_angles(lattice: str, r: float, angles, theta_c: float | None = None):
-    """Reference-path (residual, perr) of a CZ free-angle vector.
+    """Reference-path (residual, perr) of a CZ free-angle vector, with the
+    control basis at ``theta_c`` (default: the lattice's).
 
     Runs the plain reduction instead of the search kernel; used to re-verify
     accepted optimizer results and cached table rows.  The dummy inputs of the
     QRL region carry vacuum (variance 1/2) into the gate noise.
     """
-    graph, target = gates.cz_region(lattice, r, theta_c)
-    out = reduce_region(graph, graph.full_basis(angles))
+    graph, target = gates.cz_region(lattice, r)
+    theta_c = graph.theta_c if theta_c is None else theta_c
+    out = reduce_region(graph, graph.full_basis([*angles, theta_c], variable_theta_c=True))
     delta, cluster_var = resource_variances(r)
     keep = gates.CZ_KEEP
     real = restrict(out, keep, keep)
@@ -532,14 +528,14 @@ def cz_search(lattice: str, r: float, config: OptimizerConfig, warm_starts=(),
 
     With ``variable_theta_c`` the DBSL control basis theta_c is a further
     free angle, returned in ``theta_c``; warm starts without it start at
-    theta_c = pi/4.
+    the DBSL default theta_c.
     """
     if variable_theta_c and lattice != "DBSL":
         raise ValueError("variable theta_c optimization targets the DBSL region")
     frozen = _region(lattice, r, variable_theta_c)
     starts = _warm_starts(lattice, r, warm_starts)
     if variable_theta_c:
-        starts = [np.append(w, math.pi / 4) if len(w) == frozen.n_free - 1 else w
+        starts = [np.append(w, lat.DEFAULT_THETA_C["DBSL"]) if len(w) == frozen.n_free - 1 else w
                   for w in starts]
     res = search(frozen, config, warm_starts=starts)
     if variable_theta_c:

@@ -100,7 +100,7 @@ def simulate_region(graph, angles, probe: GaussianState | None = None,
 
     Inputs carry ``probe`` (vacuum by default), cluster modes are momentum
     squeezed to variance epsilon/2, and every measured mode is conditioned on
-    ``outcome`` in its own basis.
+    ``outcome`` in its own basis, ``angles`` in measured_modes order.
     """
     n = graph.n_modes
     inputs = list(graph.input_modes)
@@ -127,8 +127,8 @@ def simulate_region(graph, angles, probe: GaussianState | None = None,
         state = evolve(state, sp.embed(sp.beamsplitter(), [i, j], n))
 
     remaining = list(range(n))
-    for m in sorted(graph.measured_modes, reverse=True):
-        state = condition_homodyne(state, remaining.index(m), angles[m], outcome)
+    for m, angle in sorted(zip(graph.measured_modes, angles), reverse=True):
+        state = condition_homodyne(state, remaining.index(m), angle, outcome)
         remaining.remove(m)
     order = [remaining.index(o) for o in graph.output_modes]
     idx = order + [len(remaining) + o for o in order]
@@ -178,8 +178,8 @@ class _PlanCircuit:
             s_tot = emb(s_cz, range(g.n_modes)) @ s_tot
             for i, j in g.mixing_pairs:
                 s_tot = emb(sp.beamsplitter(), [i, j]) @ s_tot
-            for m in g.measured_modes:
-                s_tot = emb(sp.rotation(track.angles[m]), [m]) @ s_tot
+            for m, angle in zip(g.measured_modes, track.angles):
+                s_tot = emb(sp.rotation(angle), [m]) @ s_tot
                 self.meas_rows.append(mode_map[m])
             active = [mode_map[g.output_modes[pos]] for pos in track.out_keep]
         self.outputs = active
@@ -403,11 +403,8 @@ def wigner_limit_check(lattice: str, r: float, npts: int = 513,
     if t == 0.0:
         ref = np.diag([0.5 / eps, 0.5 * eps])
     else:
-        params = lat.LatticeParams.from_r(lattice, r)
-        graph = lat.single_step_graph(params)
-        angles = basis_for(lattice, "I", r).steps[0].angles
-        out = simulate_region(graph, angles, GaussianState(np.zeros(2), probe_cov))
-        ref = out.cov
+        step = basis_for(lattice, "I", r).steps[0]
+        ref = simulate_region(step.graph, step.angles, GaussianState(np.zeros(2), probe_cov)).cov
 
     grid = np.array([[vx, cxp], [cxp, vp]])
     rel = np.abs(grid - ref) / np.abs(np.diag(ref)).max()

@@ -2,9 +2,10 @@
 gate G, the gate-noise matrix N, and the displacement matrix D.
 
 The core is the angle-independent pre-measurement transformation
-S0 = S_BS S_CZ of the region.  A homodyne basis theta only rotates the
-measured rows: the measured quadrature of mode m is the row
-cos(theta_m) S0x_m + sin(theta_m) S0p_m, while output rows stay unrotated.
+S0 = S_BS S_CZ of the region.  A homodyne basis theta, the measured-mode
+angles in measured_modes order as the graph's angle map builds them, only
+rotates the measured rows: the i-th measured quadrature is the row
+cos(theta_i) S0x_i + sin(theta_i) S0p_i, while output rows stay unrotated.
 The engine solves out the anti-squeezed x quadratures of the cluster modes
 against the measured quadratures and reads off
 
@@ -24,8 +25,8 @@ mask of accepted points; :func:`reduce` raises for a basis it rejects and
 takes D = K.
 
 Every function here broadcasts over leading batch axes: a graph whose
-``adjacency`` (and r, t, epsilon) are stacked, and a basis whose angles are
-arrays of the same batch shape, reduce in one call to a GateResult whose
+``adjacency`` (and r, t, epsilon) are stacked, and a basis with the same
+batch axes in front of its angle axis, reduce in one call to a GateResult whose
 matrices carry that batch shape in front.  The stack is reduced matrix by
 matrix with the same LAPACK and BLAS calls as a single region, so each
 point's result is bit for bit the one it gets alone; a single region is the
@@ -35,7 +36,6 @@ batch-free case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from . import symplectic as sp
 from .errors import MeasurementDegenerateError
 
 __all__ = [
-    "basis_from_sums",
     "GateResult",
     "reduce",
     "chain",
@@ -62,17 +61,6 @@ _MAX_NORM_PRODUCT_SQ = 1.0 / (100.0 * RCOND_MIN) ** 2
 # The balanced beam splitter acts by this 2x2 block on the x and on the p
 # quadratures of its pair.
 _BS = sp.beamsplitter()[:2, :2]
-
-
-def basis_from_sums(mode_in: int, mode_partner: int, theta_plus: float,
-                    theta_minus: float, extra: Mapping[int, float] | None = None) -> dict:
-    """Homodyne angles x(theta) = x cos(theta) + p sin(theta) per measured mode,
-    from the sum/difference angles theta_pm = theta_in +- theta_partner of one
-    wire pair; ``extra`` holds the angles of the other measured modes."""
-    angles = dict(extra or {})
-    angles[mode_in] = 0.5 * (theta_plus + theta_minus)
-    angles[mode_partner] = 0.5 * (theta_plus - theta_minus)
-    return angles
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,23 +175,23 @@ def eliminate(meas: np.ndarray, out: np.ndarray):
 def reduce(graph, basis) -> GateResult:
     """Reduce one region to its GateResult.
 
-    ``basis`` maps each measured mode to its angle, a number or an array of
-    the graph's batch shape; output-mode angles are fixed at zero.  Raises
+    ``basis`` is the vector of measured-mode angles in the graph's
+    measured_modes order (:meth:`lattice.ComputationGraph.full_basis`),
+    with any batch axes in front; output-mode angles are fixed at zero.
+    Raises ValueError for a basis of the wrong length, and
     MeasurementDegenerateError when :func:`eliminate` rejects the basis, on
     a stack when it rejects any point; only then is an SVD run, over the
     rejected points, for the smallest rcond the message reports.
     """
-    measured = list(graph.measured_modes)
-    missing = [m for m in measured if m not in basis]
-    if missing:
-        raise ValueError(f"basis missing angles for measured modes {missing}")
+    k = len(graph.measured_modes)
+    theta = np.asarray(basis, dtype=float)[..., None]
+    if theta.shape[-2:] != (k, 1):
+        raise ValueError(f"expected a basis of {k} measured-mode angles, got {np.shape(basis)}")
     s0x, s0p, out = split_s0(graph)
-    theta = np.stack(np.broadcast_arrays(*[np.asarray(basis[m], dtype=float)
-                                           for m in measured]), axis=-1)[..., None]
     meas = np.cos(theta) * s0x + np.sin(theta) * s0p
     m, kmat, _, ok = eliminate(meas, out)
     if not ok.all():
-        rcond = np.min(_rcond(meas[~ok][..., :len(measured)]))
+        rcond = np.min(_rcond(meas[~ok][..., :k]))
         raise MeasurementDegenerateError(f"measurement basis is degenerate (rcond={rcond:.2e})")
     k2 = 2 * len(graph.input_modes)
     return GateResult(G=m[..., :k2], N=m[..., k2:], D=kmat)

@@ -78,7 +78,7 @@ def test_criterion_2_published_matrices():
     worst = 0.0
     for r in (0.5, 1.0, 2.0):
         t = TH(2 * r)
-        res = reduce_region(lat.teleport_graph(t), {0: 0.4, 1: -0.7})
+        res = reduce_region(lat.teleport_graph(t), [0.4, -0.7])
         worst = max(worst, np.abs(res.N - [[-1 / t, 0], [0, 1]]).max())
 
         params = lat.LatticeParams.from_r("DBSL", r)

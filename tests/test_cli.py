@@ -297,6 +297,19 @@ def test_optimize_bad_config_is_usage_error(capsys, tmp_path, doc, message):
     assert not table.exists()
 
 
+def test_optimize_refuses_restarts_above_the_bound(capsys, tmp_path, fake_search):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"restarts": 10 ** 12}))
+    table = tmp_path / "table.json"
+    code, out, err = run_cli(["optimize", "--lattice", "DBSL", "--config", str(cfg),
+                              "--out", str(table)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "error: restarts must be at least 1 and at most 1000000, got 1000000000000\n"
+    assert fake_search.calls == []
+    assert not table.exists()
+
+
 def test_optimize_unreadable_config_is_usage_error(capsys, tmp_path):
     table = tmp_path / "table.json"
     code, _, err = run_cli(["optimize", "--lattice", "MBSL",
@@ -522,15 +535,36 @@ DEFAULT_CURVE_DIGESTS = [
      "49659207d0f5ba4ab73d841d039b6e1b11c36c7f4bcadd7832dbaac5b0654fc1"),
     (["noise-curve", "--lattice", "DBSL", "--gate", "SWAP"],
      "0056e0dd135eea7b1297e977c1666a5cd7d620b34264f61f6bf30fb101635fac"),
+    # these two read the shipped basis table
+    (["error-curve", "--lattice", "DBSL", "BSL", "MBSL", "--gate", "FFCZ"],
+     "cf0a39502cf7811a3300713778805d0db678f7aa244b49ab9ff5464239b2566d"),
+    (["compare"], "7e53d791bb3f6ada0ee510d2fdb4b0e2e8fc5250b07fecf7eab3e692cd84a068"),
 ]
+
+# sha256 of the space-joined reprs of the perrs of the stacked
+# variable-theta_c DBSL plan over the shipped table's 21 theta_c rows, under
+# the rule above.
+VARIABLE_THETA_C_PERR_DIGEST = "d4c797c91507e3be5d35a3ae74e14af7a4bb803fdc521ab508d04e02295c30c4"
 
 
 @pytest.mark.parametrize("args, digest", DEFAULT_CURVE_DIGESTS,
-                         ids=["noise", "error-I-F-P1", "error-QRL-FFCZ", "noise-DBSL-SWAP"])
+                         ids=["noise", "error-I-F-P1", "error-QRL-FFCZ", "noise-DBSL-SWAP",
+                              "error-cached-FFCZ", "compare"])
 def test_default_curve_csvs_are_pinned(capsys, args, digest):
     code, out, _ = run_cli(args, capsys)
     assert code == cli.EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_variable_theta_c_plan_perrs_are_pinned():
+    from cvmbqc import gkp
+    table = gates.load_basis_table()
+    dbs = [row["squeezing_db"] for row in table["entries"] if row.get("variable_theta_c")]
+    assert len(dbs) == 21
+    plan = gates.cz_plan("DBSL", np.array(dbs), table=table, variable_theta_c=True)
+    perr = gkp.gate_error_probability(plan).tolist()
+    assert hashlib.sha256(" ".join(map(repr, perr)).encode()).hexdigest() == \
+        VARIABLE_THETA_C_PERR_DIGEST
 
 
 def test_cli_rows_rederivable_by_library_calls(capsys):

@@ -30,9 +30,8 @@ def test_every_module_level_import_is_used(name):
     assert [n for n in bound if n not in read and n not in exported] == []
 
 
-@pytest.mark.parametrize("name", [m for m in MODULES if m != "cvmbqc.reduction"])
-def test_degeneracy_rule_is_read_only_in_reduction(name):
-    # one degeneracy rule: every other module reads eliminate()'s mask
+def _names(name):
+    """Every name a module reads, binds or imports, attributes included."""
     module = importlib.import_module(name)
     tree = ast.parse(Path(module.__file__).read_text())
     used = set()
@@ -43,4 +42,17 @@ def test_degeneracy_rule_is_read_only_in_reduction(name):
             used.add(node.attr)
         elif isinstance(node, ast.alias):
             used.add(node.name)
-    assert used & {"RCOND_MIN", "_rcond"} == set()
+    return used
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "cvmbqc.reduction"])
+def test_degeneracy_rule_is_read_only_in_reduction(name):
+    # one degeneracy rule: every other module reads eliminate()'s mask
+    assert _names(name) & {"RCOND_MIN", "_rcond"} == set()
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "cvmbqc.lattice"])
+def test_control_presets_are_read_only_in_lattice(name):
+    # one angle map: every other module takes a basis from a graph's
+    # angle_map or full_basis, never from its control modes
+    assert _names(name) & {"control_modes", "control_angles"} == set()

@@ -94,11 +94,11 @@ def test_dbsl_single_step_matches_published_adjacency():
 
 def test_dbsl_control_basis_pattern():
     params = lat.LatticeParams.from_r("DBSL", 0.8)
-    even = lat.single_step_graph(params, parity=0).control_angles()
-    odd = lat.single_step_graph(params, parity=1).control_angles()
     q = math.pi / 4
-    assert even == pytest.approx({2: q, 3: q, 4: -q, 5: -q})
-    assert odd == pytest.approx({2: -q, 3: -q, 4: q, 5: q})
+    for parity, p in ((0, 1.0), (1, -1.0)):
+        g = lat.single_step_graph(params, parity=parity)
+        assert g.measured_modes == (0, 1, 2, 3, 4, 5)
+        assert g.full_basis([0.1, 0.2]).tolist() == [0.1, 0.2, p * q, p * q, -p * q, -p * q]
 
 
 def test_zero_squeezing_graph_has_zero_edges():
@@ -188,5 +188,7 @@ def test_full_basis_requires_all_free_angles():
     g = lat.single_step_graph(params)
     with pytest.raises(ValueError):
         g.full_basis([0.1])
+    with pytest.raises(ValueError):
+        g.full_basis([0.1, 0.2], variable_theta_c=True)
     basis = g.full_basis([0.1, 0.2])
-    assert set(basis) == set(g.measured_modes)
+    assert basis.shape == (len(g.measured_modes),)

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import os
 import subprocess
@@ -34,6 +35,45 @@ def test_config_validation():
         opt.OptimizerConfig(restarts=0)
     with pytest.raises(ValueError, match="unknown optimizer config keys: rounds_, weight_grd"):
         opt.OptimizerConfig.from_dict({"weight_grd": [1e-4], "rounds_": 2, "seed": 1})
+
+
+def test_restarts_are_bounded():
+    # search() builds every start before it solves one, so an unbounded
+    # restarts would try to hold that many start vectors
+    assert opt.OptimizerConfig(restarts=opt.MAX_RESTARTS).restarts == 10 ** 6
+    for restarts in (opt.MAX_RESTARTS + 1, 10 ** 12):
+        with pytest.raises(ValueError, match="restarts must be at least 1 and at most 1000000"):
+            opt.OptimizerConfig.from_dict({"restarts": restarts})
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("theta_c", [0.3, math.pi / 4, 0.833, 2.0])
+def test_theta_c_as_last_free_angle_equals_the_graph_built_at_theta_c(theta_c):
+    # every CZ region and single-step region, at both parities: theta_c as
+    # the last free angle sets the basis bit for bit as a graph built at
+    # theta_c does, one point or a stack; every measured mode has exactly
+    # one free angle, and the search kernel's map is the graph's
+    rng = np.random.default_rng(29)
+    for lattice, parity in itertools.product(lat.LATTICES, (0, 1)):
+        params = lat.LatticeParams.from_r(lattice, 1.1)
+        builds = [lat.single_step_graph] + [lat.cz_region_graph] * (lattice != "TELEPORT")
+        for build in builds:
+            graph, at_theta_c = build(params, parity), build(params, parity, theta_c)
+            free = rng.uniform(-math.pi, math.pi, (len(graph.free_modes), 3))
+            assert _same_bits(graph.full_basis([*free[:, 0], theta_c], variable_theta_c=True),
+                              at_theta_c.full_basis(free[:, 0]))
+            assert _same_bits(graph.full_basis([*free, np.full(3, theta_c)], True),
+                              at_theta_c.full_basis(free))
+            target = np.zeros((2 * len(graph.output_modes), 2 * len(graph.input_modes)))
+            for variable_theta_c in (False, True):
+                base, a_map = graph.angle_map(variable_theta_c)
+                assert (np.count_nonzero(a_map, axis=1) + (base != 0) == 1).all()
+                frozen = opt.freeze_region(graph, target, 1.1, variable_theta_c=variable_theta_c)
+                assert _same_bits(frozen.theta_base, base) and _same_bits(frozen.a_map, a_map)
 
 
 def test_metrics_value_and_degeneracy():
@@ -623,12 +663,11 @@ def test_nearly_parallel_cz_rows_follow_the_svd_rule(d, degenerate):
         assert sv[-1] / sv[0] < 100 * red.RCOND_MIN
     resid, _ = frozen.metrics(x)
     assert (resid == _kernels.BAD_VALUE) == degenerate
-    basis = dict(zip(frozen.graph.measured_modes, theta))
     if degenerate:
         with pytest.raises(MeasurementDegenerateError):
-            reduce_region(frozen.graph, basis)
+            reduce_region(frozen.graph, theta)
     else:
-        reduce_region(frozen.graph, basis)  # returns: the SVD accepts the basis
+        reduce_region(frozen.graph, theta)  # returns: the SVD accepts the basis
 
 
 def test_eliminate_decides_degeneracy_per_point_of_a_mixed_stack():
@@ -649,12 +688,11 @@ def test_eliminate_decides_degeneracy_per_point_of_a_mixed_stack():
         theta = frozen.theta_base + xs @ frozen.a_map.T
         s0x, s0p, out = red.split_s0(graph)
         meas = np.cos(theta)[..., None] * s0x + np.sin(theta)[..., None] * s0p
-        bases = [dict(zip(graph.measured_modes, row)) for row in theta]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             m, kmat, u_inv, ok = red.eliminate(meas, out)
             raised = []
-            for basis in bases:
+            for basis in theta:
                 try:
                     reduce_region(graph, basis)
                     raised.append(False)
@@ -670,8 +708,6 @@ def test_eliminate_decides_degeneracy_per_point_of_a_mixed_stack():
             assert np.array_equal(kmat[i], kmat1)
         assert np.array_equal(m[~ok], np.broadcast_to(out[:, len(theta[0]):], m[~ok].shape))
         assert not u_inv[~ok].any() and not kmat[~ok].any()
-        stacked = {mode: theta[:, i] for i, mode in enumerate(graph.measured_modes)}
         with pytest.raises(MeasurementDegenerateError):
-            reduce_region(graph, stacked)
-        good = {mode: angles[ok] for mode, angles in stacked.items()}
-        reduce_region(graph, good)  # returns: every point is accepted
+            reduce_region(graph, theta)
+        reduce_region(graph, theta[ok])  # returns: every point is accepted

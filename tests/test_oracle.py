@@ -86,7 +86,8 @@ def test_conditioning_order_independence():
         st = base
         remaining = list(range(n))
         for m in sorted(order, key=lambda m: -m):
-            st = oracle.condition_homodyne(st, remaining.index(m), angles[m])
+            st = oracle.condition_homodyne(st, remaining.index(m),
+                                           angles[graph.measured_modes.index(m)])
             remaining.remove(m)
         covs.append(st.cov)
     assert np.allclose(covs[0], covs[1], atol=1e-10)
@@ -125,7 +126,7 @@ class TestVerifyPlan:
     def test_corrupted_plan_fails(self):
         plan = gates.basis_for("DBSL", "I", 1.0)
         track = plan.steps[0]
-        bad_angles = dict(track.angles)
+        bad_angles = track.angles.copy()
         bad_angles[0] += 0.1
         bad = gates.GatePlan(
             plan.lattice, plan.gate_id, plan.r,

@@ -28,7 +28,7 @@ class TestTeleportation:
 
     def result(self):
         g = lat.teleport_graph(self.t)
-        return red.reduce(g, {0: self.th1, 1: self.th2})
+        return red.reduce(g, [self.th1, self.th2])
 
     def test_gate_matrix(self):
         thp, thm = self.th1 + self.th2, self.th1 - self.th2
@@ -53,19 +53,19 @@ class TestTeleportation:
 
     def test_identity_basis(self):
         g = lat.teleport_graph(self.t)
-        basis = red.basis_from_sums(0, 1, 0.0, 2 * math.atan(1 / self.t))
-        res = red.reduce(g, basis)
+        res = red.reduce(g, gates._step_basis(g, 0.0, 2 * math.atan(1 / self.t)))
         assert np.allclose(res.G, np.eye(2), atol=1e-9)
 
     def test_degenerate_basis_raises(self):
         g = lat.teleport_graph(self.t)
         with pytest.raises(MeasurementDegenerateError):
-            red.reduce(g, {0: 0.4, 1: 0.4})
+            red.reduce(g, [0.4, 0.4])
 
     def test_missing_angle_raises(self):
         g = lat.teleport_graph(self.t)
-        with pytest.raises(ValueError):
-            red.reduce(g, {0: 0.4})
+        for basis in ([0.4], [0.4, 0.5, 0.6], np.zeros((3, 1))):
+            with pytest.raises(ValueError, match="2 measured-mode angles"):
+                red.reduce(g, basis)
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
@@ -74,7 +74,7 @@ class TestPublishedNoiseMatrices:
 
     def test_teleport(self, r):
         t = math.tanh(2 * r)
-        res = red.reduce(lat.teleport_graph(t), {0: 0.3, 1: -0.9})
+        res = red.reduce(lat.teleport_graph(t), [0.3, -0.9])
         assert np.allclose(res.N, [[-1 / t, 0], [0, 1]], atol=1e-12)
 
     def test_dbsl_appendix(self, r):
@@ -111,7 +111,7 @@ class TestPublishedNoiseMatrices:
         params = lat.LatticeParams.from_r("QRL", r)
         g = lat.single_step_graph(params)
         a, b = 0.3, -0.9
-        res = red.reduce(g, {0: a, 1: a, 2: b, 3: b})
+        res = red.reduce(g, [a, a, b, b])
         t = params.t
         assert np.allclose(res.N, np.diag([-1 / t, -1 / t, 1.0, 1.0]), atol=1e-12)
 
@@ -161,7 +161,7 @@ class TestGateForms:
         params = lat.LatticeParams.from_r("QRL", 0.8)
         g = lat.single_step_graph(params)
         a, b = 0.53, -0.91
-        res = red.reduce(g, {0: a, 1: a, 2: b, 3: b})
+        res = red.reduce(g, [a, a, b, b])
         u = gate_form(params.t, a + b, a - b)
         expected = np.zeros((4, 4))
         expected[np.ix_([0, 2], [0, 2])] = u
@@ -188,7 +188,7 @@ class TestNoiseFactors:
         r = 0.9
         params = lat.LatticeParams.from_r("QRL", r)
         g = lat.single_step_graph(params)
-        nf = red.noise_factors(red.reduce(g, {0: 0.1, 1: 0.1, 2: 0.7, 3: 0.7}))
+        nf = red.noise_factors(red.reduce(g, [0.1, 0.1, 0.7, 0.7]))
         th = math.tanh(2 * r)
         assert np.allclose(nf, [th ** -2, th ** -2, 1.0, 1.0], rtol=1e-12)
 
@@ -196,10 +196,9 @@ class TestNoiseFactors:
 class TestChain:
     def test_single_factor_identity_case(self):
         g = lat.teleport_graph(0.7)
-        basis = red.basis_from_sums(0, 1, 0.0, 2 * math.atan(1 / 0.7))
-        res = red.reduce(g, basis)
-        chained = red.chain(res, red.reduce(g, {0: 0.3, 1: -0.8}))
-        second = red.reduce(g, {0: 0.3, 1: -0.8})
+        res = red.reduce(g, gates._step_basis(g, 0.0, 2 * math.atan(1 / 0.7)))
+        chained = red.chain(res, red.reduce(g, [0.3, -0.8]))
+        second = red.reduce(g, [0.3, -0.8])
         assert np.allclose(chained.G, second.G @ res.G, atol=1e-12)
         assert chained.N.shape == (2, 4)
         assert np.allclose(chained.N[:, :2], second.G @ res.N, atol=1e-12)
@@ -209,8 +208,8 @@ class TestChain:
         r = 1.0
         t = math.tanh(2 * r)
         g = lat.teleport_graph(t)
-        b1 = red.basis_from_sums(0, 1, math.pi / 2, math.pi / 2)
-        b2 = red.basis_from_sums(0, 1, 0.0, 2 * math.atan(t ** -2))
+        b1 = gates._step_basis(g, math.pi / 2, math.pi / 2)
+        b2 = gates._step_basis(g, 0.0, 2 * math.atan(t ** -2))
         chained = red.chain(red.reduce(g, b1), red.reduce(g, b2))
         assert np.allclose(chained.G, sp.rotation(math.pi / 2), atol=1e-10)
         nf = red.noise_factors(chained)
@@ -220,9 +219,9 @@ class TestChain:
 
     def test_dimension_mismatch(self):
         g1 = lat.teleport_graph(0.7)
-        res1 = red.reduce(g1, {0: 0.3, 1: -0.8})
+        res1 = red.reduce(g1, [0.3, -0.8])
         params = lat.LatticeParams.from_r("QRL", 1.0)
-        res2 = red.reduce(lat.single_step_graph(params), {0: 0.1, 1: 0.1, 2: 0.6, 3: 0.6})
+        res2 = red.reduce(lat.single_step_graph(params), [0.1, 0.1, 0.6, 0.6])
         with pytest.raises(ValueError):
             red.chain(res1, res2)
 
@@ -230,7 +229,7 @@ class TestChain:
 class TestRestrictTensor:
     def test_restrict_reorders(self):
         params = lat.LatticeParams.from_r("QRL", 1.0)
-        res = red.reduce(lat.single_step_graph(params), {0: 0.1, 1: 0.1, 2: 0.6, 3: 0.6})
+        res = red.reduce(lat.single_step_graph(params), [0.1, 0.1, 0.6, 0.6])
         swapped = red.restrict(res, [1, 0], [1, 0])
         assert np.allclose(swapped.G[np.ix_([0, 2], [0, 2])],
                            res.G[np.ix_([1, 3], [1, 3])], atol=1e-14)
@@ -266,12 +265,11 @@ def test_reduced_gate_is_symplectic_cz_regions(data):
     params = lat.LatticeParams.from_r(lattice, 1.2)
     g = lat.cz_region_graph(params)
     angles = [data.draw(ANGLES) for _ in g.free_modes]
-    basis = g.full_basis(angles)
+    theta = g.full_basis(angles)
     try:
-        res = red.reduce(g, basis)
+        res = red.reduce(g, theta)
     except MeasurementDegenerateError:
         return
-    theta = np.array([basis[m] for m in g.measured_modes])
     s0x, s0p, _ = red.split_s0(g)
     u = (np.cos(theta)[:, None] * s0x + np.sin(theta)[:, None] * s0p)[:, :len(theta)]
     sv = np.linalg.svd(u, compute_uv=False)
@@ -380,9 +378,7 @@ def test_eliminate_forms_k_from_its_one_inverse():
             for track in plan.steps:
                 graph, basis = track.graph, track.angles
                 s0x, s0p, out = red.split_s0(graph)
-                theta = np.stack(np.broadcast_arrays(
-                    *[np.asarray(basis[m], dtype=float) for m in graph.measured_modes]),
-                    axis=-1)[..., None]
+                theta = basis[..., None]
                 meas = np.cos(theta) * s0x + np.sin(theta) * s0p
                 k = len(graph.measured_modes)
                 m, kmat, u_inv, ok = red.eliminate(meas, out)
