@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, gates, gkp, lattice as lat
-from .errors import CacheMissError
+from .errors import CacheMissError, reporting_os_errors
 from .reduction import noise_factors
 
 EXIT_OK = 0
@@ -58,8 +58,13 @@ def _fmt_perr(p: float) -> str:
     return f"{p:.9e}"
 
 
+def _open_out(path):
+    with reporting_os_errors(f"write --out {path}"):
+        return open(path, "w", newline="")
+
+
 def _write_csv(path, header, rows):
-    out = sys.stdout if path in (None, "-") else open(path, "w", newline="")
+    out = sys.stdout if path in (None, "-") else _open_out(path)
     try:
         w = csv.writer(out)
         w.writerow(header)
@@ -174,13 +179,11 @@ def cmd_optimize(args) -> int:
     grid = _db_grid(args)
     cfg = optimizer.OptimizerConfig()
     if args.config:
-        try:
-            with open(args.config) as fh:
+        with reporting_os_errors(f"read --config {args.config}"), open(args.config) as fh:
+            try:
                 doc = json.load(fh)
-        except OSError as exc:
-            raise ValueError(f"cannot read --config {args.config}: {exc.strerror}") from exc
-        except ValueError as exc:  # malformed JSON or bytes that are not text
-            raise ValueError(f"--config {args.config} is not valid JSON: {exc}") from exc
+            except ValueError as exc:  # malformed JSON or bytes that are not text
+                raise ValueError(f"--config {args.config} is not valid JSON: {exc}") from exc
         cfg = optimizer.OptimizerConfig.from_dict(doc)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -256,7 +259,7 @@ def cmd_dump_graph(args) -> int:
     if args.out in (None, "-"):
         print(text)
     else:
-        with open(args.out, "w") as fh:
+        with _open_out(args.out) as fh:
             fh.write(text)
     return EXIT_OK
 

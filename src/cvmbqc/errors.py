@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule that turns an
+unusable path into a usage error."""
+
+import contextlib
 
 
 class MeasurementDegenerateError(ValueError):
@@ -12,3 +15,12 @@ class DegenerateConditioningError(ValueError):
 
 class CacheMissError(LookupError):
     """A required optimized-basis cache entry is missing."""
+
+
+@contextlib.contextmanager
+def reporting_os_errors(action: str):
+    """Report an OSError within as a ValueError: cannot <action>: <reason>."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot {action}: {exc.strerror}") from exc

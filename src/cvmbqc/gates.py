@@ -2,9 +2,9 @@
 controlled-Z cache.
 
 A plan is a tuple of steps, each one :class:`PlanTrack` (region graph, basis,
-kept outputs/inputs).  Realizing a plan reduces every step, keeps its
-chosen modes, and chains the steps, so the combined noise matrix follows the
-two-step composition rule N = [G2 N1 | N2].  Every controlled-Z plan, the
+kept computation modes).  Realizing a plan reduces every step, keeps its
+computation modes, and chains the steps, so the combined noise matrix follows
+the two-step composition rule N = [G2 N1 | N2].  Every controlled-Z plan, the
 closed-form QRL one included, is one step on its lattice's :func:`cz_region`.
 Every plan constructor takes the squeezing as a number or an array; an
 array gives one plan for the whole block, each step one stacked region graph
@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from . import lattice as lat
 from . import symplectic as sp
-from .errors import CacheMissError
+from .errors import CacheMissError, reporting_os_errors
 from .reduction import GateResult, chain, reduce, restrict
 
 __all__ = [
@@ -58,30 +58,19 @@ CACHED_CZ_LATTICES = ("DBSL", "BSL", "MBSL")
 # even-parity CZ region implements per lattice.
 FFCZ_EXPONENTS = {"DBSL": (1, 1), "BSL": (1, -1), "MBSL": (1, 1), "QRL": (-1, -1)}
 
-# Every CZ region keeps these outputs and inputs, the two computation modes;
-# the QRL region's further inputs and outputs are dummy paths.
+# Every CZ region keeps these two computation modes; the QRL region's
+# further inputs and outputs are dummy paths.
 CZ_KEEP = (0, 1)
 
 
 @dataclass(frozen=True)
 class PlanTrack:
-    """One plan step: its region graph, its basis (the graph's full_basis)
-    and the output and input positions it keeps, in order (default: all)."""
+    """One plan step: its region graph, its basis (the graph's full_basis) and
+    ``keep``, its computation modes' positions among inputs and outputs (None: all)."""
 
     graph: lat.ComputationGraph
     angles: np.ndarray
-    out_keep: tuple = None
-    in_keep: tuple = None
-    keeps_all: bool = field(init=False)
-
-    def __post_init__(self):
-        every = (tuple(range(len(self.graph.output_modes))),
-                 tuple(range(len(self.graph.input_modes))))
-        keep = tuple(e if k is None else tuple(k)
-                     for e, k in zip(every, (self.out_keep, self.in_keep)))
-        object.__setattr__(self, "out_keep", keep[0])
-        object.__setattr__(self, "in_keep", keep[1])
-        object.__setattr__(self, "keeps_all", keep == every)
+    keep: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -99,8 +88,8 @@ def realize(plan: GatePlan) -> GateResult:
     combined = None
     for track in plan.steps:
         res = reduce(track.graph, track.angles)
-        if not track.keeps_all:
-            res = restrict(res, track.out_keep, track.in_keep)
+        if track.keep is not None:
+            res = restrict(res, track.keep, track.keep)
         combined = res if combined is None else chain(combined, res)
     return combined
 
@@ -196,7 +185,7 @@ def basis_for(lattice: str, gate_id: str, r, parity: int = 0) -> GatePlan:
     # (theta+, theta-) per step, with r's axes in front
     sums = np.asarray(lat.per_point(
         lambda x: _single_mode_sums(lattice, gate_id, x, parity), r))
-    steps = tuple(PlanTrack(graph, _step_basis(graph, step[..., 0], step[..., 1]), keep, keep)
+    steps = tuple(PlanTrack(graph, _step_basis(graph, step[..., 0], step[..., 1]), keep)
                   for step in np.moveaxis(sums, -2, 0))
     return GatePlan(lattice, gate_id, r, steps, target_symplectic(gate_id))
 
@@ -205,7 +194,7 @@ def _cz_region_plan(lattice, r, free_angles, variable_theta_c=False) -> GatePlan
     """One-step Fourier-CZ plan on the CZ region of ``lattice``."""
     graph, target = cz_region(lattice, r)
     basis = graph.full_basis(free_angles, variable_theta_c)
-    return GatePlan(lattice, "FFCZ", r, (PlanTrack(graph, basis, CZ_KEEP, CZ_KEEP),), target)
+    return GatePlan(lattice, "FFCZ", r, (PlanTrack(graph, basis, CZ_KEEP),), target)
 
 
 def qrl_cz_angles(r) -> tuple:
@@ -279,20 +268,20 @@ def load_basis_table(path: str | Path | None = None) -> dict:
     """The table at ``path`` (default: :func:`default_table_path`).
 
     Raises CacheMissError when there is no file, and ValueError naming the
-    file when it is not a JSON object with a list ``entries`` whose every row
-    is an object with a ``lattice`` in :data:`CACHED_CZ_LATTICES`, a finite
-    number ``squeezing_db``, a list ``angles`` of one finite number per free
-    mode of that lattice's :func:`cz_region` and a bool ``accepted`` if it
-    has one.  A row carries ``theta_c`` exactly when it sets
-    ``variable_theta_c``; such a row is a DBSL row and its ``theta_c`` a
-    finite number.
+    file when it cannot be read or is not a JSON object with a list
+    ``entries`` whose every row is an object with a ``lattice`` in
+    :data:`CACHED_CZ_LATTICES`, a finite number ``squeezing_db``, a list
+    ``angles`` of one finite number per free mode of that lattice's
+    :func:`cz_region` and a bool ``accepted`` if it has one.  A row carries
+    ``theta_c`` exactly when it sets ``variable_theta_c``; such a row is a
+    DBSL row and its ``theta_c`` a finite number.
     """
     p = Path(path) if path is not None else default_table_path()
     if not p.exists():
         raise CacheMissError(
             f"no optimized-basis table at {p}; generate one with "
             "`cvmbqc optimize --lattice <L> --db-min <a> --db-max <b> --out <path>`")
-    with open(p) as fh:
+    with reporting_os_errors(f"read basis table {p}"), open(p) as fh:
         try:
             table = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
@@ -313,11 +302,12 @@ def load_basis_table(path: str | Path | None = None) -> dict:
 
 def save_basis_table(table: dict, path: str | Path | None = None) -> Path:
     p = Path(path) if path is not None else default_table_path()
-    p.parent.mkdir(parents=True, exist_ok=True)
     tmp = p.with_name(p.name + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(table, fh, indent=1)
-    os.replace(tmp, p)
+    with reporting_os_errors(f"save basis table {p}"):
+        p.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w") as fh:
+            json.dump(table, fh, indent=1)
+        os.replace(tmp, p)
     return p
 
 
@@ -336,19 +326,20 @@ def update_basis_table(row: dict, path: str | Path | None = None) -> Path:
     write different rows can share one table: every other row survives.
     """
     p = Path(path) if path is not None else default_table_path()
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(f"{p}.lock", "w") as lock:
-        fcntl.flock(lock, fcntl.LOCK_EX)
-        try:
-            table = load_basis_table(p)
-        except CacheMissError:
-            table = {"version": 1, "package": __version__, "entries": []}
-        table["entries"] = sorted(
-            [e for e in table["entries"] if not _is_row(
-                e, row["lattice"], row["squeezing_db"], bool(row.get("variable_theta_c")))]
-            + [row],
-            key=lambda e: (e["lattice"], bool(e.get("variable_theta_c")), e["squeezing_db"]))
-        return save_basis_table(table, p)
+    with reporting_os_errors(f"lock basis table {p}"):
+        p.parent.mkdir(parents=True, exist_ok=True)
+        with open(f"{p}.lock", "w") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            try:
+                table = load_basis_table(p)
+            except CacheMissError:
+                table = {"version": 1, "package": __version__, "entries": []}
+            table["entries"] = sorted(
+                [e for e in table["entries"] if not _is_row(
+                    e, row["lattice"], row["squeezing_db"], bool(row.get("variable_theta_c")))]
+                + [row],
+                key=lambda e: (e["lattice"], bool(e.get("variable_theta_c")), e["squeezing_db"]))
+            return save_basis_table(table, p)
 
 
 def find_row(table, lattice, db, variable_theta_c=False) -> dict | None:

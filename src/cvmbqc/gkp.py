@@ -21,7 +21,6 @@ __all__ = [
     "resource_variances",
     "propagate_spikes",
     "error_probability",
-    "correction_shift",
     "gate_error_probability",
 ]
 
@@ -72,12 +71,6 @@ def _error_terms(delta_prime, delta):
             log_ok += math.log1p(-erfc[-1])
         perr.append(-math.expm1(log_ok))
     return (perr[0] if total.ndim == 1 else np.reshape(perr, total.shape[:-1])), erfc
-
-
-def correction_shift(m: float) -> float:
-    """Corrective displacement for outcome m: back to the nearest sqrt(pi) site."""
-    u = m % SQRT_PI
-    return -u if u < SQRT_PI / 2 else SQRT_PI - u
 
 
 def gate_error_probability(plan):

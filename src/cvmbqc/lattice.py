@@ -208,7 +208,8 @@ def _build(lattice, params, parity, theta_c, labels, edges, inputs, outputs,
 
 
 def teleport_graph(t: float, epsilon: float = 1.0) -> ComputationGraph:
-    """Generalized teleportation: input 0 mixed with cluster mode 1, edge t to output 2."""
+    """Generalized teleportation: input 0 mixed with cluster mode 1, edge t to
+    output 2; public as the minimal region, which tests reduce in closed form."""
     return single_step_graph(LatticeParams.from_t(t, epsilon))
 
 

@@ -200,30 +200,28 @@ class FrozenRegion:
         return np.where(y >= lo + math.pi, y - math.pi, y)
 
 
-def freeze_region(graph, target, r, out_sel=None, in_real=None,
-                  variable_theta_c=False) -> FrozenRegion:
+def freeze_region(graph, target, r, keep=None, variable_theta_c=False) -> FrozenRegion:
     """Precompute the angle-independent parts of a region reduction.
 
-    ``out_sel`` picks and orders the compared output modes, ``in_real`` the
-    input modes carrying encoded states; remaining inputs are dummies whose
-    leakage is penalized in the residual and budgeted as vacuum noise.  The
-    free angles map to the measured ones by the graph's
-    :meth:`lattice.ComputationGraph.angle_map`, with ``variable_theta_c``
-    the last of them the control basis theta_c.
+    ``keep`` picks and orders the computation modes, the compared outputs
+    and the inputs carrying encoded states (default: every output and
+    input); the remaining inputs are dummies whose leakage is penalized in
+    the residual and budgeted as vacuum noise.  The free angles map to the
+    measured ones by the graph's :meth:`lattice.ComputationGraph.angle_map`,
+    with ``variable_theta_c`` the last of them the control basis theta_c.
     """
     s0x, s0p, out = split_s0(graph)
     k = s0x.shape[0]
     n_in, n_out = len(graph.input_modes), len(graph.output_modes)
-    out_sel = list(range(n_out)) if out_sel is None else list(out_sel)
-    in_real = list(range(n_in)) if in_real is None else list(in_real)
-    in_dummy = [i for i in range(n_in) if i not in in_real]
-    ins = ([k + i for i in in_real] + [k + n_in + i for i in in_real]
+    outs, real = (range(n_out), range(n_in)) if keep is None else (keep, keep)
+    in_dummy = [i for i in range(n_in) if i not in real]
+    ins = ([k + i for i in real] + [k + n_in + i for i in real]
            + [k + i for i in in_dummy] + [k + n_in + i for i in in_dummy])
     cols = list(range(k)) + ins + list(range(k + 2 * n_in, s0x.shape[1]))
-    rows = out_sel + [n_out + i for i in out_sel]
+    rows = [*outs] + [n_out + i for i in outs]
     theta_base, a_map = graph.angle_map(variable_theta_c)
 
-    n_real, n_dummy = 2 * len(in_real), 2 * len(in_dummy)
+    n_real, n_dummy = 2 * len(real), 2 * len(in_dummy)
     target = np.asarray(target, dtype=float)
     if target.shape != (len(rows), n_real):
         raise ValueError(f"target shape {target.shape} does not match "
@@ -491,8 +489,7 @@ def evaluate_free_angles(lattice: str, r: float, angles, theta_c: float | None =
 
 def _region(lattice: str, r: float, variable_theta_c=False) -> FrozenRegion:
     graph, target = gates.cz_region(lattice, r)
-    return freeze_region(graph, target, r, out_sel=gates.CZ_KEEP, in_real=gates.CZ_KEEP,
-                         variable_theta_c=variable_theta_c)
+    return freeze_region(graph, target, r, gates.CZ_KEEP, variable_theta_c)
 
 
 def _warm_starts(lattice: str, r: float, extra=()):

@@ -139,9 +139,10 @@ class _PlanCircuit:
     """Direct symplectic assembly of a plan's full pre-measurement circuit."""
 
     def __init__(self, plan: GatePlan):
-        self.n_logical = len(plan.steps[0].in_keep)
+        keeps = [t.keep or range(len(t.graph.input_modes)) for t in plan.steps]
+        self.n_logical = len(keeps[0])
         self.n_total = total = self.n_logical + sum(
-            t.graph.n_modes - len(t.in_keep) for t in plan.steps)
+            t.graph.n_modes - len(k) for t, k in zip(plan.steps, keeps))
 
         self.sigma0 = np.full(2 * total, 0.5)
         self.meas_rows = []
@@ -151,13 +152,11 @@ class _PlanCircuit:
         active = list(range(self.n_logical))
         cursor = self.n_logical
 
-        for track in plan.steps:
+        for track, keep in zip(plan.steps, keeps):
             g = track.graph
-            mode_map = {}
-            for pos, m in enumerate(g.input_modes):
-                if pos in track.in_keep:
-                    mode_map[m] = active[track.in_keep.index(pos)]
-                else:
+            mode_map = {g.input_modes[pos]: a for pos, a in zip(keep, active)}
+            for m in g.input_modes:
+                if m not in mode_map:  # a dummy input
                     mode_map[m] = cursor
                     self.dummy_modes.append(cursor)
                     cursor += 1
@@ -181,7 +180,7 @@ class _PlanCircuit:
             for m, angle in zip(g.measured_modes, track.angles):
                 s_tot = emb(sp.rotation(angle), [m]) @ s_tot
                 self.meas_rows.append(mode_map[m])
-            active = [mode_map[g.output_modes[pos]] for pos in track.out_keep]
+            active = [mode_map[g.output_modes[pos]] for pos in keep]
         self.outputs = active
         self.s_tot = s_tot
 

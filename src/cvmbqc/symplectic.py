@@ -104,7 +104,8 @@ def embed(small: np.ndarray, target_modes, n_total: int) -> np.ndarray:
 
 
 def compose(factors) -> np.ndarray:
-    """Product of symplectic factors; the first listed acts first on the quadratures."""
+    """Product of symplectic factors, the first listed acting first; public
+    because tests build reference gates with it, independently of reduce()."""
     factors = list(factors)
     if not factors:
         raise ValueError("compose needs at least one factor")
@@ -118,7 +119,8 @@ def compose(factors) -> np.ndarray:
 
 
 def check_symplectic(S: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
-    """True when max entrywise |S Omega S^T - Omega| <= tol."""
+    """True when max entrywise |S Omega S^T - Omega| <= tol; public because
+    tests check reduced gates with it, independently of reduce()."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     n = n_modes(S)

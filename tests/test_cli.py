@@ -119,6 +119,26 @@ def test_malformed_table_is_one_usage_error(capsys, tmp_path, monkeypatch, fake_
     assert not fake_search.calls
 
 
+@pytest.mark.parametrize("command, message", [
+    ("optimize --lattice DBSL --db-min 10 --db-max 10 --out {dir}",
+     "cannot read basis table {dir}"),
+    ("noise-curve --db-min 10 --db-max 10 --out {dir}", "cannot write --out {dir}"),
+    ("dump-graph --lattice DBSL --out {dir}", "cannot write --out {dir}"),
+    ("error-curve --lattice DBSL --gate FFCZ --db-min 10 --db-max 10",
+     "cannot read basis table {dir}/cz_basis_table.json"),
+], ids=["optimize-out", "noise-curve-out", "dump-graph-out", "cache-dir-table"])
+def test_unusable_path_is_one_usage_error(capsys, tmp_path, monkeypatch, fake_search,
+                                          command, message):
+    # a directory where a file is read or written
+    (tmp_path / "cz_basis_table.json").mkdir()
+    monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
+    code, out, err = run_cli(command.format(dir=tmp_path).split(), capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: " + message.format(dir=tmp_path) + ": ")
+    assert err.count("\n") == 1 and out == ""
+    assert not fake_search.calls
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(["error-curve", "--db-min", "10", "--db-max", "5",
                             "--db-step", "1"], capsys)

@@ -56,3 +56,10 @@ def test_control_presets_are_read_only_in_lattice(name):
     # one angle map: every other module takes a basis from a graph's
     # angle_map or full_basis, never from its control modes
     assert _names(name) & {"control_modes", "control_angles"} == set()
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "cvmbqc.reduction"])
+def test_kept_modes_are_one_tuple_outside_reduction(name):
+    # one keep per region step: only restrict() still takes outputs and
+    # inputs apart, for the leakage of the dummy inputs
+    assert _names(name) & {"out_keep", "in_keep", "out_sel", "in_real"} == set()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -198,6 +199,15 @@ class TestCzCache:
     def test_qrl_cz_plan_needs_no_cache(self):
         plan = gates.cz_plan("QRL", 14.0, table={"version": 1, "entries": []})
         assert plan.gate_id == "FFCZ"
+
+    def test_unwritable_table_path_names_the_table(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = blocker / "table.json"  # its parent is not a directory
+        with pytest.raises(ValueError, match="^" + re.escape(f"cannot save basis table {path}: ")):
+            gates.save_basis_table(self._table(), path)
+        with pytest.raises(ValueError, match="^" + re.escape(f"cannot lock basis table {path}: ")):
+            gates.update_basis_table(self._table()["entries"][0], path)
 
 
 def test_iter_catalog_contents():

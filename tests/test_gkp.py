@@ -98,25 +98,6 @@ class TestErrorProbability:
         assert gkp.error_probability([a, b], delta + 0.1) > p0
 
 
-class TestCorrectionShift:
-    def test_on_lattice(self):
-        assert gkp.correction_shift(0.0) == 0.0
-        assert gkp.correction_shift(2 * SQRT_PI) == pytest.approx(0.0, abs=1e-12)
-
-    def test_small_displacement_pulled_back(self):
-        assert gkp.correction_shift(SQRT_PI / 4) == pytest.approx(-SQRT_PI / 4)
-
-    def test_large_displacement_pushed_forward(self):
-        assert gkp.correction_shift(0.9 * SQRT_PI) == pytest.approx(0.1 * SQRT_PI)
-
-    @given(st.floats(-20.0, 20.0))
-    @settings(max_examples=100, deadline=None)
-    def test_corrected_value_is_on_lattice(self, m):
-        corrected = m + gkp.correction_shift(m)
-        assert corrected / SQRT_PI == pytest.approx(round(corrected / SQRT_PI), abs=1e-9)
-        assert abs(gkp.correction_shift(m)) <= SQRT_PI / 2 + 1e-12
-
-
 class TestGateErrorProbability:
     def test_vanishing_squeezing_limit(self):
         r = lat.db_to_r(0.02)
