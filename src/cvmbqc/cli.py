@@ -153,27 +153,18 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _warm_starts(args, db):
-    """Numerical continuation: the accepted angles of this section's rows at
-    db - step, db + step and db, then, for a variable theta_c run, the
-    fixed-basis row at db, all read from the table on disk."""
-    try:
-        table = gates.load_basis_table(args.out)
-    except CacheMissError:
-        return []
-    keys = [(d, args.variable_theta_c) for d in (db - args.db_step, db + args.db_step, db)]
-    if args.variable_theta_c:
-        keys.append((db, False))
-    rows = [gates.find_row(table, args.lattice, d, vtc) for d, vtc in keys]
-    return [np.array(row["angles"] + ([row["theta_c"]] if "theta_c" in row else []))
-            for row in rows if row]
+# Above a few dB each fixed-basis table section has one CZ optimum, so an
+# optimize run searches from every start only at its grid point nearest this.
+ANCHOR_DB = 15.0
 
 
 def cmd_optimize(args) -> int:
-    """Optimize each grid point and write its row to the table as soon as it
-    is found.  Rerunning from the first missing point resumes a run; rerunning
-    a whole grid can only improve its accepted rows, because every search
-    scores the row's own angles as a warm start."""
+    """Optimize a section as one continuation, then write its rows at once.
+    The grid point nearest ANCHOR_DB runs the config's ``restarts``; the sweep
+    goes up from it, then down, each point from its warm starts alone: the row
+    just found next to it, its own accepted row and, for a variable theta_c
+    run, the fixed-basis row at its dB.  So a rerun never worsens an accepted
+    row, and a point printed INFEASIBLE is rerun alone, as its own anchor."""
     from . import optimizer  # only optimize needs it; keeps the curve commands' import lean
 
     grid = _db_grid(args)
@@ -187,20 +178,26 @@ def cmd_optimize(args) -> int:
         cfg = optimizer.OptimizerConfig.from_dict(doc)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    for db in grid:
-        warm = _warm_starts(args, db)
-        try:
-            res = optimizer.cz_search(args.lattice, lat.db_to_r(db), cfg, warm_starts=warm,
-                                      variable_theta_c=args.variable_theta_c)
-        except ValueError as exc:
-            print(f"{args.lattice} {db:g} dB: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        table = gates.load_basis_table(args.out)
+    except CacheMissError:
+        table = {"entries": []}
+    anchor = min(range(len(grid)), key=lambda i: abs(grid[i] - ANCHOR_DB))
+    rows = {}
+    for i in [*range(anchor, len(grid)), *range(anchor - 1, -1, -1)]:
+        db = grid[i]
+        near = [rows.get(i - 1 if i > anchor else i + 1)] + [gates.find_row(
+            table, args.lattice, db, vtc) for vtc in dict.fromkeys((args.variable_theta_c, False))]
+        warm = [np.array(row["angles"] + ([row["theta_c"]] if "theta_c" in row else []))
+                for row in near if row]
+        res = optimizer.cz_search(args.lattice, lat.db_to_r(db), cfg, warm_starts=warm,
+                                  variable_theta_c=args.variable_theta_c)
+        cfg = dataclasses.replace(cfg, restarts=1)  # the anchor was the first point
         flag = "accepted" if res.accepted else "INFEASIBLE"
         print(f"{args.lattice} {db:g} dB: {flag} residual={res.residual:.3e} "
               f"perr={res.perr:.6e}", flush=True)
-        path = gates.update_basis_table(
-            res.to_row(args.lattice, db, args.variable_theta_c), args.out)
-    print(f"wrote {path}")
+        rows[i] = res.to_row(args.lattice, db, args.variable_theta_c)
+    print(f"wrote {gates.update_basis_table(list(rows.values()), args.out)}")
     return EXIT_OK
 
 
@@ -302,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the QRL CZ plan is closed-form and needs no table")
     _add_grid_args(p, db_min=15.0, db_max=15.0, db_step=0.5)
     p.add_argument("--config", help="JSON object with any of the optimizer keys "
-                   "restarts and seed; weight_grid is accepted and ignored")
+                   "restarts (starts at the anchor) and seed; weight_grid is ignored")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--variable-theta-c", action="store_true")
     p.add_argument("--out", default=None,

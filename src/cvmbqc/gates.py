@@ -305,9 +305,12 @@ def save_basis_table(table: dict, path: str | Path | None = None) -> Path:
     tmp = p.with_name(p.name + ".tmp")
     with reporting_os_errors(f"save basis table {p}"):
         p.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w") as fh:
-            json.dump(table, fh, indent=1)
-        os.replace(tmp, p)
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(table, fh, indent=1)
+            os.replace(tmp, p)
+        finally:  # gone after the replace; left over only by a failure
+            tmp.unlink(missing_ok=True)
     return p
 
 
@@ -318,9 +321,9 @@ def _is_row(row, lattice, db, variable_theta_c):
             and abs(row["squeezing_db"] - db) < 1e-9)
 
 
-def update_basis_table(row: dict, path: str | Path | None = None) -> Path:
-    """Replace the row at ``row``'s (lattice, variable_theta_c, db) in the table
-    at ``path`` and save it, creating the table if needed.
+def update_basis_table(rows: list, path: str | Path | None = None) -> Path:
+    """Replace the rows at each of ``rows``' (lattice, variable_theta_c, db) in
+    the table at ``path`` and save it, creating the table if needed.
 
     The table is re-read under the ``<table>.lock`` file lock, so runs that
     write different rows can share one table: every other row survives.
@@ -334,10 +337,10 @@ def update_basis_table(row: dict, path: str | Path | None = None) -> Path:
                 table = load_basis_table(p)
             except CacheMissError:
                 table = {"version": 1, "package": __version__, "entries": []}
+            ids = [(row["lattice"], row["squeezing_db"], bool(row.get("variable_theta_c")))
+                   for row in rows]
             table["entries"] = sorted(
-                [e for e in table["entries"] if not _is_row(
-                    e, row["lattice"], row["squeezing_db"], bool(row.get("variable_theta_c")))]
-                + [row],
+                [e for e in table["entries"] if not any(_is_row(e, *k) for k in ids)] + rows,
                 key=lambda e: (e["lattice"], bool(e.get("variable_theta_c")), e["squeezing_db"]))
             return save_basis_table(table, p)
 

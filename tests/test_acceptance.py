@@ -2,8 +2,10 @@
 
 Criteria 5, 6 and 7 read the optimized-basis table shipped with the package;
 everything else is closed-form or oracle-backed and self-contained.  The table
-is regenerated section by section with the fixed base seed 20200527, the DBSL
-before its variable theta_c rows:
+is what these commands write, one after another, into an empty table, with the
+fixed base seed 20200527 and the DBSL before its variable theta_c rows.  Each
+is one search from every start at the grid point nearest ``cli.ANCHOR_DB`` and
+a continuation outward from it, and writes its section once:
 
     cvmbqc optimize --lattice DBSL --db-min 0.25 --db-max 25 --db-step 0.25 \
         --seed 20200527

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -330,6 +331,15 @@ def test_optimize_refuses_restarts_above_the_bound(capsys, tmp_path, fake_search
     assert not table.exists()
 
 
+def test_optimize_variable_theta_c_off_the_dbsl_is_usage_error(capsys, tmp_path):
+    table = tmp_path / "table.json"
+    code, out, err = run_cli(["optimize", "--lattice", "BSL", "--variable-theta-c",
+                              "--out", str(table)], capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == "error: variable theta_c optimization targets the DBSL region\n"
+    assert not table.exists()
+
+
 def test_optimize_unreadable_config_is_usage_error(capsys, tmp_path):
     table = tmp_path / "table.json"
     code, _, err = run_cli(["optimize", "--lattice", "MBSL",
@@ -356,11 +366,17 @@ def test_optimize_malformed_config_names_the_file(capsys, tmp_path, content):
 
 # ---------------------------------------------- optimize: the table writer
 
-GRID = [2.0, 2.5, 3.0, 3.5]
+GRID = [14.0, 14.5, 15.0, 15.5, 16.0]  # spans cli.ANCHOR_DB
 
 
 class Interrupted(Exception):
     pass
+
+
+class Call(NamedTuple):
+    db: float
+    restarts: int
+    warm: list
 
 
 def n_free(lattice):
@@ -377,15 +393,16 @@ def fake_search(monkeypatch):
 
     Like the real search it depends on ``config.seed`` and on the warm starts
     it receives: it scores each exact warm start and two seeded random points
-    and returns the best.  ``calls`` records the warm starts of every call;
-    setting ``stop_after`` interrupts the run at that call and ``hook(n)``
-    runs before call ``n``.
+    and returns the best.  ``calls`` records the squeezing, the restarts and
+    the warm starts of every call; setting ``stop_after`` interrupts the run
+    at that call and ``hook(n)`` runs before call ``n``.
     """
     def search(lattice, r, config, warm_starts=(), variable_theta_c=False):
         if len(search.calls) == search.stop_after:
             raise Interrupted
         search.hook(len(search.calls))
-        search.calls.append([np.array(w) for w in warm_starts])
+        search.calls.append(Call(round(r * 20.0 / math.log(10.0), 9), config.restarts,
+                                 [np.array(w) for w in warm_starts]))
         k = n_free(lattice)
         n = k + 1 if variable_theta_c else k
         starts = [np.append(w, np.pi / 4) if len(w) == n - 1 else np.asarray(w, dtype=float)
@@ -401,9 +418,9 @@ def fake_search(monkeypatch):
     return search
 
 
-def optimize(path, *extra, lattice="DBSL", db_min=GRID[0], seed=1):
-    return cli.main(["optimize", "--lattice", lattice, "--db-min", f"{db_min:g}",
-                     "--db-max", f"{GRID[-1]:g}", "--db-step", "0.5", "--seed", str(seed),
+def optimize(path, *extra, lattice="DBSL", grid=GRID, seed=1):
+    return cli.main(["optimize", "--lattice", lattice, "--db-min", f"{grid[0]:g}",
+                     "--db-max", f"{grid[-1]:g}", "--db-step", "0.5", "--seed", str(seed),
                      "--out", str(path), *extra])
 
 
@@ -418,11 +435,11 @@ def _row(lattice, db, **extra):
 
 def test_optimize_replaces_only_its_own_rows(tmp_path, fake_search):
     path = tmp_path / "table.json"
-    kept = [_row("BSL", 2.0), _row("DBSL", 2.0, variable_theta_c=True, theta_c=0.7),
+    kept = [_row("BSL", 14.0), _row("DBSL", 14.0, variable_theta_c=True, theta_c=0.7),
             _row("DBSL", 9.0)]
-    stale = _row("DBSL", 2.5, accepted=False, perr=0.99)
+    stale = _row("DBSL", 14.5, accepted=False, perr=0.99)
     path.write_text(json.dumps({"version": 1, "entries": kept + [stale]}))
-    written_meanwhile = _row("MBSL", 2.0)
+    written_meanwhile = _row("MBSL", 14.0)
 
     def another_writer(n):
         if n == 1:
@@ -441,17 +458,26 @@ def test_optimize_replaces_only_its_own_rows(tmp_path, fake_search):
     assert sorted(others, key=str) == sorted(kept + [written_meanwhile], key=str)
 
 
-def test_resumed_optimize_matches_uninterrupted(tmp_path, fake_search):
-    straight = tmp_path / "straight.json"
-    assert optimize(straight) == cli.EXIT_OK
-    resumed = tmp_path / "resumed.json"
-    fake_search.stop_after = len(fake_search.calls) + 2
+def test_optimize_saves_the_table_once(tmp_path, fake_search, monkeypatch):
+    saves = []
+    save = gates.save_basis_table
+    monkeypatch.setattr(gates, "save_basis_table", lambda *a: saves.append(a) or save(*a))
+    path = tmp_path / "table.json"
+    assert optimize(path) == cli.EXIT_OK
+    assert len(saves) == 1 and len(entries(path)) == len(GRID)
+
+
+def test_interrupted_optimize_leaves_the_table_unchanged(tmp_path, fake_search):
+    path = tmp_path / "table.json"
+    assert optimize(path, seed=1) == cli.EXIT_OK
+    before = path.read_bytes()
+    fake_search.stop_after = len(fake_search.calls) + 3
     with pytest.raises(Interrupted):
-        optimize(resumed)
-    assert [r["squeezing_db"] for r in entries(resumed)] == GRID[:2]
-    fake_search.stop_after = None
-    assert optimize(resumed, db_min=GRID[2]) == cli.EXIT_OK
-    assert resumed.read_bytes() == straight.read_bytes()
+        optimize(path, seed=2)
+    assert path.read_bytes() == before
+    with pytest.raises(Interrupted):  # nothing to leave behind in a new table either
+        optimize(tmp_path / "new.json", seed=2)
+    assert not (tmp_path / "new.json").exists()
 
 
 def test_optimize_rerun_never_raises_an_accepted_perr(tmp_path, fake_search):
@@ -468,17 +494,29 @@ def test_optimize_rerun_never_raises_an_accepted_perr(tmp_path, fake_search):
         before = after
 
 
-def test_optimize_warm_starts_from_the_rows_around_each_point(tmp_path, fake_search):
+def test_optimize_continues_outward_from_the_anchor(tmp_path, fake_search):
     path = tmp_path / "table.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"restarts": 7}))
     assert optimize(path) == cli.EXIT_OK
     first = {r["squeezing_db"]: r for r in entries(path)}
+    first[14.0]["accepted"] = False  # not a warm start of its own point
+    path.write_text(json.dumps({"version": 1, "entries": list(first.values())}))
     del fake_search.calls[:]
-    assert optimize(path, seed=2) == cli.EXIT_OK
+    assert optimize(path, "--config", str(cfg), seed=2) == cli.EXIT_OK
     final = {r["squeezing_db"]: r for r in entries(path)}
-    for db, warm in zip(GRID, fake_search.calls):
-        # the row below db is already this run's, the rows at and above not yet
-        rows = [final.get(db - 0.5), first.get(db + 0.5), first[db]]
-        assert [list(w) for w in warm] == [r["angles"] for r in rows if r and r["accepted"]]
+    # the anchor from every start, then up from it, then down
+    assert [c.db for c in fake_search.calls] == [15.0, 15.5, 16.0, 14.5, 14.0]
+    assert [c.restarts for c in fake_search.calls] == [7, 1, 1, 1, 1]
+    for db, _, warm in fake_search.calls:
+        # the row this run found toward the anchor, then the point's own accepted row
+        toward = [] if db == cli.ANCHOR_DB else [final[db - 0.5 if db > cli.ANCHOR_DB
+                                                         else db + 0.5]]
+        rows = toward + [first[db]] * first[db]["accepted"]
+        assert [list(w) for w in warm] == [r["angles"] for r in rows]
+    del fake_search.calls[:]
+    assert optimize(path, "--config", str(cfg), grid=[3.0]) == cli.EXIT_OK
+    assert [c.restarts for c in fake_search.calls] == [7]  # a one-point grid is its anchor
 
 
 def test_variable_theta_c_run_warm_starts_from_the_fixed_row(tmp_path, fake_search):
@@ -488,9 +526,10 @@ def test_variable_theta_c_run_warm_starts_from_the_fixed_row(tmp_path, fake_sear
     assert fixed
     del fake_search.calls[:]
     assert optimize(path, "--variable-theta-c") == cli.EXIT_OK
-    for db, warm in zip(GRID, fake_search.calls):
-        if db in fixed:
-            assert any(np.array_equal(w, fixed[db]) for w in warm)
+    warm = {c.db: c.warm for c in fake_search.calls}
+    assert sorted(warm) == GRID
+    for db, angles in fixed.items():
+        assert np.array_equal(warm[db][-1], angles)
     assert [r["squeezing_db"] for r in entries(path) if r.get("variable_theta_c")] == GRID
 
 
@@ -522,11 +561,16 @@ def test_concurrent_sections_share_one_table(tmp_path, fake_search):
         assert [r["squeezing_db"] for r in rows if r["lattice"] == lattice] == GRID
 
 
-def test_readme_commands_parse():
+def readme_commands():
+    """The argv of every ``cvmbqc`` line in the README's code blocks."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
     blocks = readme.read_text().split("```")[1::2]
-    commands = [shlex.split(line, comments=True)[1:] for block in blocks
-                for line in block.splitlines() if line.startswith("cvmbqc ")]
+    return [shlex.split(line, comments=True)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("cvmbqc ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
     assert len(commands) >= 10
     parser = cli.build_parser()
     for argv in commands:
@@ -534,6 +578,21 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: cvmbqc {shlex.join(argv)}")
+
+
+def test_readme_mbsl_command_regenerates_the_shipped_section(tmp_path, capsys):
+    [argv] = [a for a in readme_commands() if a[:3] == ["optimize", "--lattice", "MBSL"]]
+    path = tmp_path / "mbsl.json"
+    assert cli.main(argv + ["--out", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    shipped = [r for r in gates.load_basis_table()["entries"] if r["lattice"] == "MBSL"]
+    built = entries(path)
+    assert [r["squeezing_db"] for r in built] == [r["squeezing_db"] for r in shipped]
+    for new, old in zip(built, shipped):
+        turn = (np.subtract(new["angles"], old["angles"]) + np.pi / 2) % np.pi - np.pi / 2
+        assert np.abs(turn).max() <= 1e-9, new["squeezing_db"]
+        assert new["perr"] == pytest.approx(old["perr"], rel=1e-9, abs=0), new["squeezing_db"]
+        assert new["accepted"] == old["accepted"], new["squeezing_db"]
 
 
 def test_csv_outputs_are_byte_stable(capsys):
@@ -557,14 +616,14 @@ DEFAULT_CURVE_DIGESTS = [
      "0056e0dd135eea7b1297e977c1666a5cd7d620b34264f61f6bf30fb101635fac"),
     # these two read the shipped basis table
     (["error-curve", "--lattice", "DBSL", "BSL", "MBSL", "--gate", "FFCZ"],
-     "cf0a39502cf7811a3300713778805d0db678f7aa244b49ab9ff5464239b2566d"),
+     "290bcd795a23ef4bba43de4524696957f7dfba1ad648d449717694a293b13392"),
     (["compare"], "7e53d791bb3f6ada0ee510d2fdb4b0e2e8fc5250b07fecf7eab3e692cd84a068"),
 ]
 
 # sha256 of the space-joined reprs of the perrs of the stacked
 # variable-theta_c DBSL plan over the shipped table's 21 theta_c rows, under
 # the rule above.
-VARIABLE_THETA_C_PERR_DIGEST = "d4c797c91507e3be5d35a3ae74e14af7a4bb803fdc521ab508d04e02295c30c4"
+VARIABLE_THETA_C_PERR_DIGEST = "5ae53f59f22037c27187933b6f8ae24a28e659225c598ac3b613f24aaefa9a95"
 
 
 @pytest.mark.parametrize("args, digest", DEFAULT_CURVE_DIGESTS,

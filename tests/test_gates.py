@@ -207,7 +207,14 @@ class TestCzCache:
         with pytest.raises(ValueError, match="^" + re.escape(f"cannot save basis table {path}: ")):
             gates.save_basis_table(self._table(), path)
         with pytest.raises(ValueError, match="^" + re.escape(f"cannot lock basis table {path}: ")):
-            gates.update_basis_table(self._table()["entries"][0], path)
+            gates.update_basis_table(self._table()["entries"][:1], path)
+
+    def test_failed_save_leaves_no_temporary_file(self, tmp_path):
+        path = tmp_path / "table.json"
+        path.mkdir()  # the replace fails on a directory
+        with pytest.raises(ValueError, match="^" + re.escape(f"cannot save basis table {path}: ")):
+            gates.save_basis_table(self._table(), path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table.json"]
 
 
 def test_iter_catalog_contents():
