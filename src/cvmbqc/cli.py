@@ -47,6 +47,8 @@ def _db_grid(args):
     if n < 0 or abs(args.db_min + n * args.db_step - args.db_max) > 1e-9:
         raise ValueError(f"empty or inconsistent squeezing grid: --db-step {args.db_step:g} "
                          f"does not step from {args.db_min:g} to {args.db_max:g}")
+    if args.db_min <= 0:
+        raise ValueError(f"--db-min must be positive (squeezing in dB), got {args.db_min:g}")
     return [args.db_min + i * args.db_step for i in range(n + 1)]
 
 
@@ -188,8 +190,7 @@ def cmd_optimize(args) -> int:
         db = grid[i]
         near = [rows.get(i - 1 if i > anchor else i + 1)] + [gates.find_row(
             table, args.lattice, db, vtc) for vtc in dict.fromkeys((args.variable_theta_c, False))]
-        warm = [np.array(row["angles"] + ([row["theta_c"]] if "theta_c" in row else []))
-                for row in near if row]
+        warm = [np.array(gates.row_angles(row, args.variable_theta_c)) for row in near if row]
         res = optimizer.cz_search(args.lattice, lat.db_to_r(db), cfg, warm_starts=warm,
                                   variable_theta_c=args.variable_theta_c)
         cfg = dataclasses.replace(cfg, restarts=1)  # the anchor was the first point

@@ -46,6 +46,7 @@ __all__ = [
     "save_basis_table",
     "update_basis_table",
     "find_row",
+    "row_angles",
     "default_table_path",
 ]
 
@@ -354,6 +355,14 @@ def find_row(table, lattice, db, variable_theta_c=False) -> dict | None:
     return None
 
 
+def row_angles(row, variable_theta_c=False) -> list:
+    """A table row's free-angle vector: its angles, followed with
+    ``variable_theta_c`` by its theta_c, which a fixed-basis row takes from
+    its lattice's default."""
+    theta_c = [row.get("theta_c", lat.DEFAULT_THETA_C[row["lattice"]])]
+    return row["angles"] + (theta_c if variable_theta_c else [])
+
+
 def cz_plan(lattice: str, db, table: dict | None = None,
             variable_theta_c: bool = False) -> GatePlan:
     """Optimized Fourier-CZ plan from the cached basis table, at squeezing
@@ -376,7 +385,7 @@ def cz_plan(lattice: str, db, table: dict | None = None,
                 f"`cvmbqc optimize --lattice {lattice}"
                 f"{' --variable-theta-c' if variable_theta_c else ''} "
                 f"--db-min {d:g} --db-max {d:g}`")
-        return row["angles"] + [row.get("theta_c", lat.DEFAULT_THETA_C[lattice])]
+        return row_angles(row, variable_theta_c=True)
 
     # one entry per free angle, then theta_c, each in db's shape
     angles = np.moveaxis(np.asarray(lat.per_point(basis_at, db)), -1, 0)

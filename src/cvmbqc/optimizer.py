@@ -10,7 +10,9 @@ log perr - lam^T F, both reduced to the null space of the Jacobian, each
 step retracted onto the roots by rank-truncated Gauss-Newton steps;
 isolated roots (DBSL, QRL) are kept as they are.
 :class:`OptimizerConfig` sets ``restarts`` and ``seed``; ``weight_grid`` is
-still validated but has no effect.  Accepted solutions must implement the
+still validated but has no effect.  The starts are the caller's warm starts,
+then a jittered copy of each, then uniform random ones up to ``restarts``;
+no start is built in.  Accepted solutions must implement the
 target to an entrywise 1-norm below :data:`RESIDUAL_TOL`; among those the
 lowest error probability wins, with residual and then lexicographic order of
 the canonical angles (each free angle mod pi) as tie-breakers.
@@ -42,7 +44,6 @@ import numpy as np
 
 from . import _kernels
 from . import gates
-from . import lattice as lat
 from .gkp import error_probability, propagate_spikes, resource_variances
 from .reduction import noise_factors, restrict, split_s0
 from .reduction import reduce as reduce_region
@@ -444,6 +445,8 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
     rng = np.random.default_rng(config.seed)
     n_free = frozen.n_free
     starts = [np.asarray(w, dtype=float) for w in warm_starts]
+    if any(w.shape != (n_free,) for w in starts):
+        raise ValueError(f"every warm start must hold the region's {n_free} free angles")
     for w in list(starts):
         starts.append(w + rng.normal(0.0, 0.05, n_free))
     while len(starts) < config.restarts:
@@ -492,21 +495,6 @@ def _region(lattice: str, r: float, variable_theta_c=False) -> FrozenRegion:
     return freeze_region(graph, target, r, gates.CZ_KEEP, variable_theta_c)
 
 
-def _warm_starts(lattice: str, r: float, extra=()):
-    starts = [np.asarray(a, dtype=float) for a in extra]
-    if lattice == "DBSL":
-        # infinite-squeezing rotated-CZ construction and the swap setting:
-        # not solutions of the Fourier-CZ target, but useful basin hints
-        a = math.atan(0.5)
-        q = math.pi / 4
-        starts.append(np.array([3 * q / 2, -q / 2, 3 * q / 2, -q / 2,
-                                -q, q - a, q + a, q + a, -q, q - a]))
-        starts.append(np.array(gates.DBSL_SWAP_FREE_ANGLES))
-    if lattice == "QRL":
-        starts.append(np.array(gates.qrl_cz_angles(r)))  # the closed-form plan
-    return starts
-
-
 def _crosscheck(res: OptResult, lattice: str, r: float) -> None:
     """Re-score an accepted result on the reference path: the residual must
     agree to 1e-10 absolute and perr to 1e-9 relative."""
@@ -521,20 +509,17 @@ def _crosscheck(res: OptResult, lattice: str, r: float) -> None:
 
 def cz_search(lattice: str, r: float, config: OptimizerConfig, warm_starts=(),
               variable_theta_c: bool = False) -> OptResult:
-    """Optimize the Fourier-CZ basis on one lattice at squeezing r.
+    """Optimize the Fourier-CZ basis on one lattice at squeezing r, from the
+    caller's warm starts and :func:`search`'s uniform starts alone.
 
     With ``variable_theta_c`` the DBSL control basis theta_c is a further
-    free angle, returned in ``theta_c``; warm starts without it start at
-    the DBSL default theta_c.
+    free angle, the last one, returned in ``theta_c``.  Every warm start has
+    exactly the region's free angles, theta_c included when it is free
+    (:func:`gates.row_angles` turns a table row into one).
     """
     if variable_theta_c and lattice != "DBSL":
         raise ValueError("variable theta_c optimization targets the DBSL region")
-    frozen = _region(lattice, r, variable_theta_c)
-    starts = _warm_starts(lattice, r, warm_starts)
-    if variable_theta_c:
-        starts = [np.append(w, lat.DEFAULT_THETA_C["DBSL"]) if len(w) == frozen.n_free - 1 else w
-                  for w in starts]
-    res = search(frozen, config, warm_starts=starts)
+    res = search(_region(lattice, r, variable_theta_c), config, warm_starts=warm_starts)
     if variable_theta_c:
         res.theta_c = float(res.angles[-1])
         res.angles = res.angles[:-1]

@@ -140,6 +140,22 @@ def test_unusable_path_is_one_usage_error(capsys, tmp_path, monkeypatch, fake_se
     assert not fake_search.calls
 
 
+@pytest.mark.parametrize("command", [
+    ["noise-curve"], ["error-curve", "--lattice", "QRL", "--gate", "FFCZ"], ["compare"],
+    ["optimize", "--lattice", "DBSL"],
+], ids=["noise-curve", "error-curve-qrl", "compare", "optimize"])
+@pytest.mark.parametrize("db_min", ["0", "-1"])
+def test_nonpositive_squeezing_is_one_usage_error(capsys, tmp_path, monkeypatch, fake_search,
+                                                  command, db_min):
+    monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
+    code, out, err = run_cli(command + [f"--db-min={db_min}", "--db-max=1", "--db-step=0.5"],
+                             capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == f"error: --db-min must be positive (squeezing in dB), got {db_min}\n"
+    assert out == "" and list(tmp_path.iterdir()) == []
+    assert not fake_search.calls
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(["error-curve", "--db-min", "10", "--db-max", "5",
                             "--db-step", "1"], capsys)
@@ -405,8 +421,7 @@ def fake_search(monkeypatch):
                                  [np.array(w) for w in warm_starts]))
         k = n_free(lattice)
         n = k + 1 if variable_theta_c else k
-        starts = [np.append(w, np.pi / 4) if len(w) == n - 1 else np.asarray(w, dtype=float)
-                  for w in warm_starts]
+        starts = [np.asarray(w, dtype=float) for w in warm_starts]
         starts += list(np.random.default_rng(config.seed).uniform(-np.pi, np.pi, (2, n)))
         x = min(starts, key=lambda x: _fake_perr(x, r))
         perr = _fake_perr(x, r)
@@ -529,7 +544,7 @@ def test_variable_theta_c_run_warm_starts_from_the_fixed_row(tmp_path, fake_sear
     warm = {c.db: c.warm for c in fake_search.calls}
     assert sorted(warm) == GRID
     for db, angles in fixed.items():
-        assert np.array_equal(warm[db][-1], angles)
+        assert np.array_equal(warm[db][-1], angles + [math.pi / 4])
     assert [r["squeezing_db"] for r in entries(path) if r.get("variable_theta_c")] == GRID
 
 
@@ -580,12 +595,16 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: cvmbqc {shlex.join(argv)}")
 
 
-def test_readme_mbsl_command_regenerates_the_shipped_section(tmp_path, capsys):
-    [argv] = [a for a in readme_commands() if a[:3] == ["optimize", "--lattice", "MBSL"]]
-    path = tmp_path / "mbsl.json"
+@pytest.mark.parametrize("lattice", ["MBSL", "DBSL"])
+def test_readme_command_regenerates_the_shipped_section(tmp_path, capsys, lattice):
+    # the section's table command: the base seed, fixed theta_c
+    [argv] = [a for a in readme_commands() if a[:3] == ["optimize", "--lattice", lattice]
+              and "20200527" in a and "--variable-theta-c" not in a]
+    path = tmp_path / "section.json"
     assert cli.main(argv + ["--out", str(path)]) == cli.EXIT_OK
     capsys.readouterr()
-    shipped = [r for r in gates.load_basis_table()["entries"] if r["lattice"] == "MBSL"]
+    shipped = [r for r in gates.load_basis_table()["entries"]
+               if r["lattice"] == lattice and not r.get("variable_theta_c")]
     built = entries(path)
     assert [r["squeezing_db"] for r in built] == [r["squeezing_db"] for r in shipped]
     for new, old in zip(built, shipped):
@@ -623,7 +642,7 @@ DEFAULT_CURVE_DIGESTS = [
 # sha256 of the space-joined reprs of the perrs of the stacked
 # variable-theta_c DBSL plan over the shipped table's 21 theta_c rows, under
 # the rule above.
-VARIABLE_THETA_C_PERR_DIGEST = "5ae53f59f22037c27187933b6f8ae24a28e659225c598ac3b613f24aaefa9a95"
+VARIABLE_THETA_C_PERR_DIGEST = "0e62fb2d0fde2deab857b3588c0f8ee4c8054cf64583532a8ab7164d5e25f7f5"
 
 
 @pytest.mark.parametrize("args, digest", DEFAULT_CURVE_DIGESTS,

@@ -58,6 +58,19 @@ def test_control_presets_are_read_only_in_lattice(name):
     assert _names(name) & {"control_modes", "control_angles"} == set()
 
 
+def test_optimizer_builds_no_start_of_its_own():
+    # a search starts only from what its caller gives it
+    assert _names("cvmbqc.optimizer") & {
+        "DEFAULT_THETA_C", "qrl_cz_angles", "DBSL_SWAP_FREE_ANGLES"} == set()
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES
+                                  if m not in ("cvmbqc.lattice", "cvmbqc.gates")])
+def test_default_theta_c_is_read_only_in_lattice_and_gates(name):
+    # one rule turns a table row into a basis vector: gates.row_angles
+    assert "DEFAULT_THETA_C" not in _names(name)
+
+
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "cvmbqc.reduction"])
 def test_kept_modes_are_one_tuple_outside_reduction(name):
     # one keep per region step: only restrict() still takes outputs and

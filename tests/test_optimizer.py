@@ -194,6 +194,20 @@ def test_qrl_search_matches_closed_form_plan():
     assert res.perr == pytest.approx(closed, abs=1e-6)
 
 
+@pytest.mark.parametrize("lattice", ["DBSL", "QRL"])
+def test_search_starts_only_from_what_its_caller_gives(lattice):
+    # no start is built in: one restart and no warm start is one solve
+    res = opt.cz_search(lattice, lat.db_to_r(15.0), opt.OptimizerConfig(restarts=1, seed=1))
+    assert res.descents == 1
+
+
+def test_every_warm_start_holds_the_regions_free_angles():
+    # theta_c is free here, so a fixed-basis start without it is refused
+    with pytest.raises(ValueError, match="11 free angles"):
+        opt.cz_search("DBSL", lat.db_to_r(15.0), FAST, warm_starts=[np.zeros(10)],
+                      variable_theta_c=True)
+
+
 def test_dbsl_search_accepts_at_15db():
     r = lat.db_to_r(15.0)
     res = opt.cz_search("DBSL", r, opt.OptimizerConfig(restarts=16, seed=3,
@@ -610,7 +624,7 @@ def test_variable_theta_c_beats_or_matches_fixed():
                                                          weight_grid=(1e-8, 1e-3)))
     var = opt.cz_search(
         "DBSL", r, opt.OptimizerConfig(restarts=12, seed=7, weight_grid=(1e-8, 1e-3)),
-        warm_starts=[np.array(list(fixed.angles))] if fixed.accepted else (),
+        warm_starts=[np.append(fixed.angles, math.pi / 4)] if fixed.accepted else (),
         variable_theta_c=True)
     assert var.accepted
     assert var.theta_c == pytest.approx(math.pi / 4, abs=0.6)
@@ -623,7 +637,7 @@ def test_kernel_perr_matches_closed_form_qrl(db):
     # cancellation against 1 and no clamp
     r = lat.db_to_r(db)
     frozen = opt._region("QRL", r)
-    _, perr = frozen.metrics(opt._warm_starts("QRL", r)[0])
+    _, perr = frozen.metrics(gates.qrl_cz_angles(r))
     closed = gkp.gate_error_probability(gates.qrl_cz_plan(r))
     assert perr == pytest.approx(closed, rel=1e-9)
 
