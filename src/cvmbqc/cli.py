@@ -164,9 +164,9 @@ def cmd_optimize(args) -> int:
     """Optimize a section as one continuation, then write its rows at once.
     The grid point nearest ANCHOR_DB runs the config's ``restarts``; the sweep
     goes up from it, then down, each point from its warm starts alone: the row
-    just found next to it, its own accepted row and, for a variable theta_c
-    run, the fixed-basis row at its dB.  So a rerun never worsens an accepted
-    row, and a point printed INFEASIBLE is rerun alone, as its own anchor."""
+    just found next to it and its own accepted row.  So a rerun never worsens
+    an accepted row, and a point printed INFEASIBLE is rerun alone, as its own
+    anchor."""
     from . import optimizer  # only optimize needs it; keeps the curve commands' import lean
 
     grid = _db_grid(args)
@@ -188,16 +188,14 @@ def cmd_optimize(args) -> int:
     rows = {}
     for i in [*range(anchor, len(grid)), *range(anchor - 1, -1, -1)]:
         db = grid[i]
-        near = [rows.get(i - 1 if i > anchor else i + 1)] + [gates.find_row(
-            table, args.lattice, db, vtc) for vtc in dict.fromkeys((args.variable_theta_c, False))]
-        warm = [np.array(gates.row_angles(row, args.variable_theta_c)) for row in near if row]
-        res = optimizer.cz_search(args.lattice, lat.db_to_r(db), cfg, warm_starts=warm,
-                                  variable_theta_c=args.variable_theta_c)
+        near = [rows.get(i - 1 if i > anchor else i + 1), gates.find_row(table, args.lattice, db)]
+        warm = [np.array(row["angles"]) for row in near if row]
+        res = optimizer.cz_search(args.lattice, lat.db_to_r(db), cfg, warm_starts=warm)
         cfg = dataclasses.replace(cfg, restarts=1)  # the anchor was the first point
         flag = "accepted" if res.accepted else "INFEASIBLE"
         print(f"{args.lattice} {db:g} dB: {flag} residual={res.residual:.3e} "
               f"perr={res.perr:.6e}", flush=True)
-        rows[i] = res.to_row(args.lattice, db, args.variable_theta_c)
+        rows[i] = res.to_row(args.lattice, db)
     print(f"wrote {gates.update_basis_table(list(rows.values()), args.out)}")
     return EXIT_OK
 
@@ -221,15 +219,12 @@ def cmd_verify(args) -> int:
             ok &= rep["pass"]
     table = gates.load_basis_table()
     # every row a CZ plan is built from, with or without an "accepted" key
-    rows = [row for row in table["entries"] if gates.find_row(
-        table, row["lattice"], row["squeezing_db"], bool(row.get("variable_theta_c"))) is row]
+    rows = [row for row in table["entries"]
+            if gates.find_row(table, row["lattice"], row["squeezing_db"]) is row]
     for row in rows[::args.cache_stride]:
-        vtc = bool(row.get("variable_theta_c"))
-        plan = gates.cz_plan(row["lattice"], row["squeezing_db"], table=table,
-                             variable_theta_c=vtc)
+        plan = gates.cz_plan(row["lattice"], row["squeezing_db"], table=table)
         rep = oracle.verify_plan(plan, tol=args.tol)
-        rep["plan"] = (f"{row['lattice']}:FFCZ{'(theta_c)' if vtc else ''}"
-                       f"@{row['squeezing_db']:g}dB")
+        rep["plan"] = f"{row['lattice']}:FFCZ@{row['squeezing_db']:g}dB"
         reports.append(rep)
         ok &= rep["pass"]
     for lattice in ("DBSL", "BSL", "MBSL"):
@@ -302,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON object with any of the optimizer keys "
                    "restarts (starts at the anchor) and seed; weight_grid is ignored")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--variable-theta-c", action="store_true")
     p.add_argument("--out", default=None,
                    help="basis-table path (default: the active cache location)")
     p.set_defaults(func=cmd_optimize)

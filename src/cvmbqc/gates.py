@@ -5,7 +5,8 @@ A plan is a tuple of steps, each one :class:`PlanTrack` (region graph, basis,
 kept computation modes).  Realizing a plan reduces every step, keeps its
 computation modes, and chains the steps, so the combined noise matrix follows
 the two-step composition rule N = [G2 N1 | N2].  Every controlled-Z plan, the
-closed-form QRL one included, is one step on its lattice's :func:`cz_region`.
+closed-form QRL and DBSL ones included, is one step on its lattice's
+:func:`cz_region`; :func:`cz_plan` serves the DBSL one from the table too.
 Every plan constructor takes the squeezing as a number or an array; an
 array gives one plan for the whole block, each step one stacked region graph
 with a basis that has r's axes in front, which :func:`realize` reduces in one
@@ -39,6 +40,8 @@ __all__ = [
     "basis_for",
     "qrl_cz_angles",
     "qrl_cz_plan",
+    "dbsl_cz_angles",
+    "dbsl_cz_plan",
     "dbsl_swap_plan",
     "cz_plan",
     "iter_catalog",
@@ -46,7 +49,6 @@ __all__ = [
     "save_basis_table",
     "update_basis_table",
     "find_row",
-    "row_angles",
     "default_table_path",
 ]
 
@@ -217,6 +219,25 @@ def qrl_cz_plan(r) -> GatePlan:
     return _cz_region_plan("QRL", r, qrl_cz_angles(r))
 
 
+def dbsl_cz_angles(r, theta_c=math.pi / 4) -> tuple:
+    """Free angles of the DBSL CZ region at squeezing r and control basis
+    theta_c, arrays broadcast: (-pi/4, pi/4, -pi/4, pi/4, a, 0, b, theta_c, a, 0)
+    with t = tan theta_c, y = t tanh(2r)^2, a = atan2(2, y^2) and
+    b = atan2(t (y^2 - 4y - 4), y^2 + 4y - 4).  Read off the optimized table and
+    checked by the tests; the mirror root (angles 0-3 negated, the pairs (4, 5),
+    (6, 7) and (8, 9) swapped) has the same perr."""
+    t = np.tan(theta_c)
+    y = t * lat.per_point(lambda x: math.tanh(2.0 * x) ** 2, r)
+    a, b = np.arctan2(2.0, y * y), np.arctan2(t * (y * y - 4 * y - 4), y * y + 4 * y - 4)
+    return (-math.pi / 4, math.pi / 4, -math.pi / 4, math.pi / 4, a, 0.0, b, theta_c, a, 0.0)
+
+
+def dbsl_cz_plan(r, theta_c=math.pi / 4) -> GatePlan:
+    """Closed-form DBSL plan of :func:`dbsl_cz_angles`, stacked for an array
+    of squeezings; theta_c is a number or an array of r's shape."""
+    return _cz_region_plan("DBSL", r, [*dbsl_cz_angles(r, theta_c), theta_c], True)
+
+
 DBSL_SWAP_FREE_ANGLES = (math.pi / 4, -math.pi / 4, math.pi / 4, -math.pi / 4,
                          0.0, math.pi / 2, math.pi / 2, 0.0, 0.0, math.pi / 2)
 
@@ -252,17 +273,13 @@ def _n_free_angles(lattice: str) -> int:
 
 
 def _is_valid_row(row) -> bool:
-    if not (isinstance(row, dict) and row.get("lattice") in CACHED_CZ_LATTICES
+    return (isinstance(row, dict) and row.get("lattice") in CACHED_CZ_LATTICES
             and _is_finite_number(row.get("squeezing_db"))
             and isinstance(row.get("angles"), list)
             and len(row["angles"]) == _n_free_angles(row["lattice"])
-            and all(_is_finite_number(a) for a in row["angles"])):
-        return False
-    if not isinstance(row.get("accepted", True), bool):
-        return False
-    if row.get("variable_theta_c"):
-        return row["lattice"] == "DBSL" and _is_finite_number(row.get("theta_c"))
-    return "theta_c" not in row
+            and all(_is_finite_number(a) for a in row["angles"])
+            and isinstance(row.get("accepted", True), bool)
+            and not {"theta_c", "variable_theta_c"} & row.keys())
 
 
 def load_basis_table(path: str | Path | None = None) -> dict:
@@ -270,12 +287,7 @@ def load_basis_table(path: str | Path | None = None) -> dict:
 
     Raises CacheMissError when there is no file, and ValueError naming the
     file when it cannot be read or is not a JSON object with a list
-    ``entries`` whose every row is an object with a ``lattice`` in
-    :data:`CACHED_CZ_LATTICES`, a finite number ``squeezing_db``, a list
-    ``angles`` of one finite number per free mode of that lattice's
-    :func:`cz_region` and a bool ``accepted`` if it has one.  A row carries
-    ``theta_c`` exactly when it sets ``variable_theta_c``; such a row is a
-    DBSL row and its ``theta_c`` a finite number.
+    ``entries`` of rows that the message describes.
     """
     p = Path(path) if path is not None else default_table_path()
     if not p.exists():
@@ -294,10 +306,8 @@ def load_basis_table(path: str | Path | None = None) -> dict:
             counts = ", ".join(f"{lt} {_n_free_angles(lt)}" for lt in CACHED_CZ_LATTICES)
             raise ValueError(f"malformed basis table {p}: entry {i} is not a "
                              f"{'/'.join(CACHED_CZ_LATTICES)} row with a finite "
-                             f"'squeezing_db', finite 'angles' ({counts}) and a bool "
-                             "'accepted' if any; a row has a 'theta_c' exactly when it "
-                             "sets 'variable_theta_c', and then is a DBSL row with a "
-                             "finite 'theta_c'")
+                             f"'squeezing_db', finite 'angles' ({counts}), a bool "
+                             "'accepted' if any, and no 'theta_c' or 'variable_theta_c'")
     return table
 
 
@@ -315,16 +325,14 @@ def save_basis_table(table: dict, path: str | Path | None = None) -> Path:
     return p
 
 
-def _is_row(row, lattice, db, variable_theta_c):
-    """The table's row identity: (lattice, variable_theta_c, squeezing_db)."""
-    return (row["lattice"] == lattice
-            and bool(row.get("variable_theta_c")) == variable_theta_c
-            and abs(row["squeezing_db"] - db) < 1e-9)
+def _is_row(row, lattice, db):
+    """The table's row identity: (lattice, squeezing_db)."""
+    return row["lattice"] == lattice and abs(row["squeezing_db"] - db) < 1e-9
 
 
 def update_basis_table(rows: list, path: str | Path | None = None) -> Path:
-    """Replace the rows at each of ``rows``' (lattice, variable_theta_c, db) in
-    the table at ``path`` and save it, creating the table if needed.
+    """Replace the rows at each of ``rows``' (lattice, db) in the table at
+    ``path`` and save it, creating the table if needed.
 
     The table is re-read under the ``<table>.lock`` file lock, so runs that
     write different rows can share one table: every other row survives.
@@ -338,38 +346,29 @@ def update_basis_table(rows: list, path: str | Path | None = None) -> Path:
                 table = load_basis_table(p)
             except CacheMissError:
                 table = {"version": 1, "package": __version__, "entries": []}
-            ids = [(row["lattice"], row["squeezing_db"], bool(row.get("variable_theta_c")))
-                   for row in rows]
             table["entries"] = sorted(
-                [e for e in table["entries"] if not any(_is_row(e, *k) for k in ids)] + rows,
-                key=lambda e: (e["lattice"], bool(e.get("variable_theta_c")), e["squeezing_db"]))
+                [e for e in table["entries"]
+                 if not any(_is_row(e, r["lattice"], r["squeezing_db"]) for r in rows)] + rows,
+                key=lambda e: (e["lattice"], e["squeezing_db"]))
             return save_basis_table(table, p)
 
 
-def find_row(table, lattice, db, variable_theta_c=False) -> dict | None:
-    """The first row at (lattice, variable_theta_c, db) that is not marked
-    ``"accepted": false``, or None: the row every CZ plan there is built from."""
+def find_row(table, lattice, db) -> dict | None:
+    """The first row at (lattice, db) that is not marked ``"accepted": false``,
+    or None: the row every CZ plan there is built from."""
     for row in table["entries"]:
-        if _is_row(row, lattice, db, variable_theta_c) and row.get("accepted", True):
+        if _is_row(row, lattice, db) and row.get("accepted", True):
             return row
     return None
 
 
-def row_angles(row, variable_theta_c=False) -> list:
-    """A table row's free-angle vector: its angles, followed with
-    ``variable_theta_c`` by its theta_c, which a fixed-basis row takes from
-    its lattice's default."""
-    theta_c = [row.get("theta_c", lat.DEFAULT_THETA_C[row["lattice"]])]
-    return row["angles"] + (theta_c if variable_theta_c else [])
-
-
-def cz_plan(lattice: str, db, table: dict | None = None,
-            variable_theta_c: bool = False) -> GatePlan:
+def cz_plan(lattice: str, db, table: dict | None = None) -> GatePlan:
     """Optimized Fourier-CZ plan from the cached basis table, at squeezing
     ``db`` (in dB) or, stacked, at each point of an array of them.
 
     The table's angles are those of the even-parity CZ region, the only
-    region the optimizer searches; the QRL plan is closed-form.
+    region the optimizer searches, at the lattice's default control basis;
+    the QRL plan is closed-form.
     """
     if lattice == "QRL":
         return qrl_cz_plan(lat.db_to_r(db))
@@ -377,19 +376,16 @@ def cz_plan(lattice: str, db, table: dict | None = None,
         table = load_basis_table()
 
     def basis_at(d):
-        row = find_row(table, lattice, d, variable_theta_c)
+        row = find_row(table, lattice, d)
         if row is None:
             raise CacheMissError(
-                f"no cached CZ basis for {lattice} at {d:g} dB"
-                f"{' (variable theta_c)' if variable_theta_c else ''}; run "
-                f"`cvmbqc optimize --lattice {lattice}"
-                f"{' --variable-theta-c' if variable_theta_c else ''} "
-                f"--db-min {d:g} --db-max {d:g}`")
-        return row_angles(row, variable_theta_c=True)
+                f"no cached CZ basis for {lattice} at {d:g} dB; run `cvmbqc optimize "
+                f"--lattice {lattice} --db-min {d:g} --db-max {d:g}`")
+        return row["angles"]
 
-    # one entry per free angle, then theta_c, each in db's shape
+    # one entry per free angle, each in db's shape
     angles = np.moveaxis(np.asarray(lat.per_point(basis_at, db)), -1, 0)
-    return _cz_region_plan(lattice, lat.db_to_r(db), angles, variable_theta_c=True)
+    return _cz_region_plan(lattice, lat.db_to_r(db), angles)
 
 
 def iter_catalog(r: float):

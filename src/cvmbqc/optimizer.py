@@ -4,11 +4,12 @@ measured-mode angles, then minimize the GKP error probability on the solutions.
 From each start, a Levenberg-Marquardt solve drives the gate residual
 F = vec(M[:, :n_in] - [T | 0]) to a root with the analytic Jacobian of
 :func:`_kernels.reduce_residual`.  Where the roots form a continuum (BSL,
-MBSL and the variable-theta_c DBSL), a modified Newton descent of log perr
-follows them: the gradient and the exact Hessian of the Lagrangian
-log perr - lam^T F, both reduced to the null space of the Jacobian, each
-step retracted onto the roots by rank-truncated Gauss-Newton steps;
-isolated roots (DBSL, QRL) are kept as they are.
+MBSL), a modified Newton descent of log perr follows them: the gradient
+and the exact Hessian of the Lagrangian log perr - lam^T F, both reduced
+to the null space of the Jacobian, each step retracted onto the roots by
+rank-truncated Gauss-Newton steps; isolated roots (DBSL, QRL) are kept as
+they are.  The DBSL ones are closed-form at every control basis, over
+which :func:`dbsl_theta_c_optimum` minimizes.
 :class:`OptimizerConfig` sets ``restarts`` and ``seed``; ``weight_grid`` is
 still validated but has no effect.  The starts are the caller's warm starts,
 then a jittered copy of each, then uniform random ones up to ``restarts``;
@@ -44,12 +45,12 @@ import numpy as np
 
 from . import _kernels
 from . import gates
-from .gkp import error_probability, propagate_spikes, resource_variances
+from .gkp import error_probability, gate_error_probability, propagate_spikes, resource_variances
 from .reduction import noise_factors, restrict, split_s0
 from .reduction import reduce as reduce_region
 
-__all__ = ["OptimizerConfig", "OptResult", "FrozenRegion", "freeze_region",
-           "search", "cz_search", "evaluate_free_angles", "RESIDUAL_TOL", "ROOT_TOL"]
+__all__ = ["OptimizerConfig", "OptResult", "FrozenRegion", "freeze_region", "search", "cz_search",
+           "evaluate_free_angles", "dbsl_theta_c_optimum", "RESIDUAL_TOL", "ROOT_TOL"]
 
 # The default of OptimizerConfig.weight_grid, which no longer weights anything.
 DEFAULT_WEIGHTS = (1e-8, 1e-6, 1e-4, 1e-2, 1.0)
@@ -128,7 +129,6 @@ class OptResult:
     residual: float
     perr: float
     accepted: bool
-    theta_c: float | None = None
     # what the search spent: eliminations in its per-start solves (a
     # descent evaluates its Levenberg-Marquardt root once more, for perr and
     # its derivatives), the starts solved, and the starts whose
@@ -137,8 +137,8 @@ class OptResult:
     descents: int = 0
     roots: int = 0
 
-    def to_row(self, lattice: str, db: float, variable_theta_c: bool = False) -> dict:
-        row = {
+    def to_row(self, lattice: str, db: float) -> dict:
+        return {
             "lattice": lattice,
             "squeezing_db": db,
             "angles": [float(a) for a in self.angles],
@@ -146,10 +146,6 @@ class OptResult:
             "perr": float(self.perr),
             "accepted": bool(self.accepted),
         }
-        if variable_theta_c:
-            row["variable_theta_c"] = True
-            row["theta_c"] = float(self.theta_c)
-        return row
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +156,7 @@ class FrozenRegion:
     with the compared output rows picked and the input columns reordered to
     [real (xxpp) | dummy (xxpp)]; ``target_full`` is [T | 0] over the input
     columns and ``spike_weights`` the spike variance each column of M
-    carries into the error-probability budget.  With ``variable_theta_c``
-    the last free angle is the control basis theta_c.
+    carries into the error-probability budget.
     """
 
     graph: object
@@ -173,7 +168,6 @@ class FrozenRegion:
     s0x: np.ndarray
     s0p: np.ndarray
     out: np.ndarray
-    variable_theta_c: bool
 
     @property
     def n_free(self) -> int:
@@ -188,28 +182,23 @@ class FrozenRegion:
         return tuple(part[0] for part in jet) if ok[0] else None
 
     def canonical(self, x) -> np.ndarray:
-        """Each free angle's representative mod pi: in [-pi/2, pi/2), and a
-        variable theta_c in [0, pi).  Every free angle is pi-periodic,
-        because flipping the sign of a measured row leaves M unchanged.
-        ``x`` may be a stack of free-angle vectors."""
+        """Each free angle's representative mod pi, in [-pi/2, pi/2).  Every
+        free angle is pi-periodic, because flipping the sign of a measured
+        row leaves M unchanged.  ``x`` may be a stack of free-angle vectors."""
         y = np.fmod(np.asarray(x, dtype=float), math.pi)  # exact
-        lo = np.full(y.shape[-1], -math.pi / 2)
-        if self.variable_theta_c:
-            lo[-1] = 0.0
         # each shift by pi is exact in the usual case |y| >= pi/2 (Sterbenz)
-        y = np.where(y < lo, y + math.pi, y)
-        return np.where(y >= lo + math.pi, y - math.pi, y)
+        y = np.where(y < -math.pi / 2, y + math.pi, y)
+        return np.where(y >= math.pi / 2, y - math.pi, y)
 
 
-def freeze_region(graph, target, r, keep=None, variable_theta_c=False) -> FrozenRegion:
+def freeze_region(graph, target, r, keep=None) -> FrozenRegion:
     """Precompute the angle-independent parts of a region reduction.
 
     ``keep`` picks and orders the computation modes, the compared outputs
     and the inputs carrying encoded states (default: every output and
     input); the remaining inputs are dummies whose leakage is penalized in
     the residual and budgeted as vacuum noise.  The free angles map to the
-    measured ones by the graph's :meth:`lattice.ComputationGraph.angle_map`,
-    with ``variable_theta_c`` the last of them the control basis theta_c.
+    measured ones by the graph's :meth:`lattice.ComputationGraph.angle_map`.
     """
     s0x, s0p, out = split_s0(graph)
     k = s0x.shape[0]
@@ -220,7 +209,7 @@ def freeze_region(graph, target, r, keep=None, variable_theta_c=False) -> Frozen
            + [k + i for i in in_dummy] + [k + n_in + i for i in in_dummy])
     cols = list(range(k)) + ins + list(range(k + 2 * n_in, s0x.shape[1]))
     rows = [*outs] + [n_out + i for i in outs]
-    theta_base, a_map = graph.angle_map(variable_theta_c)
+    theta_base, a_map = graph.angle_map()
 
     n_real, n_dummy = 2 * len(real), 2 * len(in_dummy)
     target = np.asarray(target, dtype=float)
@@ -232,7 +221,7 @@ def freeze_region(graph, target, r, keep=None, variable_theta_c=False) -> Frozen
                               np.full(k, cluster_var)])
     return FrozenRegion(graph, np.hstack([target, np.zeros((len(rows), n_dummy))]),
                         delta, weights, theta_base, a_map,
-                        s0x[:, cols], s0p[:, cols], out[rows][:, cols], variable_theta_c)
+                        s0x[:, cols], s0p[:, cols], out[rows][:, cols])
 
 
 def _lm_stack(frozen: FrozenRegion, xs):
@@ -490,9 +479,9 @@ def evaluate_free_angles(lattice: str, r: float, angles, theta_c: float | None =
     return resid, error_probability(propagate_spikes(real.G, sigma2, delta), delta)
 
 
-def _region(lattice: str, r: float, variable_theta_c=False) -> FrozenRegion:
+def _region(lattice: str, r: float) -> FrozenRegion:
     graph, target = gates.cz_region(lattice, r)
-    return freeze_region(graph, target, r, gates.CZ_KEEP, variable_theta_c)
+    return freeze_region(graph, target, r, gates.CZ_KEEP)
 
 
 def _crosscheck(res: OptResult, lattice: str, r: float) -> None:
@@ -500,28 +489,47 @@ def _crosscheck(res: OptResult, lattice: str, r: float) -> None:
     agree to 1e-10 absolute and perr to 1e-9 relative."""
     if not res.accepted:
         return
-    resid, perr = evaluate_free_angles(lattice, r, res.angles, theta_c=res.theta_c)
+    resid, perr = evaluate_free_angles(lattice, r, res.angles)
     if abs(resid - res.residual) > 1e-10 or abs(perr - res.perr) > 1e-9 * perr:
-        raise AssertionError(
-            f"kernel/reference mismatch at {lattice} r={r} theta_c={res.theta_c}: "
-            f"residual {res.residual} vs {resid}, perr {res.perr} vs {perr}")
+        raise AssertionError(f"kernel/reference mismatch at {lattice} r={r}: residual "
+                             f"{res.residual} vs {resid}, perr {res.perr} vs {perr}")
 
 
-def cz_search(lattice: str, r: float, config: OptimizerConfig, warm_starts=(),
-              variable_theta_c: bool = False) -> OptResult:
+def cz_search(lattice: str, r: float, config: OptimizerConfig, warm_starts=()) -> OptResult:
     """Optimize the Fourier-CZ basis on one lattice at squeezing r, from the
-    caller's warm starts and :func:`search`'s uniform starts alone.
-
-    With ``variable_theta_c`` the DBSL control basis theta_c is a further
-    free angle, the last one, returned in ``theta_c``.  Every warm start has
-    exactly the region's free angles, theta_c included when it is free
-    (:func:`gates.row_angles` turns a table row into one).
-    """
-    if variable_theta_c and lattice != "DBSL":
-        raise ValueError("variable theta_c optimization targets the DBSL region")
-    res = search(_region(lattice, r, variable_theta_c), config, warm_starts=warm_starts)
-    if variable_theta_c:
-        res.theta_c = float(res.angles[-1])
-        res.angles = res.angles[:-1]
+    caller's warm starts (each the region's free angles, as a table row's
+    ``angles`` are) and :func:`search`'s uniform starts alone."""
+    res = search(_region(lattice, r), config, warm_starts=warm_starts)
     _crosscheck(res, lattice, r)
     return res
+
+
+def _theta_c_minima(r) -> tuple:
+    """``(i, theta_c, perr)`` at each local minimum of perr over the control
+    basis of :func:`gates.dbsl_cz_plan` at each squeezing ``r[i]``: a 64-point
+    scan of the circle [0, pi) brackets each, and 40 golden-section steps
+    refine them in lockstep (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5)."""
+    def perr(i, theta_c):
+        return gate_error_probability(gates.dbsl_cz_plan(r[i], theta_c))
+
+    step = math.pi / 64
+    scan = step * (np.arange(64) + 0.5)  # not at theta_c = pi/2
+    f = perr(*np.broadcast_arrays(np.arange(len(r))[:, None], scan))
+    i, k = np.nonzero((f <= np.roll(f, 1, axis=1)) & (f <= np.roll(f, -1, axis=1)))
+    lo, hi, g = scan[k] - step, scan[k] + step, (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(40):
+        c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+        left = np.less(*perr(np.r_[i, i], np.r_[c, d]).reshape(2, -1))  # a minimum in [lo, d]
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+    theta_c = np.mod((lo + hi) / 2.0, math.pi)
+    return i, theta_c, perr(i, theta_c)
+
+
+def dbsl_theta_c_optimum(r) -> tuple:
+    """``(theta_c, perr)`` in r's shape: the control basis in [0, pi) of the
+    lowest-perr closed-form DBSL CZ plan, the lowest of :func:`_theta_c_minima`."""
+    i, theta_c, perr = _theta_c_minima(np.atleast_1d(np.asarray(r, dtype=float)))
+    best = np.lexsort((perr, i))
+    best = best[np.r_[True, np.diff(i[best]) != 0]]  # the first of each squeezing
+    return np.reshape(theta_c[best], np.shape(r)), np.reshape(perr[best], np.shape(r))

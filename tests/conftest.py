@@ -1,8 +1,11 @@
 """Shared test fixtures: a check that no test leaves a child process running,
-and the acceptance suite's report, one pass/fail line per criterion."""
+the acceptance suite's report, one pass/fail line per criterion, and the
+DBSL control-basis optima that more than one test reads."""
 
+import functools
 import multiprocessing
 
+import numpy as np
 import pytest
 
 ACCEPTANCE_RESULTS = []
@@ -34,3 +37,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f"  ({detail})"
         terminalreporter.write_line(line)
+
+
+@functools.cache
+def theta_c_optima():
+    """``(dbs, theta_c, perr)``: the DBSL control-basis optimum at 5-25 dB in
+    1 dB steps, criterion 7's grid, computed once per test session."""
+    from cvmbqc import lattice, optimizer
+
+    dbs = np.arange(5.0, 25.5, 1.0)
+    return (dbs, *optimizer.dbsl_theta_c_optimum(lattice.db_to_r(dbs)))

@@ -1,19 +1,18 @@
 """Acceptance suite: every criterion at its stated tolerance, one line each.
 
-Criteria 5, 6 and 7 read the optimized-basis table shipped with the package;
-everything else is closed-form or oracle-backed and self-contained.  The table
-is what these commands write, one after another, into an empty table, with the
-fixed base seed 20200527 and the DBSL before its variable theta_c rows.  Each
-is one search from every start at the grid point nearest ``cli.ANCHOR_DB`` and
-a continuation outward from it, and writes its section once:
+Criteria 5 and 6 read the optimized-basis table shipped with the package, and
+criterion 7 minimizes the closed-form DBSL CZ plan over its control basis
+theta_c; everything else is closed-form or oracle-backed and self-contained.
+The table is what these commands write, one after another, into an empty
+table, with the fixed base seed 20200527.  Each is one search from every
+start at the grid point nearest ``cli.ANCHOR_DB`` and a continuation outward
+from it, and writes its section once:
 
     cvmbqc optimize --lattice DBSL --db-min 0.25 --db-max 25 --db-step 0.25 \
         --seed 20200527
     cvmbqc optimize --lattice BSL --db-min 0.25 --db-max 25 --db-step 0.25 \
         --seed 20200527
     cvmbqc optimize --lattice MBSL --db-min 0.25 --db-max 25 --db-step 0.25 \
-        --seed 20200527
-    cvmbqc optimize --lattice DBSL --variable-theta-c --db-min 5 --db-max 25 --db-step 1 \
         --seed 20200527
 """
 
@@ -28,7 +27,7 @@ from cvmbqc import symplectic as sp
 from cvmbqc.reduction import noise_factors
 from cvmbqc.reduction import reduce as reduce_region
 
-from conftest import record_criterion
+from conftest import record_criterion, theta_c_optima
 
 TH = math.tanh
 
@@ -172,8 +171,7 @@ def test_criterion_5_limits():
     table = gates.load_basis_table()
     for lattice in ("DBSL", "BSL", "MBSL"):
         dbs = sorted(row["squeezing_db"] for row in table["entries"]
-                     if row["lattice"] == lattice and row.get("accepted")
-                     and not row.get("variable_theta_c"))
+                     if row["lattice"] == lattice and row.get("accepted"))
         assert dbs, f"no cached CZ rows for {lattice}"
         prev = None
         for db in dbs:
@@ -190,8 +188,7 @@ def test_criterion_5_limits():
 def _cached_curve(table, lattice, lo=None, hi=None):
     dbs, perrs = [], []
     for row in sorted((r for r in table["entries"]
-                       if r["lattice"] == lattice and r.get("accepted")
-                       and not r.get("variable_theta_c")),
+                       if r["lattice"] == lattice and r.get("accepted")),
                       key=lambda r: r["squeezing_db"]):
         db = row["squeezing_db"]
         if (lo is None or db >= lo - 1e-9) and (hi is None or db <= hi + 1e-9):
@@ -205,17 +202,13 @@ def _cached_curve(table, lattice, lo=None, hi=None):
 def test_criterion_6_comparisons():
     table = gates.load_basis_table()
 
-    total = acc = 0
-    for row in table["entries"]:
-        if not row.get("variable_theta_c"):
-            total += 1
-            acc += bool(row.get("accepted"))
+    total = len(table["entries"])
+    acc = sum(bool(row.get("accepted")) for row in table["entries"])
     assert total > 0 and acc / total >= 0.90, f"{acc}/{total} accepted"
 
     # cached rows must re-verify through the reference reduction
     rng = np.random.default_rng(0)
-    rows = [r for r in table["entries"] if r.get("accepted")
-            and not r.get("variable_theta_c")]
+    rows = [r for r in table["entries"] if r.get("accepted")]
     for row in (rows[i] for i in rng.choice(len(rows), size=12, replace=False)):
         resid, perr = optimizer.evaluate_free_angles(
             row["lattice"], lat.db_to_r(row["squeezing_db"]), row["angles"])
@@ -252,15 +245,9 @@ def test_criterion_6_comparisons():
 
 @_report(7, "variable theta_c: minimum P_err ratio vs fixed pi/4 in [0.92, 1.0]")
 def test_criterion_7_variable_theta_c():
-    table = gates.load_basis_table()
-    ratios = []
-    for row in table["entries"]:
-        if row.get("variable_theta_c") and row.get("accepted"):
-            db = row["squeezing_db"]
-            if 5.0 - 1e-9 <= db <= 25.0 + 1e-9:
-                fixed = gkp.gate_error_probability(gates.cz_plan("DBSL", db, table=table))
-                ratios.append((db, row["perr"] / fixed))
-    assert ratios, "no variable-theta_c rows cached"
+    dbs, _, perr = theta_c_optima()
+    fixed = gkp.gate_error_probability(gates.cz_plan("DBSL", dbs, table=gates.load_basis_table()))
+    ratios = list(zip(dbs.tolist(), (perr / fixed).tolist()))
     best_db, best = min(ratios, key=lambda t: t[1])
     assert 0.92 <= best <= 1.0 + 1e-9, (best_db, best)
     return f"min ratio {best:.4f} at {best_db:g} dB over {len(ratios)} points"

@@ -98,6 +98,9 @@ MALFORMED_TABLES = {
     "theta-c-row-on-bsl": _one_row_table(lattice="BSL", angles=[0.0] * 12,
                                          variable_theta_c=True, theta_c=0.7),
     "fixed-row-with-theta-c": _one_row_table(theta_c=0.7),
+    # the rows an older table held, with the DBSL control basis searched
+    "theta-c-row": _one_row_table(variable_theta_c=True, theta_c=0.7),
+    "row-with-variable-theta-c-false": _one_row_table(variable_theta_c=False),
 }
 
 
@@ -347,15 +350,6 @@ def test_optimize_refuses_restarts_above_the_bound(capsys, tmp_path, fake_search
     assert not table.exists()
 
 
-def test_optimize_variable_theta_c_off_the_dbsl_is_usage_error(capsys, tmp_path):
-    table = tmp_path / "table.json"
-    code, out, err = run_cli(["optimize", "--lattice", "BSL", "--variable-theta-c",
-                              "--out", str(table)], capsys)
-    assert code == cli.EXIT_USAGE and out == ""
-    assert err == "error: variable theta_c optimization targets the DBSL region\n"
-    assert not table.exists()
-
-
 def test_optimize_unreadable_config_is_usage_error(capsys, tmp_path):
     table = tmp_path / "table.json"
     code, _, err = run_cli(["optimize", "--lattice", "MBSL",
@@ -413,20 +407,18 @@ def fake_search(monkeypatch):
     the warm starts of every call; setting ``stop_after`` interrupts the run
     at that call and ``hook(n)`` runs before call ``n``.
     """
-    def search(lattice, r, config, warm_starts=(), variable_theta_c=False):
+    def search(lattice, r, config, warm_starts=()):
         if len(search.calls) == search.stop_after:
             raise Interrupted
         search.hook(len(search.calls))
         search.calls.append(Call(round(r * 20.0 / math.log(10.0), 9), config.restarts,
                                  [np.array(w) for w in warm_starts]))
-        k = n_free(lattice)
-        n = k + 1 if variable_theta_c else k
         starts = [np.asarray(w, dtype=float) for w in warm_starts]
-        starts += list(np.random.default_rng(config.seed).uniform(-np.pi, np.pi, (2, n)))
+        starts += list(np.random.default_rng(config.seed).uniform(-np.pi, np.pi,
+                                                                   (2, n_free(lattice))))
         x = min(starts, key=lambda x: _fake_perr(x, r))
         perr = _fake_perr(x, r)
-        return optimizer.OptResult(x[:k], 1e-7, perr, perr < 0.6,
-                                   float(x[k]) if variable_theta_c else None)
+        return optimizer.OptResult(x, 1e-7, perr, perr < 0.6)
 
     search.calls, search.stop_after, search.hook = [], None, lambda n: None
     monkeypatch.setattr(optimizer, "cz_search", search)
@@ -450,8 +442,7 @@ def _row(lattice, db, **extra):
 
 def test_optimize_replaces_only_its_own_rows(tmp_path, fake_search):
     path = tmp_path / "table.json"
-    kept = [_row("BSL", 14.0), _row("DBSL", 14.0, variable_theta_c=True, theta_c=0.7),
-            _row("DBSL", 9.0)]
+    kept = [_row("BSL", 14.0), _row("DBSL", 9.0)]
     stale = _row("DBSL", 14.5, accepted=False, perr=0.99)
     path.write_text(json.dumps({"version": 1, "entries": kept + [stale]}))
     written_meanwhile = _row("MBSL", 14.0)
@@ -465,8 +456,7 @@ def test_optimize_replaces_only_its_own_rows(tmp_path, fake_search):
     fake_search.hook = another_writer
     assert optimize(path) == cli.EXIT_OK
     rows = entries(path)
-    ours = [r for r in rows if r["lattice"] == "DBSL" and not r.get("variable_theta_c")
-            and r["squeezing_db"] in GRID]
+    ours = [r for r in rows if r["lattice"] == "DBSL" and r["squeezing_db"] in GRID]
     assert [r["squeezing_db"] for r in ours] == GRID
     assert stale not in ours
     others = [r for r in rows if r not in ours]
@@ -534,20 +524,6 @@ def test_optimize_continues_outward_from_the_anchor(tmp_path, fake_search):
     assert [c.restarts for c in fake_search.calls] == [7]  # a one-point grid is its anchor
 
 
-def test_variable_theta_c_run_warm_starts_from_the_fixed_row(tmp_path, fake_search):
-    path = tmp_path / "table.json"
-    assert optimize(path) == cli.EXIT_OK
-    fixed = {r["squeezing_db"]: r["angles"] for r in entries(path) if r["accepted"]}
-    assert fixed
-    del fake_search.calls[:]
-    assert optimize(path, "--variable-theta-c") == cli.EXIT_OK
-    warm = {c.db: c.warm for c in fake_search.calls}
-    assert sorted(warm) == GRID
-    for db, angles in fixed.items():
-        assert np.array_equal(warm[db][-1], angles + [math.pi / 4])
-    assert [r["squeezing_db"] for r in entries(path) if r.get("variable_theta_c")] == GRID
-
-
 def test_concurrent_sections_share_one_table(tmp_path, fake_search):
     path = tmp_path / "table.json"
     lattices = ("DBSL", "BSL", "MBSL")
@@ -595,16 +571,15 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: cvmbqc {shlex.join(argv)}")
 
 
-@pytest.mark.parametrize("lattice", ["MBSL", "DBSL"])
+@pytest.mark.parametrize("lattice", ["MBSL", "DBSL", "BSL"])
 def test_readme_command_regenerates_the_shipped_section(tmp_path, capsys, lattice):
-    # the section's table command: the base seed, fixed theta_c
+    # the section's table command: the one with the base seed
     [argv] = [a for a in readme_commands() if a[:3] == ["optimize", "--lattice", lattice]
-              and "20200527" in a and "--variable-theta-c" not in a]
+              and "20200527" in a]
     path = tmp_path / "section.json"
     assert cli.main(argv + ["--out", str(path)]) == cli.EXIT_OK
     capsys.readouterr()
-    shipped = [r for r in gates.load_basis_table()["entries"]
-               if r["lattice"] == lattice and not r.get("variable_theta_c")]
+    shipped = [r for r in gates.load_basis_table()["entries"] if r["lattice"] == lattice]
     built = entries(path)
     assert [r["squeezing_db"] for r in built] == [r["squeezing_db"] for r in shipped]
     for new, old in zip(built, shipped):
@@ -639,11 +614,6 @@ DEFAULT_CURVE_DIGESTS = [
     (["compare"], "7e53d791bb3f6ada0ee510d2fdb4b0e2e8fc5250b07fecf7eab3e692cd84a068"),
 ]
 
-# sha256 of the space-joined reprs of the perrs of the stacked
-# variable-theta_c DBSL plan over the shipped table's 21 theta_c rows, under
-# the rule above.
-VARIABLE_THETA_C_PERR_DIGEST = "0e62fb2d0fde2deab857b3588c0f8ee4c8054cf64583532a8ab7164d5e25f7f5"
-
 
 @pytest.mark.parametrize("args, digest", DEFAULT_CURVE_DIGESTS,
                          ids=["noise", "error-I-F-P1", "error-QRL-FFCZ", "noise-DBSL-SWAP",
@@ -652,17 +622,6 @@ def test_default_curve_csvs_are_pinned(capsys, args, digest):
     code, out, _ = run_cli(args, capsys)
     assert code == cli.EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-def test_variable_theta_c_plan_perrs_are_pinned():
-    from cvmbqc import gkp
-    table = gates.load_basis_table()
-    dbs = [row["squeezing_db"] for row in table["entries"] if row.get("variable_theta_c")]
-    assert len(dbs) == 21
-    plan = gates.cz_plan("DBSL", np.array(dbs), table=table, variable_theta_c=True)
-    perr = gkp.gate_error_probability(plan).tolist()
-    assert hashlib.sha256(" ".join(map(repr, perr)).encode()).hexdigest() == \
-        VARIABLE_THETA_C_PERR_DIGEST
 
 
 def test_cli_rows_rederivable_by_library_calls(capsys):
@@ -741,19 +700,6 @@ def test_verify_checks_every_row_a_plan_is_built_from(capsys, tmp_path, monkeypa
     served = accepted.get("accepted", True)
     assert ("DBSL:FFCZ@12dB" in plans) == served
     assert code == (cli.EXIT_VERIFY if served else cli.EXIT_OK)
-
-
-def test_verify_checks_variable_theta_c_rows(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
-    _write_cache(tmp_path, [{
-        "lattice": "DBSL", "squeezing_db": 12.0, "variable_theta_c": True, "theta_c": 0.4,
-        "angles": [0.3, -0.2, 0.5, 0.1, -0.7, 0.9, 0.2, -0.4, 0.6, 0.8],
-        "residual": 1e-7, "perr": 1e-3, "accepted": True,
-    }])
-    code, out, _ = run_cli(["verify", "--r", "1.0", "--cache-stride", "1"], capsys)
-    assert code == cli.EXIT_VERIFY
-    reports = {rep.get("plan"): rep for rep in json.loads(out)["reports"]}
-    assert not reports["DBSL:FFCZ(theta_c)@12dB"]["pass"]
 
 
 def test_noise_curve_swap_gate(capsys):

@@ -67,8 +67,14 @@ def test_optimizer_builds_no_start_of_its_own():
 @pytest.mark.parametrize("name", [m for m in MODULES
                                   if m not in ("cvmbqc.lattice", "cvmbqc.gates")])
 def test_default_theta_c_is_read_only_in_lattice_and_gates(name):
-    # one rule turns a table row into a basis vector: gates.row_angles
+    # a fixed-basis plan takes the default control basis from its graph's angle map
     assert "DEFAULT_THETA_C" not in _names(name)
+
+
+@pytest.mark.parametrize("name", ["cvmbqc.optimizer", "cvmbqc.cli"])
+def test_no_search_or_command_frees_theta_c(name):
+    # the variable-theta_c DBSL is the closed-form family of gates.dbsl_cz_angles
+    assert _names(name) & {"variable_theta_c", "row_angles"} == set()
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "cvmbqc.reduction"])

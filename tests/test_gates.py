@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from cvmbqc import gates, gkp
+from cvmbqc import gates, gkp, oracle
 from cvmbqc import lattice as lat
 from cvmbqc import reduction as red
 from cvmbqc import symplectic as sp
@@ -190,11 +190,9 @@ class TestCzCache:
             gates.cz_plan("DBSL", 3.0, table=self._table())
 
     def test_miss_names_the_command_that_fills_it(self):
-        with pytest.raises(CacheMissError, match=r"optimize --lattice DBSL --db-min 12 "):
+        with pytest.raises(CacheMissError, match=r"optimize --lattice DBSL --db-min 12 "
+                           r"--db-max 12`$"):
             gates.cz_plan("DBSL", 12.0, table=self._table())
-        with pytest.raises(CacheMissError, match=r"optimize --lattice DBSL "
-                           r"--variable-theta-c --db-min 12 --db-max 12`"):
-            gates.cz_plan("DBSL", 12.0, table=self._table(), variable_theta_c=True)
 
     def test_qrl_cz_plan_needs_no_cache(self):
         plan = gates.cz_plan("QRL", 14.0, table={"version": 1, "entries": []})
@@ -215,6 +213,35 @@ class TestCzCache:
         with pytest.raises(ValueError, match="^" + re.escape(f"cannot save basis table {path}: ")):
             gates.save_basis_table(self._table(), path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["table.json"]
+
+
+def test_dbsl_cz_angles_are_a_root_at_every_theta_c():
+    # at the rounding floor of the elimination: |G - T|_1 reaches 4.3e-8 at
+    # 0.25 dB next to theta_c = 0 and pi, and stays below 1e-12 over most
+    # of the scan; a stacked plan over (r, theta_c)
+    r = lat.db_to_r(np.array([0.25, 1.0, 5.0, 15.0, 25.0, 30.0]))
+    r, theta_c = np.broadcast_arrays(r[:, None], (np.arange(64) + 0.5) * math.pi / 64)
+    plan = gates.dbsl_cz_plan(r, theta_c)
+    resid = np.abs(gates.realize(plan).G - plan.target).sum(axis=(-2, -1))
+    assert resid.shape == (6, 64) and resid.max() < 1e-7
+    assert np.median(resid) < 1e-12
+
+
+def test_shipped_dbsl_rows_are_the_closed_form():
+    # every fixed-basis DBSL row is dbsl_cz_angles at pi/4: the angles mod pi
+    # to 1e-8 and perr to 1e-12 relative; and the closed-form plan passes
+    # the oracle at every point of the grid
+    rows = [row for row in gates.load_basis_table()["entries"] if row["lattice"] == "DBSL"]
+    dbs = np.array([row["squeezing_db"] for row in rows])
+    assert dbs.tolist() == (0.25 * np.arange(1, 101)).tolist()
+    r = lat.db_to_r(dbs)
+    closed = np.stack(np.broadcast_arrays(*gates.dbsl_cz_angles(r)), axis=-1)
+    turn = (np.array([row["angles"] for row in rows]) - closed + np.pi / 2) % np.pi - np.pi / 2
+    assert np.abs(turn).max() <= 1e-8
+    perr = gkp.gate_error_probability(gates.dbsl_cz_plan(r))
+    np.testing.assert_allclose(perr, [row["perr"] for row in rows], rtol=1e-12, atol=0)
+    for x in r:
+        assert oracle.verify_plan(gates.dbsl_cz_plan(x), tol=1e-9)["pass"], x
 
 
 def test_iter_catalog_contents():

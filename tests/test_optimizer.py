@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import itertools
 import math
 import os
@@ -17,6 +18,8 @@ from cvmbqc import optimizer as opt
 from cvmbqc import reduction as red
 from cvmbqc.errors import MeasurementDegenerateError
 from cvmbqc.reduction import reduce as reduce_region
+
+from conftest import theta_c_optima
 
 FAST = opt.OptimizerConfig(restarts=10, seed=2, weight_grid=(1e-8, 1e-3))
 
@@ -72,8 +75,8 @@ def test_theta_c_as_last_free_angle_equals_the_graph_built_at_theta_c(theta_c):
             for variable_theta_c in (False, True):
                 base, a_map = graph.angle_map(variable_theta_c)
                 assert (np.count_nonzero(a_map, axis=1) + (base != 0) == 1).all()
-                frozen = opt.freeze_region(graph, target, 1.1, variable_theta_c=variable_theta_c)
-                assert _same_bits(frozen.theta_base, base) and _same_bits(frozen.a_map, a_map)
+            frozen, (base, a_map) = opt.freeze_region(graph, target, 1.1), graph.angle_map()
+            assert _same_bits(frozen.theta_base, base) and _same_bits(frozen.a_map, a_map)
 
 
 def test_metrics_value_and_degeneracy():
@@ -102,11 +105,24 @@ def _central_differences(frozen, x, h):
     return np.array(cols).T
 
 
+def _region(lattice, r, variable_theta_c=False):
+    """The search's frozen CZ region; with ``variable_theta_c`` the DBSL
+    control basis theta_c is one more free angle, the last.  No search frees
+    theta_c, but the kernel, the solves and the descent take any angle map,
+    and this is the one map here that sets several measured modes (each
+    control mode, at its sign) from one free angle."""
+    frozen = opt._region(lattice, r)
+    if not variable_theta_c:
+        return frozen
+    theta_base, a_map = frozen.graph.angle_map(variable_theta_c=True)
+    return dataclasses.replace(frozen, theta_base=theta_base, a_map=a_map)
+
+
 @pytest.mark.parametrize("lattice, variable_theta_c", [
     ("DBSL", False), ("BSL", False), ("MBSL", False), ("QRL", False), ("DBSL", True)])
 def test_jet_matches_central_differences(lattice, variable_theta_c):
     # near a root, where the solves and the descent use the derivatives
-    frozen = opt._region(lattice, lat.db_to_r(15.0), variable_theta_c)
+    frozen = _region(lattice, lat.db_to_r(15.0), variable_theta_c)
     rng = np.random.default_rng(1)
     x, _, f, *_ = opt._lm_stack(frozen, rng.uniform(-math.pi, math.pi, (1, frozen.n_free)))
     assert np.abs(f[0]).sum() < opt.ROOT_TOL
@@ -146,10 +162,6 @@ def test_angles_are_canonical_mod_pi():
             # the shift by pi rounds once, so the angle comes back to an ulp
             np.testing.assert_allclose(frozen.canonical(shifted), x, rtol=0, atol=1e-15)
             assert frozen.metrics(shifted)[1] == pytest.approx(res.perr, rel=2e-15, abs=0)
-    var = opt.cz_search("DBSL", r, opt.OptimizerConfig(restarts=4, seed=3),
-                        variable_theta_c=True)
-    assert 0 <= var.theta_c < math.pi
-    assert np.all((-math.pi / 2 <= var.angles) & (var.angles < math.pi / 2))
 
 
 def test_kernel_matches_reference_reduction():
@@ -202,10 +214,9 @@ def test_search_starts_only_from_what_its_caller_gives(lattice):
 
 
 def test_every_warm_start_holds_the_regions_free_angles():
-    # theta_c is free here, so a fixed-basis start without it is refused
-    with pytest.raises(ValueError, match="11 free angles"):
-        opt.cz_search("DBSL", lat.db_to_r(15.0), FAST, warm_starts=[np.zeros(10)],
-                      variable_theta_c=True)
+    # theta_c is not free, so a start that appends it is refused
+    with pytest.raises(ValueError, match="10 free angles"):
+        opt.cz_search("DBSL", lat.db_to_r(15.0), FAST, warm_starts=[np.zeros(11)])
 
 
 def test_dbsl_search_accepts_at_15db():
@@ -373,7 +384,7 @@ def _assert_same_solves(stacked, alone):
 def test_lockstep_solves_equal_one_start_solves(lattice, variable_theta_c, db):
     # bit for bit: every per-point product of the stacked jet is a stacked
     # one, so a start's rounding does not depend on what else is stacked
-    frozen = opt._region(lattice, lat.db_to_r(db), variable_theta_c)
+    frozen = _region(lattice, lat.db_to_r(db), variable_theta_c)
     starts = _starts(frozen, 8)
     _assert_same_solves(opt._solve_block(frozen, starts),
                         _one_start_solves(frozen, starts))
@@ -383,7 +394,7 @@ def test_lockstep_solves_equal_one_start_solves(lattice, variable_theta_c, db):
     ("DBSL", False), ("BSL", False), ("MBSL", False), ("QRL", False), ("DBSL", True)])
 def test_stacked_svd_of_a_jet_stack_equals_one_matrix_svds(lattice, variable_theta_c):
     # batch invariance of the descents rests on this: LAPACK runs per matrix
-    frozen = opt._region(lattice, lat.db_to_r(15.0), variable_theta_c)
+    frozen = _region(lattice, lat.db_to_r(15.0), variable_theta_c)
     x, *_ = opt._lm_stack(frozen, _starts(frozen, 8))  # roots among them
     stack = np.concatenate([x, _starts(frozen, 8, seed=1)])
     _, _, jacs, *_ = _kernels.reduce_jet(stack, frozen)
@@ -446,7 +457,7 @@ def _reduced_hessian(frozen, x, null, h):
 @pytest.mark.parametrize("lattice, variable_theta_c", [
     ("BSL", False), ("MBSL", False), ("DBSL", True)])
 def test_descent_ends_at_a_strict_local_minimum(lattice, variable_theta_c):
-    frozen = opt._region(lattice, lat.db_to_r(15.0), variable_theta_c)
+    frozen = _region(lattice, lat.db_to_r(15.0), variable_theta_c)
     res = opt.search(frozen, opt.OptimizerConfig(restarts=8, seed=20200527))
     assert res.accepted
     _, jac, _, grad = frozen.jet(res.angles)
@@ -496,7 +507,7 @@ def _differenced_reduced_hessian(frozen, x, jet, rank, h):
 @pytest.mark.parametrize("lattice, variable_theta_c", [
     ("BSL", False), ("MBSL", False), ("DBSL", True)])
 def test_exact_reduced_hessian_matches_differences(lattice, variable_theta_c):
-    frozen = opt._region(lattice, lat.db_to_r(15.0), variable_theta_c)
+    frozen = _region(lattice, lat.db_to_r(15.0), variable_theta_c)
     x, ok, f, jac, _ = opt._lm_stack(frozen, _starts(frozen, 16))
     roots = [(x[i], _rank(jac[i]))
              for i in np.flatnonzero(ok & (np.abs(f).sum(axis=-1) < opt.ROOT_TOL))]
@@ -533,8 +544,8 @@ def test_variable_theta_c_descent_does_not_crawl_at_a_rank_drop():
     # one start walked to where sigma_10 / sigma_1 is about 1.6e-7 and, with
     # a differenced reduced Hessian there, ran to _DESCENT_EVALS (5,718
     # eliminations for the search)
-    res = opt.cz_search("DBSL", lat.db_to_r(20.0), opt.OptimizerConfig(restarts=16, seed=11),
-                        variable_theta_c=True)
+    res = opt.search(_region("DBSL", lat.db_to_r(20.0), variable_theta_c=True),
+                     opt.OptimizerConfig(restarts=16, seed=11))
     assert res.accepted
     assert res.perr == pytest.approx(0.001057384726736686, rel=1e-12)
     assert res.evals <= 2500
@@ -584,10 +595,14 @@ _STEEPEST_DESCENT_PERR = [
                          ids=[f"{row[0]}{'+theta_c' if row[2] else ''}-{row[1]:g}dB"
                               for row in _STEEPEST_DESCENT_PERR])
 def test_winner_no_worse_than_steepest_descent(lattice, db, variable_theta_c, steepest):
-    res = opt.cz_search(lattice, lat.db_to_r(db), opt.OptimizerConfig(restarts=16, seed=11),
-                        variable_theta_c=variable_theta_c)
-    assert res.accepted
-    assert res.perr <= steepest * (1 + 1e-12)
+    # with theta_c free the winner is the closed-form family's theta_c optimum
+    if variable_theta_c:
+        perr = opt.dbsl_theta_c_optimum(lat.db_to_r(db))[1]
+    else:
+        res = opt.cz_search(lattice, lat.db_to_r(db), opt.OptimizerConfig(restarts=16, seed=11))
+        assert res.accepted
+        perr = res.perr
+    assert perr <= steepest * (1 + 1e-12)
 
 
 def test_search_writes_nothing_and_warns_nothing(capsys):
@@ -595,7 +610,7 @@ def test_search_writes_nothing_and_warns_nothing(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert opt.cz_search("MBSL", lat.db_to_r(15.0), cfg).accepted
-        assert opt.cz_search("DBSL", lat.db_to_r(15.0), cfg, variable_theta_c=True).accepted
+        assert opt.dbsl_theta_c_optimum(lat.db_to_r(15.0))[1] < 1
     assert capsys.readouterr() == ("", "")
 
 
@@ -622,13 +637,10 @@ def test_variable_theta_c_beats_or_matches_fixed():
     r = lat.db_to_r(15.0)
     fixed = opt.cz_search("DBSL", r, opt.OptimizerConfig(restarts=12, seed=7,
                                                          weight_grid=(1e-8, 1e-3)))
-    var = opt.cz_search(
-        "DBSL", r, opt.OptimizerConfig(restarts=12, seed=7, weight_grid=(1e-8, 1e-3)),
-        warm_starts=[np.append(fixed.angles, math.pi / 4)] if fixed.accepted else (),
-        variable_theta_c=True)
-    assert var.accepted
-    assert var.theta_c == pytest.approx(math.pi / 4, abs=0.6)
-    assert var.perr <= fixed.perr * 1.0 + 1e-12
+    assert fixed.accepted
+    theta_c, perr = opt.dbsl_theta_c_optimum(r)
+    assert theta_c == pytest.approx(math.pi / 4, abs=0.6)
+    assert perr <= fixed.perr * 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("db", [0.25, 15.0, 25.0])
@@ -725,3 +737,60 @@ def test_eliminate_decides_degeneracy_per_point_of_a_mixed_stack():
         with pytest.raises(MeasurementDegenerateError):
             reduce_region(graph, theta)
         reduce_region(graph, theta[ok])  # returns: every point is accepted
+
+
+# The 21 variable-theta_c DBSL rows that the 11-angle search (200 starts at
+# 15 dB, continued outward, seed 20200527) last wrote into the basis table:
+# (dB, theta_c, perr).
+SEARCHED_THETA_C_ROWS = [
+    (5.0, 0.7976974856274979, 0.9434618334621699),
+    (6.0, 0.7490754214891397, 0.9130602007990659),
+    (7.0, 0.7197981665513653, 0.871251786130627),
+    (8.0, 0.7030668926098973, 0.8153374933282308),
+    (9.0, 0.694606879982897, 0.743262671985026),
+    (10.0, 0.6917911229264977, 0.6545393853807295),
+    (11.0, 0.6930227779372367, 0.5512758133765344),
+    (12.0, 0.6973296101341687, 0.43888303487289315),
+    (13.0, 0.7040964146382425, 0.3258584149735969),
+    (14.0, 0.7128839986737816, 0.222213808874532),
+    (15.0, 0.7233078744826487, 0.13677692657900797),
+    (16.0, 0.7349676975237375, 0.07446611121802593),
+    (17.0, 0.7474261669358437, 0.034995607846141856),
+    (18.0, 0.7602311331592315, 0.013769754452612104),
+    (19.0, 0.7729611212188751, 0.0043619537339492495),
+    (20.0, 0.7852652414067081, 0.0010573847267367317),
+    (21.0, 0.7968763573205963, 0.00018371678055152817),
+    (22.0, 0.8075972922417635, 2.104234687615133e-05),
+    (23.0, 0.8172751103626379, 1.4288310079470795e-06),
+    (24.0, 0.8257758643446927, 5.029892944117321e-08),
+    (25.0, 0.8329624837444852, 7.749615825212089e-10),
+]
+
+
+def test_theta_c_optimum_reproduces_the_searched_rows():
+    # the 1-d minimum over the closed-form family finds the search's rows,
+    # and each optimum is an exact root whose plan the oracle passes
+    from cvmbqc import oracle
+
+    dbs, theta_c, perr = theta_c_optima()
+    assert dbs.tolist() == [row[0] for row in SEARCHED_THETA_C_ROWS]
+    for (db, old_theta_c, old_perr), tc, p in zip(SEARCHED_THETA_C_ROWS, theta_c, perr):
+        assert abs(tc - old_theta_c) <= 1e-7, db
+        assert p == pytest.approx(old_perr, rel=1e-12, abs=0), db
+        plan = gates.dbsl_cz_plan(lat.db_to_r(db), tc)
+        assert np.abs(gates.realize(plan).G - plan.target).sum() < 1e-13, db
+        assert oracle.verify_plan(plan, tol=1e-9)["pass"], db
+
+
+def test_theta_c_optimum_is_the_lowest_of_three_minima():
+    # the scan brackets the same three local minima at every grid point, and
+    # a stacked call gives each point what it gets alone
+    dbs, theta_c, perr = theta_c_optima()
+    i, minima, minima_perr = opt._theta_c_minima(lat.db_to_r(dbs))
+    assert np.bincount(i).tolist() == [3] * len(dbs)
+    assert (np.abs(np.subtract.outer(minima, np.array([0.77, 1.82, 2.45]))).min(axis=1)
+            < 0.1).all()
+    lowest = [minima[i == j][np.argmin(minima_perr[i == j])] for j in range(len(dbs))]
+    assert np.array_equal(lowest, theta_c)
+    alone = opt.dbsl_theta_c_optimum(lat.db_to_r(dbs[7]))
+    assert (alone[0].shape, float(alone[0]), float(alone[1])) == ((), theta_c[7], perr[7])

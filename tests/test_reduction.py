@@ -350,7 +350,9 @@ def test_eliminate_degeneracy_at_extreme_scales(tiny, degenerate):
 def _curve_and_table_plans():
     """One 25-point stacked plan per default-curve gate of every lattice (both
     step parities, the teleport step and the shipped CZ bases included), and
-    the CZ plans of every 7th row of the shipped table, one stack per section."""
+    the CZ plans of every 7th row of the shipped table, one stack per section,
+    and the closed-form DBSL CZ plan across the control bases of its theta_c
+    minima (0.69-2.51)."""
     dbs = np.arange(1.0, 26.0)
     r = lat.db_to_r(dbs)
     table = gates.load_basis_table()
@@ -361,10 +363,10 @@ def _curve_and_table_plans():
     plans.append(gates.dbsl_swap_plan(r))
     sections = {}
     for row in table["entries"][::7]:
-        key = (row["lattice"], "theta_c" in row)
-        sections.setdefault(key, []).append(row["squeezing_db"])
-    plans += [gates.cz_plan(lattice, np.array(points), table=table, variable_theta_c=vtc)
-              for (lattice, vtc), points in sections.items()]
+        sections.setdefault(row["lattice"], []).append(row["squeezing_db"])
+    plans += [gates.cz_plan(lattice, np.array(points), table=table)
+              for lattice, points in sections.items()]
+    plans.append(gates.dbsl_cz_plan(r, np.linspace(0.6, 2.6, len(dbs))))
     return plans
 
 
