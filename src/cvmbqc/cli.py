@@ -1,7 +1,7 @@
 """Command-line interface: reproduce the comparison curves as CSV artifacts,
 regenerate the optimized-basis cache, and run the verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cache miss.
+Exit codes: 0 success, 1 failed verification or search, 2 usage error, 3 cache miss.
 """
 
 from __future__ import annotations
@@ -161,12 +161,12 @@ ANCHOR_DB = 15.0
 
 
 def cmd_optimize(args) -> int:
-    """Optimize a section as one continuation, then write its rows at once.
-    The grid point nearest ANCHOR_DB runs the config's ``restarts``; the sweep
-    goes up from it, then down, each point from its warm starts alone: the row
-    just found next to it and its own accepted row.  So a rerun never worsens
-    an accepted row, and a point printed INFEASIBLE is rerun alone, as its own
-    anchor."""
+    """Optimize a section as one continuation, then write its accepted rows
+    at once.  The grid point nearest ANCHOR_DB runs the config's ``restarts``;
+    the sweep goes up from it, then down, each point from its warm starts
+    alone: the best angles just found next to it and its own row.  So a rerun
+    never worsens a row.  A point printed INFEASIBLE gets no row and the run
+    exits 1; rerun it alone, as its own anchor."""
     from . import optimizer  # only optimize needs it; keeps the curve commands' import lean
 
     grid = _db_grid(args)
@@ -192,12 +192,12 @@ def cmd_optimize(args) -> int:
         warm = [np.array(row["angles"]) for row in near if row]
         res = optimizer.cz_search(args.lattice, lat.db_to_r(db), cfg, warm_starts=warm)
         cfg = dataclasses.replace(cfg, restarts=1)  # the anchor was the first point
-        flag = "accepted" if res.accepted else "INFEASIBLE"
-        print(f"{args.lattice} {db:g} dB: {flag} residual={res.residual:.3e} "
-              f"perr={res.perr:.6e}", flush=True)
+        print(f"{args.lattice} {db:g} dB: {'accepted' if res.accepted else 'INFEASIBLE, no row'} "
+              f"residual={res.residual:.3e} perr={res.perr:.6e}", flush=True)
         rows[i] = res.to_row(args.lattice, db)
-    print(f"wrote {gates.update_basis_table(list(rows.values()), args.out)}")
-    return EXIT_OK
+    accepted = [row for row in rows.values() if row["accepted"]]
+    print(f"wrote {gates.update_basis_table(accepted, args.out)}")
+    return EXIT_OK if len(accepted) == len(rows) else EXIT_VERIFY
 
 
 def cmd_verify(args) -> int:
@@ -210,31 +210,17 @@ def cmd_verify(args) -> int:
     for r in args.r:
         if not (math.isfinite(r) and r > 0):
             raise ValueError(f"--r must be positive and finite, got {r:g}")
-    reports = []
-    ok = True
-    for r in args.r:
-        for plan in gates.iter_catalog(r):
-            rep = oracle.verify_plan(plan, tol=args.tol)
-            reports.append(rep)
-            ok &= rep["pass"]
     table = gates.load_basis_table()
-    # every row a CZ plan is built from, with or without an "accepted" key
-    rows = [row for row in table["entries"]
-            if gates.find_row(table, row["lattice"], row["squeezing_db"]) is row]
-    for row in rows[::args.cache_stride]:
+    reports = [oracle.verify_plan(plan, tol=args.tol)
+               for r in args.r for plan in gates.iter_catalog(r)]
+    for row in table["entries"][::args.cache_stride]:
         plan = gates.cz_plan(row["lattice"], row["squeezing_db"], table=table)
-        rep = oracle.verify_plan(plan, tol=args.tol)
-        rep["plan"] = f"{row['lattice']}:FFCZ@{row['squeezing_db']:g}dB"
-        reports.append(rep)
-        ok &= rep["pass"]
+        reports.append(oracle.verify_plan(plan, tol=args.tol)
+                       | {"plan": f"{row['lattice']}:FFCZ@{row['squeezing_db']:g}dB"})
     for lattice in ("DBSL", "BSL", "MBSL"):
-        for r in (0.5, 1.5):
-            rep = oracle.wigner_limit_check(lattice, r)
-            reports.append(rep)
-            ok &= rep["pass"]
-        rep = oracle.wigner_limit_check(lattice, 1.0, t_override=0.0)
-        reports.append(rep)
-        ok &= rep["pass"]
+        reports += [oracle.wigner_limit_check(lattice, r) for r in (0.5, 1.5)]
+        reports.append(oracle.wigner_limit_check(lattice, 1.0, t_override=0.0))
+    ok = all(rep["pass"] for rep in reports)
     print(json.dumps({"pass": ok, "reports": reports}, indent=1))
     return EXIT_OK if ok else EXIT_VERIFY
 

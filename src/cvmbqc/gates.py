@@ -278,8 +278,13 @@ def _is_valid_row(row) -> bool:
             and isinstance(row.get("angles"), list)
             and len(row["angles"]) == _n_free_angles(row["lattice"])
             and all(_is_finite_number(a) for a in row["angles"])
-            and isinstance(row.get("accepted", True), bool)
+            and row.get("accepted", True) is True
             and not {"theta_c", "variable_theta_c"} & row.keys())
+
+
+def _is_row(row, lattice, db):
+    """The table's row identity: (lattice, squeezing_db)."""
+    return row["lattice"] == lattice and abs(row["squeezing_db"] - db) < 1e-9
 
 
 def load_basis_table(path: str | Path | None = None) -> dict:
@@ -287,7 +292,8 @@ def load_basis_table(path: str | Path | None = None) -> dict:
 
     Raises CacheMissError when there is no file, and ValueError naming the
     file when it cannot be read or is not a JSON object with a list
-    ``entries`` of rows that the message describes.
+    ``entries`` of rows that the message describes, at most one per point
+    (lattice, squeezing_db) and none marked ``"accepted": false``.
     """
     p = Path(path) if path is not None else default_table_path()
     if not p.exists():
@@ -306,8 +312,13 @@ def load_basis_table(path: str | Path | None = None) -> dict:
             counts = ", ".join(f"{lt} {_n_free_angles(lt)}" for lt in CACHED_CZ_LATTICES)
             raise ValueError(f"malformed basis table {p}: entry {i} is not a "
                              f"{'/'.join(CACHED_CZ_LATTICES)} row with a finite "
-                             f"'squeezing_db', finite 'angles' ({counts}), a bool "
-                             "'accepted' if any, and no 'theta_c' or 'variable_theta_c'")
+                             f"'squeezing_db', finite 'angles' ({counts}), 'accepted' "
+                             "true if any, and no 'theta_c' or 'variable_theta_c'")
+    keys = sorted((e["lattice"], e["squeezing_db"], i) for i, e in enumerate(table["entries"]))
+    for (lattice, db, i), (_, _, j) in zip(keys, keys[1:]):
+        if _is_row(table["entries"][j], lattice, db):
+            raise ValueError(f"malformed basis table {p}: entries {min(i, j)} and {max(i, j)} "
+                             f"are two {lattice} rows at {db:g} dB")
     return table
 
 
@@ -323,11 +334,6 @@ def save_basis_table(table: dict, path: str | Path | None = None) -> Path:
         finally:  # gone after the replace; left over only by a failure
             tmp.unlink(missing_ok=True)
     return p
-
-
-def _is_row(row, lattice, db):
-    """The table's row identity: (lattice, squeezing_db)."""
-    return row["lattice"] == lattice and abs(row["squeezing_db"] - db) < 1e-9
 
 
 def update_basis_table(rows: list, path: str | Path | None = None) -> Path:
@@ -354,12 +360,8 @@ def update_basis_table(rows: list, path: str | Path | None = None) -> Path:
 
 
 def find_row(table, lattice, db) -> dict | None:
-    """The first row at (lattice, db) that is not marked ``"accepted": false``,
-    or None: the row every CZ plan there is built from."""
-    for row in table["entries"]:
-        if _is_row(row, lattice, db) and row.get("accepted", True):
-            return row
-    return None
+    """The row at (lattice, db) that every CZ plan there is built from, or None."""
+    return next((row for row in table["entries"] if _is_row(row, lattice, db)), None)
 
 
 def cz_plan(lattice: str, db, table: dict | None = None) -> GatePlan:

@@ -232,10 +232,11 @@ def _lm_stack(frozen: FrozenRegion, xs):
     Each start keeps its own damping, nu and evaluation count, and stops at
     a root, at a step too small to change it, or after _LM_ITERS
     eliminations.  An iteration solves the damped normal equations of all
-    running starts in one ``np.linalg.solve`` and evaluates F and J at their
-    trial points in one stacked :func:`_kernels.reduce_residual`.  Returns
-    the end points, the elimination's mask and F and J there, and the
-    eliminations spent per start."""
+    running starts in one ``np.linalg.solve`` (start by start if one is
+    singular) and evaluates F and J at their trial points in one stacked
+    :func:`_kernels.reduce_residual`.  Returns the end points, the
+    elimination's mask and F and J there, and the eliminations spent per
+    start."""
     x = np.array(xs, dtype=float)
     ok, f, jac = _kernels.reduce_residual(x, frozen)
     b, n = x.shape
@@ -254,7 +255,16 @@ def _lm_stack(frozen: FrozenRegion, xs):
         fresh = np.isnan(damping[idx])
         damping[idx[fresh]] = 1e-3 * normal[fresh].diagonal(0, -2, -1).max(axis=-1)
         mu = damping[idx, None, None]
-        step = np.linalg.solve(normal + mu * np.eye(n), -g)
+        damped = normal + mu * np.eye(n)
+        try:
+            step = np.linalg.solve(damped, -g)
+        except np.linalg.LinAlgError:  # as stacks of one; a singular system stays put
+            step = np.zeros_like(g)
+            for j in range(len(idx)):
+                try:
+                    step[j] = np.linalg.solve(damped[j:j + 1], -g[j:j + 1])[0]
+                except np.linalg.LinAlgError:
+                    pass
         y = x[idx] + step[..., 0]
         moved = (y != x[idx]).any(axis=-1)
         running[idx[~moved]] = False

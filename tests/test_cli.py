@@ -403,8 +403,9 @@ def fake_search(monkeypatch):
 
     Like the real search it depends on ``config.seed`` and on the warm starts
     it receives: it scores each exact warm start and two seeded random points
-    and returns the best.  ``calls`` records the squeezing, the restarts and
-    the warm starts of every call; setting ``stop_after`` interrupts the run
+    and returns the best, accepted below perr 0.6.  ``calls`` records the
+    squeezing, the restarts and the warm starts of every call, and ``found``
+    the angles each call returned; setting ``stop_after`` interrupts the run
     at that call and ``hook(n)`` runs before call ``n``.
     """
     def search(lattice, r, config, warm_starts=()):
@@ -417,10 +418,11 @@ def fake_search(monkeypatch):
         starts += list(np.random.default_rng(config.seed).uniform(-np.pi, np.pi,
                                                                    (2, n_free(lattice))))
         x = min(starts, key=lambda x: _fake_perr(x, r))
+        search.found.append(x)
         perr = _fake_perr(x, r)
         return optimizer.OptResult(x, 1e-7, perr, perr < 0.6)
 
-    search.calls, search.stop_after, search.hook = [], None, lambda n: None
+    search.calls, search.found, search.stop_after, search.hook = [], [], None, lambda n: None
     monkeypatch.setattr(optimizer, "cz_search", search)
     return search
 
@@ -443,7 +445,7 @@ def _row(lattice, db, **extra):
 def test_optimize_replaces_only_its_own_rows(tmp_path, fake_search):
     path = tmp_path / "table.json"
     kept = [_row("BSL", 14.0), _row("DBSL", 9.0)]
-    stale = _row("DBSL", 14.5, accepted=False, perr=0.99)
+    stale = _row("DBSL", 14.5, perr=0.99)
     path.write_text(json.dumps({"version": 1, "entries": kept + [stale]}))
     written_meanwhile = _row("MBSL", 14.0)
 
@@ -486,17 +488,21 @@ def test_interrupted_optimize_leaves_the_table_unchanged(tmp_path, fake_search):
 
 
 def test_optimize_rerun_never_raises_an_accepted_perr(tmp_path, fake_search):
+    # seed 8 accepts no start at 15.5 dB; every rerun keeps each row it had
+    # and never raises its perr, and a later seed may fill the missing point
     path = tmp_path / "table.json"
-    assert optimize(path, seed=1) == cli.EXIT_OK
+    assert optimize(path, seed=8) == cli.EXIT_VERIFY
     before = {r["squeezing_db"]: r for r in entries(path)}
-    assert any(r["accepted"] for r in before.values())
-    for seed in (2, 3, 4):
-        assert optimize(path, seed=seed) == cli.EXIT_OK
+    assert sorted(before) == [14.0, 14.5, 15.0, 16.0]
+    for seed in (2, 3, 4, 8):
+        code = optimize(path, seed=seed)
         after = {r["squeezing_db"]: r for r in entries(path)}
+        assert code == (cli.EXIT_OK if sorted(after) == GRID else cli.EXIT_VERIFY)
+        assert all(r["accepted"] for r in after.values())
         for db, row in before.items():
-            if row["accepted"]:
-                assert after[db]["accepted"] and after[db]["perr"] <= row["perr"]
+            assert after[db]["perr"] <= row["perr"]
         before = after
+    assert sorted(before) == GRID
 
 
 def test_optimize_continues_outward_from_the_anchor(tmp_path, fake_search):
@@ -505,7 +511,7 @@ def test_optimize_continues_outward_from_the_anchor(tmp_path, fake_search):
     cfg.write_text(json.dumps({"restarts": 7}))
     assert optimize(path) == cli.EXIT_OK
     first = {r["squeezing_db"]: r for r in entries(path)}
-    first[14.0]["accepted"] = False  # not a warm start of its own point
+    del first[14.0]  # a point with no row starts only from its neighbour
     path.write_text(json.dumps({"version": 1, "entries": list(first.values())}))
     del fake_search.calls[:]
     assert optimize(path, "--config", str(cfg), seed=2) == cli.EXIT_OK
@@ -514,14 +520,62 @@ def test_optimize_continues_outward_from_the_anchor(tmp_path, fake_search):
     assert [c.db for c in fake_search.calls] == [15.0, 15.5, 16.0, 14.5, 14.0]
     assert [c.restarts for c in fake_search.calls] == [7, 1, 1, 1, 1]
     for db, _, warm in fake_search.calls:
-        # the row this run found toward the anchor, then the point's own accepted row
+        # the row this run found toward the anchor, then the point's own row
         toward = [] if db == cli.ANCHOR_DB else [final[db - 0.5 if db > cli.ANCHOR_DB
                                                          else db + 0.5]]
-        rows = toward + [first[db]] * first[db]["accepted"]
+        rows = toward + ([first[db]] if db in first else [])
         assert [list(w) for w in warm] == [r["angles"] for r in rows]
     del fake_search.calls[:]
     assert optimize(path, "--config", str(cfg), grid=[3.0]) == cli.EXIT_OK
     assert [c.restarts for c in fake_search.calls] == [7]  # a one-point grid is its anchor
+
+
+def test_optimize_fails_the_points_it_cannot_accept(tmp_path, capsys, fake_search):
+    # seed 8: no start is accepted at 15.5 dB, every other point is
+    path = tmp_path / "table.json"
+    assert optimize(path, seed=8) == cli.EXIT_VERIFY
+    [line] = [line for line in capsys.readouterr().out.splitlines() if "INFEASIBLE" in line]
+    assert line.startswith("DBSL 15.5 dB: INFEASIBLE, no row ")
+    rows = entries(path)
+    assert [r["squeezing_db"] for r in rows] == [14.0, 14.5, 15.0, 16.0]
+    assert all(r["accepted"] for r in rows)
+    # the sweep still continues from the unaccepted point's best angles
+    [(i, call)] = [(i, c) for i, c in enumerate(fake_search.calls) if c.db == 16.0]
+    assert fake_search.calls[i - 1].db == 15.5
+    assert np.array_equal(call.warm[0], fake_search.found[i - 1])
+
+
+ROW_STATE_TABLES = {
+    # a row that an older `optimize` wrote where no start was accepted
+    "unaccepted-row": ([_row("DBSL", 10.0), _row("BSL", 10.0, accepted=False)],
+                       "entry 1 is not a "),
+    # two DBSL rows within the 1e-9 dB row identity, not next to each other
+    "two-rows-at-one-point": ([_row("DBSL", 10.0), _row("BSL", 10.0),
+                               _row("DBSL", 10.0 + 1e-10)],
+                              "entries 0 and 2 are two DBSL rows at 10 dB"),
+}
+
+
+@pytest.mark.parametrize("command", [
+    "error-curve --lattice DBSL --gate FFCZ --db-min 10 --db-max 10",
+    "compare --db-min 10 --db-max 10",
+    "verify --r 1.0",
+    "optimize --lattice DBSL --db-min 10 --db-max 10 --out {path}",
+], ids=["error-curve", "compare", "verify", "optimize"])
+@pytest.mark.parametrize("kind", list(ROW_STATE_TABLES))
+def test_one_accepted_row_per_point_or_a_usage_error(capsys, tmp_path, monkeypatch,
+                                                      fake_search, command, kind):
+    monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
+    path = tmp_path / "cz_basis_table.json"
+    rows, message = ROW_STATE_TABLES[kind]
+    path.write_text(json.dumps({"version": 1, "entries": rows}))
+    before = path.read_text()
+    code, out, err = run_cli(command.format(path=path).split(), capsys)
+    assert code == cli.EXIT_USAGE
+    assert err.startswith(f"error: malformed basis table {path}: {message}")
+    assert err.count("\n") == 1 and out == ""
+    assert path.read_text() == before
+    assert not fake_search.calls
 
 
 def test_concurrent_sections_share_one_table(tmp_path, fake_search):
@@ -689,17 +743,22 @@ def test_verify_corrupted_cache_fails(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("accepted", [{}, {"accepted": True}, {"accepted": False}])
 def test_verify_checks_every_row_a_plan_is_built_from(capsys, tmp_path, monkeypatch, accepted):
-    # a row without "accepted" is served like an accepted one, so it is verified too
+    # a row without "accepted" is served like an accepted one, so it is
+    # verified too; an unaccepted row makes the table a usage error
     monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
     _write_cache(tmp_path, [{
         "lattice": "DBSL", "squeezing_db": 12.0,
         "angles": [0.3, -0.2, 0.5, 0.1, -0.7, 0.9, 0.2, -0.4, 0.6, 0.8], **accepted,
     }])
-    code, out, _ = run_cli(["verify", "--r", "1.0", "--cache-stride", "1"], capsys)
-    plans = [rep.get("plan") for rep in json.loads(out)["reports"]]
-    served = accepted.get("accepted", True)
-    assert ("DBSL:FFCZ@12dB" in plans) == served
-    assert code == (cli.EXIT_VERIFY if served else cli.EXIT_OK)
+    code, out, err = run_cli(["verify", "--r", "1.0", "--cache-stride", "1"], capsys)
+    if accepted.get("accepted", True):
+        plans = [rep.get("plan") for rep in json.loads(out)["reports"]]
+        assert "DBSL:FFCZ@12dB" in plans
+        assert code == cli.EXIT_VERIFY
+    else:
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith(f"error: malformed basis table {tmp_path / 'cz_basis_table.json'}: "
+                              "entry 0 is not a ")
 
 
 def test_noise_curve_swap_gate(capsys):

@@ -170,8 +170,7 @@ class TestCzCache:
             {"lattice": "DBSL", "squeezing_db": 60.0, "angles":
              [3 * q / 2, -q / 2, 3 * q / 2, -q / 2, -q, q - a, q + a, q + a, -q, q - a],
              "residual": 0.0, "perr": 0.5, "accepted": True},
-            {"lattice": "DBSL", "squeezing_db": 3.0, "angles": [0.0] * 10,
-             "residual": 1.0, "perr": 1.0, "accepted": False},
+            {"lattice": "DBSL", "squeezing_db": 3.0, "angles": [0.0] * 10},
         ]}
 
     def test_lookup_and_plan(self):
@@ -185,9 +184,28 @@ class TestCzCache:
         with pytest.raises(CacheMissError):
             gates.cz_plan("DBSL", 12.25, table=self._table())
 
-    def test_infeasible_entry_is_a_miss(self):
-        with pytest.raises(CacheMissError):
-            gates.cz_plan("DBSL", 3.0, table=self._table())
+    def test_infeasible_entry_is_refused(self, tmp_path):
+        # the loader allows no row marked unaccepted, so no plan is built from one
+        table = self._table()
+        table["entries"][1]["accepted"] = False
+        gates.save_basis_table(table, tmp_path / "table.json")
+        with pytest.raises(ValueError, match=re.escape(f"basis table {tmp_path / 'table.json'}: "
+                                                       "entry 1 is not a ")):
+            gates.load_basis_table(tmp_path / "table.json")
+
+    @pytest.mark.parametrize("apart, refused", [(0.0, True), (9e-10, True), (1.1e-9, False)])
+    def test_one_row_per_point(self, tmp_path, apart, refused):
+        # two rows closer than the row identity's 1e-9 dB are refused, named
+        # by their entry indices however far apart they sit in the table
+        table = self._table()
+        table["entries"].append(dict(table["entries"][0], squeezing_db=60.0 + apart))
+        path = gates.save_basis_table(table, tmp_path / "table.json")
+        if refused:
+            with pytest.raises(ValueError, match="entries 0 and 2 are two DBSL rows at 60 dB$"):
+                gates.load_basis_table(path)
+        else:
+            assert gates.load_basis_table(path) == table
+        assert gates.find_row(table, "DBSL", 3.0) is table["entries"][1]
 
     def test_miss_names_the_command_that_fills_it(self):
         with pytest.raises(CacheMissError, match=r"optimize --lattice DBSL --db-min 12 "

@@ -430,6 +430,38 @@ def test_degenerate_start_in_a_stack_gets_what_it_gets_alone():
     assert sum(root for _, _, root in stacked) == 6
 
 
+def test_one_singular_lm_system_stops_only_its_own_start(monkeypatch):
+    # np.linalg.solve raises for a whole stack when one matrix in it is
+    # exactly singular; here a wrapped solve does so whenever its stack holds
+    # the chosen start's first damped normal matrix
+    frozen = opt._region("MBSL", lat.db_to_r(15.0))
+    cfg = opt.OptimizerConfig(restarts=8, seed=5)
+    starts, chosen = _starts(frozen, 8, seed=5), 3  # the search's own starts
+    plain, plain_res = opt._solve_block(frozen, starts), opt.search(frozen, cfg)
+    solve, seen = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: seen.append(a[0].copy()) or solve(a, b))
+    opt._lm_stack(frozen, starts[[chosen]])
+
+    def singular_at_the_chosen_start(a, b):
+        if any(np.array_equal(m, seen[0]) for m in a):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_at_the_chosen_start)
+    others = np.delete(starts, chosen, axis=0)
+    keep = np.arange(len(starts)) != chosen
+    for got, alone in zip(opt._lm_stack(frozen, starts), opt._lm_stack(frozen, others)):
+        assert np.array_equal(got[keep], alone)  # end points, mask, F, J, eliminations
+    solved = opt._solve_block(frozen, starts)
+    _assert_same_solves(solved[:chosen] + solved[chosen + 1:], opt._solve_block(frozen, others))
+    # the chosen start stops where it is, like a start whose step does not move it
+    assert np.array_equal(solved[chosen][0], starts[chosen]) and solved[chosen][1:] == (1, False)
+    assert plain[chosen][1] > 1
+    res = opt.search(frozen, cfg)
+    assert res.accepted and res.evals == plain_res.evals - plain[chosen][1] + 1
+    assert (res.perr, res.angles.tolist()) == (plain_res.perr, plain_res.angles.tolist())
+
+
 @pytest.mark.parametrize("n", [1, 5, 11])
 def test_first_end_points_do_not_depend_on_later_starts(n):
     frozen = opt._region("MBSL", lat.db_to_r(15.0))
