@@ -82,13 +82,12 @@ def reduce_jet(x, frozen):
 
     The free angles set the measured rows c S0x + s S0p of the region's
     ``FrozenRegion``; :func:`reduction.eliminate` then gives the reduced map
-    M, with input columns ordered [real inputs (xxpp) | dummy inputs (xxpp) |
-    cluster momenta].  F = vec(M[:, :n_in] - [T | 0]) is the residual, the
-    gate error plus any leakage from dummy inputs, and J = dF/dx its
-    Jacobian.  The spike variances are (M o M) w with the frozen per-column
-    weights (delta through real inputs, vacuum 1/2 through dummies, eps/2
-    through cluster momenta); perr is :func:`gkp.error_probability` of them
-    and grad the gradient of log perr, all from one elimination.  ``ok`` is
+    M, with columns ordered [inputs (xxpp) | cluster momenta].
+    F = vec(M[:, :n_in] - T) is the residual, the gate error, and J = dF/dx
+    its Jacobian.  The spike variances are (M o M) w with the frozen
+    per-column weights (delta through inputs, eps/2 through cluster
+    momenta); perr is :func:`gkp.error_probability` of them and grad the
+    gradient of log perr, all from one elimination.  ``ok`` is
     the elimination's mask: a point it rejects, by the rule ``reduce()``
     applies, gets F, J and grad zero and perr 1.  ``terms`` are the stacked
     factors that :func:`lagrangian_hessian` reads, meaningless at a rejected

@@ -49,7 +49,11 @@ def _db_grid(args):
                          f"does not step from {args.db_min:g} to {args.db_max:g}")
     if args.db_min <= 0:
         raise ValueError(f"--db-min must be positive (squeezing in dB), got {args.db_min:g}")
-    return [args.db_min + i * args.db_step for i in range(n + 1)]
+    grid = [args.db_min + i * args.db_step for i in range(n + 1)]
+    if n and np.diff(grid).min() < gates.ROW_DB_TOL:
+        raise ValueError(f"--db-step {args.db_step:g} puts grid points closer than "
+                         f"{gates.ROW_DB_TOL:g} dB, which the basis table holds as one point")
+    return grid
 
 
 def _fmt(x: float) -> str:

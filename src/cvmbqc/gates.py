@@ -37,6 +37,7 @@ __all__ = [
     "realize",
     "target_symplectic",
     "cz_region",
+    "cz_region_plan",
     "basis_for",
     "qrl_cz_angles",
     "qrl_cz_plan",
@@ -60,6 +61,9 @@ CACHED_CZ_LATTICES = ("DBSL", "BSL", "MBSL")
 # Fourier byproduct exponents (n, m) of the (F^n x F^m) CZ(1) that the
 # even-parity CZ region implements per lattice.
 FFCZ_EXPONENTS = {"DBSL": (1, 1), "BSL": (1, -1), "MBSL": (1, 1), "QRL": (-1, -1)}
+
+# Two squeezings (in dB) closer than this are one point of the basis table.
+ROW_DB_TOL = 1e-9
 
 # Every CZ region keeps these two computation modes; the QRL region's
 # further inputs and outputs are dummy paths.
@@ -121,10 +125,11 @@ def target_symplectic(gate_id: str, signs=(1, 1)) -> np.ndarray:
     raise ValueError(f"unknown gate id {gate_id!r}")
 
 
-def cz_region(lattice: str, r) -> tuple:
-    """The even-parity CZ region of ``lattice`` at squeezing r (stacked for
-    an array), and the Fourier-CZ target it implements: (graph, target)."""
-    graph = lat.cz_region_graph(lat.LatticeParams.from_r(lattice, r))
+def cz_region(lattice: str, r, theta_c=None) -> tuple:
+    """The even-parity CZ region of ``lattice`` at squeezing r and control
+    basis theta_c (default: the lattice's), both stacked for arrays of one
+    shape, and the Fourier-CZ target it implements: (graph, target)."""
+    graph = lat.cz_region_graph(lat.LatticeParams.from_r(lattice, r), theta_c=theta_c)
     return graph, target_symplectic("FFCZ", FFCZ_EXPONENTS[lattice])
 
 
@@ -193,10 +198,10 @@ def basis_for(lattice: str, gate_id: str, r, parity: int = 0) -> GatePlan:
     return GatePlan(lattice, gate_id, r, steps, target_symplectic(gate_id))
 
 
-def _cz_region_plan(lattice, r, free_angles, variable_theta_c=False) -> GatePlan:
-    """One-step Fourier-CZ plan on the CZ region of ``lattice``."""
-    graph, target = cz_region(lattice, r)
-    basis = graph.full_basis(free_angles, variable_theta_c)
+def cz_region_plan(lattice: str, r, free_angles, theta_c=None) -> GatePlan:
+    """One-step Fourier-CZ plan on the :func:`cz_region` of ``lattice``."""
+    graph, target = cz_region(lattice, r, theta_c)
+    basis = graph.full_basis(free_angles)
     return GatePlan(lattice, "FFCZ", r, (PlanTrack(graph, basis, CZ_KEEP),), target)
 
 
@@ -216,7 +221,7 @@ def qrl_cz_angles(r) -> tuple:
 def qrl_cz_plan(r) -> GatePlan:
     """Closed-form QRL plan: one coupling macronode, then a squeezing
     compensation on each output path, all in the QRL CZ region."""
-    return _cz_region_plan("QRL", r, qrl_cz_angles(r))
+    return cz_region_plan("QRL", r, qrl_cz_angles(r))
 
 
 def dbsl_cz_angles(r, theta_c=math.pi / 4) -> tuple:
@@ -235,7 +240,7 @@ def dbsl_cz_angles(r, theta_c=math.pi / 4) -> tuple:
 def dbsl_cz_plan(r, theta_c=math.pi / 4) -> GatePlan:
     """Closed-form DBSL plan of :func:`dbsl_cz_angles`, stacked for an array
     of squeezings; theta_c is a number or an array of r's shape."""
-    return _cz_region_plan("DBSL", r, [*dbsl_cz_angles(r, theta_c), theta_c], True)
+    return cz_region_plan("DBSL", r, dbsl_cz_angles(r, theta_c), theta_c)
 
 
 DBSL_SWAP_FREE_ANGLES = (math.pi / 4, -math.pi / 4, math.pi / 4, -math.pi / 4,
@@ -284,7 +289,7 @@ def _is_valid_row(row) -> bool:
 
 def _is_row(row, lattice, db):
     """The table's row identity: (lattice, squeezing_db)."""
-    return row["lattice"] == lattice and abs(row["squeezing_db"] - db) < 1e-9
+    return row["lattice"] == lattice and abs(row["squeezing_db"] - db) < ROW_DB_TOL
 
 
 def load_basis_table(path: str | Path | None = None) -> dict:
@@ -387,7 +392,7 @@ def cz_plan(lattice: str, db, table: dict | None = None) -> GatePlan:
 
     # one entry per free angle, each in db's shape
     angles = np.moveaxis(np.asarray(lat.per_point(basis_at, db)), -1, 0)
-    return _cz_region_plan(lattice, lat.db_to_r(db), angles)
+    return cz_region_plan(lattice, lat.db_to_r(db), angles)
 
 
 def iter_catalog(r: float):

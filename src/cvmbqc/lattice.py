@@ -7,8 +7,8 @@ devices, and the preset control-mode bases.  Cylinder bookkeeping (temporal
 circumference, mode duration) never enters the numerics, only the labels.
 
 A region's angle map (:meth:`ComputationGraph.angle_map`) is the one rule
-that turns free angles, theta_c last where it varies, into a basis: the
-measured-mode angle vector that the reduction, the search and the oracle read.
+that turns free angles into a basis at the graph's theta_c: the measured-mode
+angle vector that the reduction, the search and the oracle read.
 
 A control-mode device measuring both inputs at equal bases commutes with its
 beam splitter up to a recombination of the outcomes, so such devices reduce
@@ -16,10 +16,10 @@ to per-mode measurements at the preset basis and are omitted from the mixing
 pairs.  The central control pair of a two-wire coupling region is measured
 in independent bases and keeps its beam splitter.
 
-An array of squeezings r gives one stacked region: ``r``, ``t`` and
-``epsilon`` are arrays of r's shape and the adjacency has r's axes in front,
-which the reduction broadcasts over.  A number is the batch-free case with
-plain-float fields.
+An array of squeezings r gives one stacked region: ``r``, ``t``, ``epsilon``
+and, if given so, ``theta_c`` are arrays of r's shape and the adjacency has
+r's axes in front, which the reduction broadcasts over.  A number is the
+batch-free case with plain-float fields.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class ComputationGraph:
     mixing_pairs: tuple
     free_modes: tuple
     control_modes: tuple  # (mode, sign) pairs; preset angle is sign * theta_c
-    theta_c: float
+    theta_c: float  # an array of r's shape in a region stacked over theta_c
     wire_parity: int
     labels: tuple = ()
 
@@ -149,28 +149,24 @@ class ComputationGraph:
         inputs = set(self.input_modes)
         return tuple(m for m in range(self.n_modes) if m not in inputs)
 
-    def angle_map(self, variable_theta_c: bool = False) -> tuple:
+    def angle_map(self) -> tuple:
         """``(theta_base, a_map)``: the measured-mode angles, in
         measured_modes order, are theta_base + a_map @ x at the free angles
-        x, in free_modes order.  A control mode sits at its sign times
-        theta_c: the graph's theta_c, in theta_base, or with
-        ``variable_theta_c`` one more free angle, the last."""
+        x, in free_modes order.  A control mode sits at its sign times the
+        graph's theta_c, in theta_base, with theta_c's axes in front."""
         pos = {m: i for i, m in enumerate(self.measured_modes)}
-        theta_base = np.zeros(len(pos))
-        a_map = np.zeros((len(pos), len(self.free_modes) + variable_theta_c))
+        theta_base = np.zeros(np.shape(self.theta_c) + (len(pos),))
+        a_map = np.zeros((len(pos), len(self.free_modes)))
         for i, m in enumerate(self.free_modes):
             a_map[pos[m], i] = 1.0
         for m, sign in self.control_modes:
-            if variable_theta_c:
-                a_map[pos[m], -1] = sign
-            else:
-                theta_base[pos[m]] = sign * self.theta_c
+            theta_base[..., pos[m]] = sign * self.theta_c
         return theta_base, a_map
 
-    def full_basis(self, free_angles, variable_theta_c: bool = False) -> np.ndarray:
+    def full_basis(self, free_angles) -> np.ndarray:
         """The basis at the free angles of :meth:`angle_map`, each a number or
         an array: the measured-mode angles, with the batch axes in front."""
-        theta_base, a_map = self.angle_map(variable_theta_c)
+        theta_base, a_map = self.angle_map()
         if len(free_angles) != a_map.shape[1]:
             raise ValueError(f"expected {a_map.shape[1]} free angles, got {len(free_angles)}")
         x = np.stack(np.broadcast_arrays(*free_angles), axis=-1).astype(float)
@@ -435,26 +431,23 @@ _CZ_REGION = {"DBSL": _dbsl_cz_region, "BSL": _bsl_cz_region,
               "MBSL": _mbsl_cz_region, "QRL": _qrl_cz_region}
 
 
-def single_step_graph(params: LatticeParams, parity: int = 0,
-                      theta_c: float | None = None) -> ComputationGraph:
+def _region_graph(builders, params, parity, theta_c) -> ComputationGraph:
+    if params.lattice not in builders:
+        raise ValueError(f"unsupported lattice {params.lattice!r}")
+    if parity not in (0, 1):
+        raise ValueError("parity must be 0 or 1")
+    tc = DEFAULT_THETA_C.get(params.lattice, 0.0) if theta_c is None else theta_c
+    return builders[params.lattice](params, parity, tc)
+
+
+def single_step_graph(params: LatticeParams, parity: int = 0, theta_c=None) -> ComputationGraph:
     """Minimal graph for one single-mode computation step."""
-    if params.lattice not in _SINGLE_STEP:
-        raise ValueError(f"unsupported lattice {params.lattice!r}")
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
-    tc = DEFAULT_THETA_C.get(params.lattice, 0.0) if theta_c is None else theta_c
-    return _SINGLE_STEP[params.lattice](params, parity, tc)
+    return _region_graph(_SINGLE_STEP, params, parity, theta_c)
 
 
-def cz_region_graph(params: LatticeParams, parity: int = 0,
-                    theta_c: float | None = None) -> ComputationGraph:
+def cz_region_graph(params: LatticeParams, parity: int = 0, theta_c=None) -> ComputationGraph:
     """Two-computation-step region coupling two neighbouring wires."""
-    if params.lattice not in _CZ_REGION:
-        raise ValueError(f"unsupported lattice {params.lattice!r}")
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
-    tc = DEFAULT_THETA_C.get(params.lattice, 0.0) if theta_c is None else theta_c
-    return _CZ_REGION[params.lattice](params, parity, tc)
+    return _region_graph(_CZ_REGION, params, parity, theta_c)
 
 
 def graph_to_dict(graph: ComputationGraph) -> dict:

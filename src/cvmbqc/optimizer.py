@@ -2,14 +2,14 @@
 measured-mode angles, then minimize the GKP error probability on the solutions.
 
 From each start, a Levenberg-Marquardt solve drives the gate residual
-F = vec(M[:, :n_in] - [T | 0]) to a root with the analytic Jacobian of
-:func:`_kernels.reduce_residual`.  Where the roots form a continuum (BSL,
-MBSL), a modified Newton descent of log perr follows them: the gradient
-and the exact Hessian of the Lagrangian log perr - lam^T F, both reduced
-to the null space of the Jacobian, each step retracted onto the roots by
-rank-truncated Gauss-Newton steps; isolated roots (DBSL, QRL) are kept as
-they are.  The DBSL ones are closed-form at every control basis, over
-which :func:`dbsl_theta_c_optimum` minimizes.
+F = vec(M[:, :n_in] - T) to a root with the analytic Jacobian of
+:func:`_kernels.reduce_residual`, on a region whose inputs are all encoded
+and whose outputs are all compared (not the QRL's).  Where the roots form a
+continuum (BSL, MBSL), a modified Newton descent of log perr follows them:
+the gradient and the exact Hessian of the Lagrangian log perr - lam^T F,
+both reduced to the null space of the Jacobian, each step retracted onto
+the roots by rank-truncated Gauss-Newton steps; isolated roots (DBSL,
+closed-form: see :func:`dbsl_theta_c_optimum`) are kept as they are.
 :class:`OptimizerConfig` sets ``restarts`` and ``seed``; ``weight_grid`` is
 still validated but has no effect.  The starts are the caller's warm starts,
 then a jittered copy of each, then uniform random ones up to ``restarts``;
@@ -45,9 +45,8 @@ import numpy as np
 
 from . import _kernels
 from . import gates
-from .gkp import error_probability, gate_error_probability, propagate_spikes, resource_variances
-from .reduction import noise_factors, restrict, split_s0
-from .reduction import reduce as reduce_region
+from .gkp import gate_error_probability, resource_variances
+from .reduction import split_s0
 
 __all__ = ["OptimizerConfig", "OptResult", "FrozenRegion", "freeze_region", "search", "cz_search",
            "evaluate_free_angles", "dbsl_theta_c_optimum", "RESIDUAL_TOL", "ROOT_TOL"]
@@ -58,12 +57,12 @@ DEFAULT_WEIGHTS = (1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 # search() builds every start before it solves one; bounded like a CLI grid.
 MAX_RESTARTS = 10 ** 6
 
-# Acceptance: a solution implements the target when |G - T|_1 (plus any
-# dummy-input leakage) is below this; the basis table ships only such rows.
+# Acceptance: a solution implements the target when |G - T|_1 is below
+# this; the basis table ships only such rows.
 RESIDUAL_TOL = 1e-5
 
-# A start reaches a root when Levenberg-Marquardt brings |G - T|_1 (plus
-# leakage) below this; the descent along the roots keeps every step there.
+# A start reaches a root when Levenberg-Marquardt brings |G - T|_1 below
+# this; the descent along the roots keeps every step there.
 ROOT_TOL = 1e-13
 
 # Levenberg-Marquardt: at most _LM_ITERS eliminations per start.
@@ -152,11 +151,10 @@ class OptResult:
 class FrozenRegion:
     """The angle-independent S0 blocks of one region, ready for the hot kernel.
 
-    ``s0x``, ``s0p`` and ``out`` are the :func:`reduction.split_s0` blocks
-    with the compared output rows picked and the input columns reordered to
-    [real (xxpp) | dummy (xxpp)]; ``target_full`` is [T | 0] over the input
-    columns and ``spike_weights`` the spike variance each column of M
-    carries into the error-probability budget.
+    ``s0x``, ``s0p`` and ``out`` are the :func:`reduction.split_s0` blocks;
+    ``target_full`` is T over every output row and input column, and
+    ``spike_weights`` the spike variance each column of M (inputs, then
+    cluster momenta) carries into the error-probability budget.
     """
 
     graph: object
@@ -191,37 +189,26 @@ class FrozenRegion:
         return np.where(y >= math.pi / 2, y - math.pi, y)
 
 
-def freeze_region(graph, target, r, keep=None) -> FrozenRegion:
+def freeze_region(graph, target, r) -> FrozenRegion:
     """Precompute the angle-independent parts of a region reduction.
 
-    ``keep`` picks and orders the computation modes, the compared outputs
-    and the inputs carrying encoded states (default: every output and
-    input); the remaining inputs are dummies whose leakage is penalized in
-    the residual and budgeted as vacuum noise.  The free angles map to the
-    measured ones by the graph's :meth:`lattice.ComputationGraph.angle_map`.
+    Every input carries an encoded state and every output is compared with
+    ``target``; the free angles map to the measured ones by the graph's
+    :meth:`lattice.ComputationGraph.angle_map`.
     """
     s0x, s0p, out = split_s0(graph)
-    k = s0x.shape[0]
-    n_in, n_out = len(graph.input_modes), len(graph.output_modes)
-    outs, real = (range(n_out), range(n_in)) if keep is None else (keep, keep)
-    in_dummy = [i for i in range(n_in) if i not in real]
-    ins = ([k + i for i in real] + [k + n_in + i for i in real]
-           + [k + i for i in in_dummy] + [k + n_in + i for i in in_dummy])
-    cols = list(range(k)) + ins + list(range(k + 2 * n_in, s0x.shape[1]))
-    rows = [*outs] + [n_out + i for i in outs]
-    theta_base, a_map = graph.angle_map()
-
-    n_real, n_dummy = 2 * len(real), 2 * len(in_dummy)
     target = np.asarray(target, dtype=float)
-    if target.shape != (len(rows), n_real):
+    n_in = 2 * len(graph.input_modes)
+    if target.shape != (out.shape[0], n_in):
         raise ValueError(f"target shape {target.shape} does not match "
-                         f"{len(rows)} output quadratures x {n_real} real columns")
+                         f"{out.shape[0]} output quadratures x {n_in} input quadratures")
     delta, cluster_var = resource_variances(r)
-    weights = np.concatenate([np.full(n_real, delta), np.full(n_dummy, 0.5),
-                              np.full(k, cluster_var)])
-    return FrozenRegion(graph, np.hstack([target, np.zeros((len(rows), n_dummy))]),
-                        delta, weights, theta_base, a_map,
-                        s0x[:, cols], s0p[:, cols], out[rows][:, cols])
+    weights = np.concatenate([np.full(n_in, delta), np.full(s0x.shape[0], cluster_var)])
+    # column-major copies of split_s0's row-major views: matmul rounds the
+    # kernel's products by the layout, and so picks between roots of equal
+    # perr; every shipped row was found with these blocks column-major
+    return FrozenRegion(graph, target, delta, weights, *graph.angle_map(),
+                        *map(np.asfortranarray, (s0x, s0p, out)))
 
 
 def _lm_stack(frozen: FrozenRegion, xs):
@@ -469,29 +456,16 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
     return OptResult(xs[i], resid[i], perr[i], False, **spent)
 
 
-def evaluate_free_angles(lattice: str, r: float, angles, theta_c: float | None = None):
-    """Reference-path (residual, perr) of a CZ free-angle vector, with the
-    control basis at ``theta_c`` (default: the lattice's).
-
-    Runs the plain reduction instead of the search kernel; used to re-verify
-    accepted optimizer results and cached table rows.  The dummy inputs of the
-    QRL region carry vacuum (variance 1/2) into the gate noise.
-    """
-    graph, target = gates.cz_region(lattice, r)
-    theta_c = graph.theta_c if theta_c is None else theta_c
-    out = reduce_region(graph, graph.full_basis([*angles, theta_c], variable_theta_c=True))
-    delta, cluster_var = resource_variances(r)
-    keep = gates.CZ_KEEP
-    real = restrict(out, keep, keep)
-    leak = restrict(out, keep, [k for k in range(out.n_inputs) if k not in keep]).G
-    resid = float(np.abs(real.G - target).sum() + np.abs(leak).sum())
-    sigma2 = cluster_var * noise_factors(real) + 0.5 * (leak ** 2).sum(axis=1)
-    return resid, error_probability(propagate_spikes(real.G, sigma2, delta), delta)
+def evaluate_free_angles(lattice: str, r: float, angles):
+    """Reference-path (residual, perr) of a CZ free-angle vector: |G - T|_1
+    and :func:`gkp.gate_error_probability` of its plan, through the plain
+    reduction instead of the search kernel; re-verifies search results."""
+    plan = gates.cz_region_plan(lattice, r, angles)
+    return float(np.abs(gates.realize(plan).G - plan.target).sum()), gate_error_probability(plan)
 
 
 def _region(lattice: str, r: float) -> FrozenRegion:
-    graph, target = gates.cz_region(lattice, r)
-    return freeze_region(graph, target, r, gates.CZ_KEEP)
+    return freeze_region(*gates.cz_region(lattice, r), r)
 
 
 def _crosscheck(res: OptResult, lattice: str, r: float) -> None:

@@ -159,6 +159,24 @@ def test_nonpositive_squeezing_is_one_usage_error(capsys, tmp_path, monkeypatch,
     assert not fake_search.calls
 
 
+@pytest.mark.parametrize("command", [
+    ["noise-curve"], ["error-curve", "--lattice", "QRL", "--gate", "FFCZ"], ["compare"],
+    ["optimize", "--lattice", "DBSL"],
+], ids=["noise-curve", "error-curve-qrl", "compare", "optimize"])
+def test_grid_points_closer_than_one_table_point_are_one_usage_error(
+        capsys, tmp_path, monkeypatch, fake_search, command):
+    # optimize would write two rows at one point, which the next load
+    # refuses; the CSVs would print one squeezing twice
+    monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
+    code, out, err = run_cli(command + ["--db-min=15", "--db-max=15.000000002",
+                                        "--db-step=5e-10"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == ("error: --db-step 5e-10 puts grid points closer than 1e-09 dB, "
+                   "which the basis table holds as one point\n")
+    assert out == "" and list(tmp_path.iterdir()) == []
+    assert not fake_search.calls
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(["error-curve", "--db-min", "10", "--db-max", "5",
                             "--db-step", "1"], capsys)

@@ -71,14 +71,23 @@ def test_default_theta_c_is_read_only_in_lattice_and_gates(name):
     assert "DEFAULT_THETA_C" not in _names(name)
 
 
-@pytest.mark.parametrize("name", ["cvmbqc.optimizer", "cvmbqc.cli"])
+@pytest.mark.parametrize("name", MODULES)
 def test_no_search_or_command_frees_theta_c(name):
-    # the variable-theta_c DBSL is the closed-form family of gates.dbsl_cz_angles
+    # the variable-theta_c DBSL is the closed-form family of gates.dbsl_cz_angles,
+    # whose region is built at theta_c; a string, such as the loader's
+    # refusal of an old row's key, is not a name
     assert _names(name) & {"variable_theta_c", "row_angles"} == set()
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "cvmbqc.gates"])
+def test_cz_computation_modes_are_kept_only_in_gates_plans(name):
+    # a search region compares every output of every input, so only the
+    # plans' steps pick the CZ's computation modes
+    assert "CZ_KEEP" not in _names(name)
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "cvmbqc.reduction"])
 def test_kept_modes_are_one_tuple_outside_reduction(name):
-    # one keep per region step: only restrict() still takes outputs and
-    # inputs apart, for the leakage of the dummy inputs
+    # one keep per region step: only restrict() takes the kept outputs and
+    # inputs as two arguments
     assert _names(name) & {"out_keep", "in_keep", "out_sel", "in_real"} == set()

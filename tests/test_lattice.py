@@ -188,7 +188,5 @@ def test_full_basis_requires_all_free_angles():
     g = lat.single_step_graph(params)
     with pytest.raises(ValueError):
         g.full_basis([0.1])
-    with pytest.raises(ValueError):
-        g.full_basis([0.1, 0.2], variable_theta_c=True)
     basis = g.full_basis([0.1, 0.2])
     assert basis.shape == (len(g.measured_modes),)

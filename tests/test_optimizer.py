@@ -54,29 +54,52 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _theta_c_last_map(graph):
+    """The graph's angle map with its control basis theta_c as one more free
+    angle, the last, set on each control mode at its sign.  No search frees
+    theta_c; the kernel cases below use this map, the one here that sets
+    several measured modes from one free angle."""
+    pos = {m: i for i, m in enumerate(graph.measured_modes)}
+    column = np.zeros((len(pos), 1))
+    for m, sign in graph.control_modes:
+        column[pos[m]] = sign
+    return np.zeros(len(pos)), np.hstack([graph.angle_map()[1], column])
+
+
 @pytest.mark.parametrize("theta_c", [0.3, math.pi / 4, 0.833, 2.0])
 def test_theta_c_as_last_free_angle_equals_the_graph_built_at_theta_c(theta_c):
-    # every CZ region and single-step region, at both parities: theta_c as
-    # the last free angle sets the basis bit for bit as a graph built at
-    # theta_c does, one point or a stack; every measured mode has exactly
-    # one free angle, and the search kernel's map is the graph's
+    # every CZ region and single-step region, at both parities, bit for bit:
+    # theta_c as the last free angle sets the basis that the graph built at
+    # theta_c does; a graph stacked over r and theta_c gives each point's
+    # one-point basis; every measured mode has exactly one free angle or a
+    # preset one; and the search kernel's map is the graph's
     rng = np.random.default_rng(29)
+    r, thetas = np.array([1.1, 0.3, 2.0]), np.array([theta_c, 0.3, 2.0])
     for lattice, parity in itertools.product(lat.LATTICES, (0, 1)):
-        params = lat.LatticeParams.from_r(lattice, 1.1)
         builds = [lat.single_step_graph] + [lat.cz_region_graph] * (lattice != "TELEPORT")
         for build in builds:
-            graph, at_theta_c = build(params, parity), build(params, parity, theta_c)
-            free = rng.uniform(-math.pi, math.pi, (len(graph.free_modes), 3))
-            assert _same_bits(graph.full_basis([*free[:, 0], theta_c], variable_theta_c=True),
-                              at_theta_c.full_basis(free[:, 0]))
-            assert _same_bits(graph.full_basis([*free, np.full(3, theta_c)], True),
-                              at_theta_c.full_basis(free))
-            target = np.zeros((2 * len(graph.output_modes), 2 * len(graph.input_modes)))
-            for variable_theta_c in (False, True):
-                base, a_map = graph.angle_map(variable_theta_c)
+            stacked = build(lat.LatticeParams.from_r(lattice, r), parity, thetas)
+            free = rng.uniform(-math.pi, math.pi, (len(stacked.free_modes), len(r)))
+            basis = stacked.full_basis(free)
+            for i in range(len(r)):
+                graph = build(lat.LatticeParams.from_r(lattice, r[i]), parity, thetas[i])
+                assert _same_bits(basis[i], graph.full_basis(free[:, i]))
+                base, a_map = graph.angle_map()
                 assert (np.count_nonzero(a_map, axis=1) + (base != 0) == 1).all()
+            base, a_map = _theta_c_last_map(build(lat.LatticeParams.from_r(lattice, r[0]), parity))
+            x = np.append(free[:, 0], theta_c)
+            graph = build(lat.LatticeParams.from_r(lattice, r[0]), parity, theta_c)
+            assert _same_bits(base + (a_map @ x[:, None])[:, 0], graph.full_basis(free[:, 0]))
+            target = np.zeros((2 * len(graph.output_modes), 2 * len(graph.input_modes)))
             frozen, (base, a_map) = opt.freeze_region(graph, target, 1.1), graph.angle_map()
             assert _same_bits(frozen.theta_base, base) and _same_bits(frozen.a_map, a_map)
+    # and the closed-form DBSL plan stacked over (r, theta_c) is each point's
+    plan = gates.dbsl_cz_plan(r, thetas)
+    for i in range(len(r)):
+        alone = gates.dbsl_cz_plan(r[i], thetas[i])
+        assert _same_bits(plan.steps[0].angles[i], alone.steps[0].angles)
+        assert _same_bits(plan.steps[0].graph.adjacency[i], alone.steps[0].graph.adjacency)
+        assert _same_bits(gkp.gate_error_probability(plan)[i], gkp.gate_error_probability(alone))
 
 
 def test_metrics_value_and_degeneracy():
@@ -105,24 +128,21 @@ def _central_differences(frozen, x, h):
     return np.array(cols).T
 
 
-def _region(lattice, r, variable_theta_c=False):
-    """The search's frozen CZ region; with ``variable_theta_c`` the DBSL
-    control basis theta_c is one more free angle, the last.  No search frees
-    theta_c, but the kernel, the solves and the descent take any angle map,
-    and this is the one map here that sets several measured modes (each
-    control mode, at its sign) from one free angle."""
+def _region(lattice, r, theta_c_free=False):
+    """The search's frozen CZ region; with ``theta_c_free`` its angle map is
+    :func:`_theta_c_last_map`'s."""
     frozen = opt._region(lattice, r)
-    if not variable_theta_c:
+    if not theta_c_free:
         return frozen
-    theta_base, a_map = frozen.graph.angle_map(variable_theta_c=True)
+    theta_base, a_map = _theta_c_last_map(frozen.graph)
     return dataclasses.replace(frozen, theta_base=theta_base, a_map=a_map)
 
 
-@pytest.mark.parametrize("lattice, variable_theta_c", [
-    ("DBSL", False), ("BSL", False), ("MBSL", False), ("QRL", False), ("DBSL", True)])
-def test_jet_matches_central_differences(lattice, variable_theta_c):
+@pytest.mark.parametrize("lattice, theta_c_free", [
+    ("DBSL", False), ("BSL", False), ("MBSL", False), ("DBSL", True)])
+def test_jet_matches_central_differences(lattice, theta_c_free):
     # near a root, where the solves and the descent use the derivatives
-    frozen = _region(lattice, lat.db_to_r(15.0), variable_theta_c)
+    frozen = _region(lattice, lat.db_to_r(15.0), theta_c_free)
     rng = np.random.default_rng(1)
     x, _, f, *_ = opt._lm_stack(frozen, rng.uniform(-math.pi, math.pi, (1, frozen.n_free)))
     assert np.abs(f[0]).sum() < opt.ROOT_TOL
@@ -197,16 +217,15 @@ def test_search_teleport_identity_recovers_closed_form():
     assert math.sin(thp) == pytest.approx(0.0, abs=1e-5)
 
 
-def test_qrl_search_matches_closed_form_plan():
-    r = lat.db_to_r(10.0)
-    res = opt.cz_search("QRL", r, opt.OptimizerConfig(restarts=6, seed=1,
-                                                      weight_grid=(1e-8, 1e-2)))
-    assert res.accepted
-    closed = gkp.gate_error_probability(gates.qrl_cz_plan(r))
-    assert res.perr == pytest.approx(closed, abs=1e-6)
+def test_qrl_search_is_refused_before_any_solve(monkeypatch):
+    # the QRL CZ plan is closed-form; its region's dummy inputs and outputs
+    # do not fit the target, so no start is solved
+    monkeypatch.setattr(opt, "_solve_all", lambda *args: pytest.fail("a QRL start was solved"))
+    with pytest.raises(ValueError, match=r"target shape \(4, 4\) does not match 8 output"):
+        opt.cz_search("QRL", lat.db_to_r(10.0), opt.OptimizerConfig(restarts=6, seed=1))
 
 
-@pytest.mark.parametrize("lattice", ["DBSL", "QRL"])
+@pytest.mark.parametrize("lattice", ["DBSL"])
 def test_search_starts_only_from_what_its_caller_gives(lattice):
     # no start is built in: one restart and no warm start is one solve
     res = opt.cz_search(lattice, lat.db_to_r(15.0), opt.OptimizerConfig(restarts=1, seed=1))
@@ -379,22 +398,22 @@ def _assert_same_solves(stacked, alone):
 
 
 @pytest.mark.parametrize("db", [1.0, 15.0, 25.0])
-@pytest.mark.parametrize("lattice, variable_theta_c", [
-    ("DBSL", False), ("BSL", False), ("MBSL", False), ("QRL", False), ("DBSL", True)])
-def test_lockstep_solves_equal_one_start_solves(lattice, variable_theta_c, db):
+@pytest.mark.parametrize("lattice, theta_c_free", [
+    ("DBSL", False), ("BSL", False), ("MBSL", False), ("DBSL", True)])
+def test_lockstep_solves_equal_one_start_solves(lattice, theta_c_free, db):
     # bit for bit: every per-point product of the stacked jet is a stacked
     # one, so a start's rounding does not depend on what else is stacked
-    frozen = _region(lattice, lat.db_to_r(db), variable_theta_c)
+    frozen = _region(lattice, lat.db_to_r(db), theta_c_free)
     starts = _starts(frozen, 8)
     _assert_same_solves(opt._solve_block(frozen, starts),
                         _one_start_solves(frozen, starts))
 
 
-@pytest.mark.parametrize("lattice, variable_theta_c", [
-    ("DBSL", False), ("BSL", False), ("MBSL", False), ("QRL", False), ("DBSL", True)])
-def test_stacked_svd_of_a_jet_stack_equals_one_matrix_svds(lattice, variable_theta_c):
+@pytest.mark.parametrize("lattice, theta_c_free", [
+    ("DBSL", False), ("BSL", False), ("MBSL", False), ("DBSL", True)])
+def test_stacked_svd_of_a_jet_stack_equals_one_matrix_svds(lattice, theta_c_free):
     # batch invariance of the descents rests on this: LAPACK runs per matrix
-    frozen = _region(lattice, lat.db_to_r(15.0), variable_theta_c)
+    frozen = _region(lattice, lat.db_to_r(15.0), theta_c_free)
     x, *_ = opt._lm_stack(frozen, _starts(frozen, 8))  # roots among them
     stack = np.concatenate([x, _starts(frozen, 8, seed=1)])
     _, _, jacs, *_ = _kernels.reduce_jet(stack, frozen)
@@ -413,7 +432,7 @@ def test_stacked_svd_of_a_jet_stack_equals_one_matrix_svds(lattice, variable_the
 
 def test_lockstep_solves_across_a_block_boundary():
     # blocks of _BLOCK and 3 starts give what one stack of all of them gives
-    frozen = opt._region("QRL", lat.db_to_r(15.0))
+    frozen = opt._region("MBSL", lat.db_to_r(15.0))
     starts = _starts(frozen, opt._BLOCK + 3, seed=1)
     _assert_same_solves(opt._solve_all(frozen, list(starts)), opt._solve_block(frozen, starts))
 
@@ -486,10 +505,10 @@ def _reduced_hessian(frozen, x, null, h):
     return (hess + hess.T) / 2
 
 
-@pytest.mark.parametrize("lattice, variable_theta_c", [
+@pytest.mark.parametrize("lattice, theta_c_free", [
     ("BSL", False), ("MBSL", False), ("DBSL", True)])
-def test_descent_ends_at_a_strict_local_minimum(lattice, variable_theta_c):
-    frozen = _region(lattice, lat.db_to_r(15.0), variable_theta_c)
+def test_descent_ends_at_a_strict_local_minimum(lattice, theta_c_free):
+    frozen = _region(lattice, lat.db_to_r(15.0), theta_c_free)
     res = opt.search(frozen, opt.OptimizerConfig(restarts=8, seed=20200527))
     assert res.accepted
     _, jac, _, grad = frozen.jet(res.angles)
@@ -536,10 +555,10 @@ def _differenced_reduced_hessian(frozen, x, jet, rank, h):
     return np.array(cols)
 
 
-@pytest.mark.parametrize("lattice, variable_theta_c", [
+@pytest.mark.parametrize("lattice, theta_c_free", [
     ("BSL", False), ("MBSL", False), ("DBSL", True)])
-def test_exact_reduced_hessian_matches_differences(lattice, variable_theta_c):
-    frozen = _region(lattice, lat.db_to_r(15.0), variable_theta_c)
+def test_exact_reduced_hessian_matches_differences(lattice, theta_c_free):
+    frozen = _region(lattice, lat.db_to_r(15.0), theta_c_free)
     x, ok, f, jac, _ = opt._lm_stack(frozen, _starts(frozen, 16))
     roots = [(x[i], _rank(jac[i]))
              for i in np.flatnonzero(ok & (np.abs(f).sum(axis=-1) < opt.ROOT_TOL))]
@@ -576,7 +595,7 @@ def test_variable_theta_c_descent_does_not_crawl_at_a_rank_drop():
     # one start walked to where sigma_10 / sigma_1 is about 1.6e-7 and, with
     # a differenced reduced Hessian there, ran to _DESCENT_EVALS (5,718
     # eliminations for the search)
-    res = opt.search(_region("DBSL", lat.db_to_r(20.0), variable_theta_c=True),
+    res = opt.search(_region("DBSL", lat.db_to_r(20.0), theta_c_free=True),
                      opt.OptimizerConfig(restarts=16, seed=11))
     assert res.accepted
     assert res.perr == pytest.approx(0.001057384726736686, rel=1e-12)
@@ -676,13 +695,12 @@ def test_variable_theta_c_beats_or_matches_fixed():
 
 
 @pytest.mark.parametrize("db", [0.25, 15.0, 25.0])
-def test_kernel_perr_matches_closed_form_qrl(db):
+def test_kernel_perr_matches_closed_form_dbsl(db):
     # near 1 and deep in the tail the kernel's perr keeps its digits: no
     # cancellation against 1 and no clamp
     r = lat.db_to_r(db)
-    frozen = opt._region("QRL", r)
-    _, perr = frozen.metrics(gates.qrl_cz_angles(r))
-    closed = gkp.gate_error_probability(gates.qrl_cz_plan(r))
+    _, perr = opt._region("DBSL", r).metrics(gates.dbsl_cz_angles(r))
+    closed = gkp.gate_error_probability(gates.dbsl_cz_plan(r))
     assert perr == pytest.approx(closed, rel=1e-9)
 
 
