@@ -53,6 +53,9 @@ def _db_grid(args):
     if n and np.diff(grid).min() < gates.ROW_DB_TOL:
         raise ValueError(f"--db-step {args.db_step:g} puts grid points closer than "
                          f"{gates.ROW_DB_TOL:g} dB, which the basis table holds as one point")
+    if len(set(map(_fmt, grid))) < len(grid):
+        raise ValueError(f"--db-step {args.db_step:g} puts two grid points at one squeezing "
+                         "as the CSVs print it")
     return grid
 
 
@@ -160,17 +163,16 @@ def cmd_compare(args) -> int:
 
 
 # Above a few dB each fixed-basis table section has one CZ optimum, so an
-# optimize run searches from every start only at its grid point nearest this.
+# optimize run searches from every start only at the grid point nearest this.
 ANCHOR_DB = 15.0
 
 
 def cmd_optimize(args) -> int:
-    """Optimize a section as one continuation, then write its accepted rows
-    at once.  The grid point nearest ANCHOR_DB runs the config's ``restarts``;
-    the sweep goes up from it, then down, each point from its warm starts
-    alone: the best angles just found next to it and its own row.  So a rerun
-    never worsens a row.  A point printed INFEASIBLE gets no row and the run
-    exits 1; rerun it alone, as its own anchor."""
+    """Build the table of every ``--lattice``, each one continuation, and write
+    it to ``--out`` whole; no earlier table is read.  The grid point nearest
+    ANCHOR_DB runs the config's ``restarts``; the sweep goes up from it, then
+    down, each point from the best angles just found next to it alone.  A
+    point printed INFEASIBLE accepts no start: the run writes nothing, exit 1."""
     from . import optimizer  # only optimize needs it; keeps the curve commands' import lean
 
     grid = _db_grid(args)
@@ -184,24 +186,31 @@ def cmd_optimize(args) -> int:
         cfg = optimizer.OptimizerConfig.from_dict(doc)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    try:
-        table = gates.load_basis_table(args.out)
+    try:  # refuse to overwrite a file that is not a basis table; its rows are not read
+        gates.load_basis_table(args.out)
     except CacheMissError:
-        table = {"entries": []}
+        pass
     anchor = min(range(len(grid)), key=lambda i: abs(grid[i] - ANCHOR_DB))
-    rows = {}
-    for i in [*range(anchor, len(grid)), *range(anchor - 1, -1, -1)]:
-        db = grid[i]
-        near = [rows.get(i - 1 if i > anchor else i + 1), gates.find_row(table, args.lattice, db)]
-        warm = [np.array(row["angles"]) for row in near if row]
-        res = optimizer.cz_search(args.lattice, lat.db_to_r(db), cfg, warm_starts=warm)
-        cfg = dataclasses.replace(cfg, restarts=1)  # the anchor was the first point
-        print(f"{args.lattice} {db:g} dB: {'accepted' if res.accepted else 'INFEASIBLE, no row'} "
-              f"residual={res.residual:.3e} perr={res.perr:.6e}", flush=True)
-        rows[i] = res.to_row(args.lattice, db)
-    accepted = [row for row in rows.values() if row["accepted"]]
-    print(f"wrote {gates.update_basis_table(accepted, args.out)}")
-    return EXIT_OK if len(accepted) == len(rows) else EXIT_VERIFY
+    one_start, rows = dataclasses.replace(cfg, restarts=1), []
+    for lattice in dict.fromkeys(args.lattice):
+        section = {}
+        for i in [*range(anchor, len(grid)), *range(anchor - 1, -1, -1)]:
+            db = grid[i]
+            near = section.get(i - 1 if i > anchor else i + 1)
+            warm = [np.array(near["angles"])] if near else []
+            res = optimizer.cz_search(lattice, lat.db_to_r(db), cfg if i == anchor else one_start,
+                                      warm_starts=warm)
+            print(f"{lattice} {db:g} dB: {'accepted' if res.accepted else 'INFEASIBLE'} "
+                  f"residual={res.residual:.3e} perr={res.perr:.6e}", flush=True)
+            section[i] = res.to_row(lattice, db)
+        rows += section.values()
+    if not all(row["accepted"] for row in rows):
+        print("wrote nothing: a point is INFEASIBLE")
+        return EXIT_VERIFY
+    table = {"version": 1, "package": __version__,
+             "entries": sorted(rows, key=lambda e: (e["lattice"], e["squeezing_db"]))}
+    print(f"wrote {gates.save_basis_table(table, args.out)}")
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -280,15 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("optimize", help="optimize CZ bases and update the cache")
-    p.add_argument("--lattice", required=True, choices=gates.CACHED_CZ_LATTICES,
-                   help="the QRL CZ plan is closed-form and needs no table")
+    p = sub.add_parser("optimize", help="optimize CZ bases and write a basis table")
+    p.add_argument("--lattice", nargs="+", required=True, choices=gates.CACHED_CZ_LATTICES,
+                   help="the table's lattices; the QRL CZ plan is closed-form")
     _add_grid_args(p, db_min=15.0, db_max=15.0, db_step=0.5)
     p.add_argument("--config", help="JSON object with any of the optimizer keys "
                    "restarts (starts at the anchor) and seed; weight_grid is ignored")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None,
-                   help="basis-table path (default: the active cache location)")
+    p.add_argument("--out", required=True,
+                   help="basis-table path, written whole, only once every point is accepted")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("verify", help="run the oracle verification suite")

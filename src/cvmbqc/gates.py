@@ -15,7 +15,6 @@ pass per step.
 
 from __future__ import annotations
 
-import fcntl
 import functools
 import json
 import math
@@ -25,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from . import lattice as lat
 from . import symplectic as sp
 from .errors import CacheMissError, reporting_os_errors
@@ -48,7 +46,6 @@ __all__ = [
     "iter_catalog",
     "load_basis_table",
     "save_basis_table",
-    "update_basis_table",
     "find_row",
     "default_table_path",
 ]
@@ -303,8 +300,9 @@ def load_basis_table(path: str | Path | None = None) -> dict:
     p = Path(path) if path is not None else default_table_path()
     if not p.exists():
         raise CacheMissError(
-            f"no optimized-basis table at {p}; generate one with "
-            "`cvmbqc optimize --lattice <L> --db-min <a> --db-max <b> --out <path>`")
+            f"no optimized-basis table at {p}; build one with `cvmbqc optimize --lattice "
+            "DBSL BSL MBSL --db-min <a> --db-max <b> --out DIR/cz_basis_table.json`, "
+            "then set CVMBQC_CACHE_DIR=DIR")
     with reporting_os_errors(f"read basis table {p}"), open(p) as fh:
         try:
             table = json.load(fh)
@@ -327,41 +325,22 @@ def load_basis_table(path: str | Path | None = None) -> dict:
     return table
 
 
-def save_basis_table(table: dict, path: str | Path | None = None) -> Path:
-    p = Path(path) if path is not None else default_table_path()
-    tmp = p.with_name(p.name + ".tmp")
+def save_basis_table(table: dict, path: str | Path) -> Path:
+    """Write ``table`` to ``path`` whole: through a temporary file of its own
+    in the same directory and one atomic replace, so a reader, also of a path
+    that two runs write at once, finds one complete table or the other."""
+    p = Path(path)
+    # not tempfile.mkstemp: its mode 0600 would become the table's
+    tmp = p.with_name(f"{p.name}.{os.urandom(8).hex()}.tmp")
     with reporting_os_errors(f"save basis table {p}"):
         p.parent.mkdir(parents=True, exist_ok=True)
         try:
-            with open(tmp, "w") as fh:
+            with open(tmp, "x") as fh:
                 json.dump(table, fh, indent=1)
             os.replace(tmp, p)
         finally:  # gone after the replace; left over only by a failure
             tmp.unlink(missing_ok=True)
     return p
-
-
-def update_basis_table(rows: list, path: str | Path | None = None) -> Path:
-    """Replace the rows at each of ``rows``' (lattice, db) in the table at
-    ``path`` and save it, creating the table if needed.
-
-    The table is re-read under the ``<table>.lock`` file lock, so runs that
-    write different rows can share one table: every other row survives.
-    """
-    p = Path(path) if path is not None else default_table_path()
-    with reporting_os_errors(f"lock basis table {p}"):
-        p.parent.mkdir(parents=True, exist_ok=True)
-        with open(f"{p}.lock", "w") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)
-            try:
-                table = load_basis_table(p)
-            except CacheMissError:
-                table = {"version": 1, "package": __version__, "entries": []}
-            table["entries"] = sorted(
-                [e for e in table["entries"]
-                 if not any(_is_row(e, r["lattice"], r["squeezing_db"]) for r in rows)] + rows,
-                key=lambda e: (e["lattice"], e["squeezing_db"]))
-            return save_basis_table(table, p)
 
 
 def find_row(table, lattice, db) -> dict | None:
@@ -386,8 +365,9 @@ def cz_plan(lattice: str, db, table: dict | None = None) -> GatePlan:
         row = find_row(table, lattice, d)
         if row is None:
             raise CacheMissError(
-                f"no cached CZ basis for {lattice} at {d:g} dB; run `cvmbqc optimize "
-                f"--lattice {lattice} --db-min {d:g} --db-max {d:g}`")
+                f"no cached CZ basis for {lattice} at {d:g} dB; build a table that holds "
+                f"it with `cvmbqc optimize --lattice {lattice} --db-min {d:g} --db-max {d:g} "
+                "--out DIR/cz_basis_table.json`, then set CVMBQC_CACHE_DIR=DIR")
         return row["angles"]
 
     # one entry per free angle, each in db's shape

@@ -73,16 +73,17 @@ def _error_terms(delta_prime, delta):
     return (perr[0] if total.ndim == 1 else np.reshape(perr, total.shape[:-1])), erfc
 
 
-def gate_error_probability(plan):
+def gate_error_probability(plan, result=None):
     """Error probability of a gate plan with resource-matched GKP ancillas.
 
-    The plan is realized at its own squeezing r = ``plan.r``, with the
-    spike and noise variances of :func:`resource_variances`; the result is
-    :func:`error_probability` of the spikes :func:`propagate_spikes` gives.
-    A plan built from an array of squeezings gives an array with one
-    probability per point, each computed as that point's plan alone gives it.
+    The plan is realized at its own squeezing r = ``plan.r`` (``result``, when
+    the caller has realized it already), with the spike and noise variances
+    of :func:`resource_variances`; the result is :func:`error_probability` of
+    the spikes :func:`propagate_spikes` gives.  A plan built from an array of
+    squeezings gives an array with one probability per point, each computed
+    as that point's plan alone gives it.
     """
-    result = gates.realize(plan)
+    result = gates.realize(plan) if result is None else result
     delta, cluster_var = np.moveaxis(lat.per_point(resource_variances, plan.r), -1, 0)
     spikes = propagate_spikes(result.G, cluster_var[..., None] * noise_factors(result), delta)
     return error_probability(spikes, delta)

@@ -458,10 +458,12 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
 
 def evaluate_free_angles(lattice: str, r: float, angles):
     """Reference-path (residual, perr) of a CZ free-angle vector: |G - T|_1
-    and :func:`gkp.gate_error_probability` of its plan, through the plain
-    reduction instead of the search kernel; re-verifies search results."""
+    and :func:`gkp.gate_error_probability` of its plan's one reduction,
+    through the plain reduction instead of the search kernel; re-verifies
+    search results."""
     plan = gates.cz_region_plan(lattice, r, angles)
-    return float(np.abs(gates.realize(plan).G - plan.target).sum()), gate_error_probability(plan)
+    result = gates.realize(plan)
+    return float(np.abs(result.G - plan.target).sum()), gate_error_probability(plan, result)
 
 
 def _region(lattice: str, r: float) -> FrozenRegion:

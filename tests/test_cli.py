@@ -7,7 +7,6 @@ import os
 import shlex
 import subprocess
 import sys
-import threading
 from pathlib import Path
 from typing import NamedTuple
 
@@ -107,7 +106,7 @@ MALFORMED_TABLES = {
 @pytest.mark.parametrize("command", [
     ["error-curve", "--lattice", "DBSL", "--gate", "FFCZ"],
     ["compare"],
-    ["optimize", "--lattice", "BSL"],
+    ["optimize", "--lattice", "BSL", "--out", "{path}"],
 ], ids=["error-curve", "compare", "optimize"])
 @pytest.mark.parametrize("kind", list(MALFORMED_TABLES))
 def test_malformed_table_is_one_usage_error(capsys, tmp_path, monkeypatch, fake_search,
@@ -115,6 +114,7 @@ def test_malformed_table_is_one_usage_error(capsys, tmp_path, monkeypatch, fake_
     monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
     path = tmp_path / "cz_basis_table.json"
     path.write_text(MALFORMED_TABLES[kind])
+    command = [arg.format(path=path) for arg in command]
     code, _, err = run_cli(command + ["--db-min", "10", "--db-max", "10"], capsys)
     assert code == cli.EXIT_USAGE
     assert err.startswith(f"error: malformed basis table {path}: ")
@@ -145,12 +145,13 @@ def test_unusable_path_is_one_usage_error(capsys, tmp_path, monkeypatch, fake_se
 
 @pytest.mark.parametrize("command", [
     ["noise-curve"], ["error-curve", "--lattice", "QRL", "--gate", "FFCZ"], ["compare"],
-    ["optimize", "--lattice", "DBSL"],
+    ["optimize", "--lattice", "DBSL", "--out", "{dir}/cz_basis_table.json"],
 ], ids=["noise-curve", "error-curve-qrl", "compare", "optimize"])
 @pytest.mark.parametrize("db_min", ["0", "-1"])
 def test_nonpositive_squeezing_is_one_usage_error(capsys, tmp_path, monkeypatch, fake_search,
                                                   command, db_min):
     monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
+    command = [arg.format(dir=tmp_path) for arg in command]
     code, out, err = run_cli(command + [f"--db-min={db_min}", "--db-max=1", "--db-step=0.5"],
                              capsys)
     assert code == cli.EXIT_USAGE
@@ -161,13 +162,14 @@ def test_nonpositive_squeezing_is_one_usage_error(capsys, tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("command", [
     ["noise-curve"], ["error-curve", "--lattice", "QRL", "--gate", "FFCZ"], ["compare"],
-    ["optimize", "--lattice", "DBSL"],
+    ["optimize", "--lattice", "DBSL", "--out", "{dir}/cz_basis_table.json"],
 ], ids=["noise-curve", "error-curve-qrl", "compare", "optimize"])
 def test_grid_points_closer_than_one_table_point_are_one_usage_error(
         capsys, tmp_path, monkeypatch, fake_search, command):
     # optimize would write two rows at one point, which the next load
     # refuses; the CSVs would print one squeezing twice
     monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
+    command = [arg.format(dir=tmp_path) for arg in command]
     code, out, err = run_cli(command + ["--db-min=15", "--db-max=15.000000002",
                                         "--db-step=5e-10"], capsys)
     assert code == cli.EXIT_USAGE
@@ -183,26 +185,33 @@ def test_usage_error_exit_code(capsys):
     assert code == cli.EXIT_USAGE
 
 
+OPTIMIZE_INTO_TMP = ["optimize", "--lattice", "DBSL", "--out", "{dir}/table.json"]
+
+
 @pytest.mark.parametrize("command, step", [
     (["noise-curve"], "0"), (["error-curve"], "0"), (["compare"], "0"),
-    (["optimize", "--lattice", "DBSL"], "0"), (["noise-curve"], "-0.5"),
+    (OPTIMIZE_INTO_TMP, "0"), (["noise-curve"], "-0.5"),
     (["noise-curve"], "nan"), (["noise-curve"], "inf"),
 ])
-def test_nonpositive_db_step_is_usage_error(capsys, command, step):
+def test_nonpositive_db_step_is_usage_error(capsys, tmp_path, command, step):
+    command = [arg.format(dir=tmp_path) for arg in command]
     code, _, err = run_cli(command + ["--db-step", step], capsys)
     assert code == cli.EXIT_USAGE
     assert "--db-step must be positive and finite" in err
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", [["noise-curve"], ["optimize", "--lattice", "DBSL"]])
+@pytest.mark.parametrize("command", [["noise-curve"], OPTIMIZE_INTO_TMP])
 @pytest.mark.parametrize("flag, value", [
     ("--db-min", "nan"), ("--db-max", "nan"), ("--db-max", "inf"), ("--db-min", "-inf"),
 ])
-def test_nonfinite_db_bound_is_usage_error(capsys, command, flag, value):
+def test_nonfinite_db_bound_is_usage_error(capsys, tmp_path, command, flag, value):
+    command = [arg.format(dir=tmp_path) for arg in command]
     code, _, err = run_cli(command + [f"{flag}={value}"], capsys)
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: --db-min and --db-max must be finite")
     assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("db_min, db_max, db_step, message", [
@@ -218,6 +227,17 @@ def test_oversized_grid_is_refused_before_it_is_built(capsys, db_min, db_max, db
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1
     assert out == ""
+
+
+def test_grid_points_printed_alike_are_one_usage_error(capsys):
+    # 15 and 15 + 1e-9 dB print as one squeezing at the CSVs' ten digits
+    code, out, err = run_cli(["noise-curve", "--lattice", "QRL", "--gate", "I",
+                              "--db-min", "15", "--db-max", "15.000000001",
+                              "--db-step", "1e-9"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == ("error: --db-step 1e-09 puts two grid points at one squeezing as the CSVs "
+                   "print it\n")
 
 
 @pytest.mark.parametrize("db_max", ["2.2", "2.3"])
@@ -306,8 +326,8 @@ def test_optimize_writes_table_and_error_curve_consumes_it(capsys, tmp_path, mon
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"restarts": 1, "weight_grid": [1e-4, 1e-2]}))
     code, out, _ = run_cli(["optimize", "--lattice", "DBSL", "--db-min", "15",
-                            "--db-max", "15", "--config", str(cfg),
-                            "--seed", "20200527"], capsys)
+                            "--db-max", "15", "--config", str(cfg), "--seed", "20200527",
+                            "--out", str(tmp_path / "cz_basis_table.json")], capsys)
     assert code == 0
     [row] = gates.load_basis_table()["entries"]
     assert row["lattice"] == "DBSL" and row["accepted"]
@@ -320,12 +340,21 @@ def test_optimize_writes_table_and_error_curve_consumes_it(capsys, tmp_path, mon
     assert vals == [pytest.approx(row["perr"], rel=1e-8)]
 
 
+def test_optimize_needs_an_out_path(capsys):
+    # the table is written whole, so no run replaces the package table by default
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["optimize", "--lattice", "DBSL"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+
+
 def test_optimize_takes_only_the_cached_cz_lattices(capsys):
     parser = cli.build_parser()
-    for lattice in ("DBSL", "BSL", "MBSL"):
-        assert parser.parse_args(["optimize", "--lattice", lattice]).lattice == lattice
+    for lattices in (["DBSL"], ["BSL"], ["MBSL"], ["DBSL", "BSL", "MBSL"]):
+        args = parser.parse_args(["optimize", "--lattice", *lattices, "--out", "t.json"])
+        assert args.lattice == lattices
     with pytest.raises(SystemExit) as exc:
-        parser.parse_args(["optimize", "--lattice", "QRL"])
+        parser.parse_args(["optimize", "--lattice", "DBSL", "QRL", "--out", "t.json"])
     assert exc.value.code == cli.EXIT_USAGE
     assert "invalid choice: 'QRL'" in capsys.readouterr().err
 
@@ -424,12 +453,11 @@ def fake_search(monkeypatch):
     and returns the best, accepted below perr 0.6.  ``calls`` records the
     squeezing, the restarts and the warm starts of every call, and ``found``
     the angles each call returned; setting ``stop_after`` interrupts the run
-    at that call and ``hook(n)`` runs before call ``n``.
+    at that call.
     """
     def search(lattice, r, config, warm_starts=()):
         if len(search.calls) == search.stop_after:
             raise Interrupted
-        search.hook(len(search.calls))
         search.calls.append(Call(round(r * 20.0 / math.log(10.0), 9), config.restarts,
                                  [np.array(w) for w in warm_starts]))
         starts = [np.asarray(w, dtype=float) for w in warm_starts]
@@ -440,13 +468,14 @@ def fake_search(monkeypatch):
         perr = _fake_perr(x, r)
         return optimizer.OptResult(x, 1e-7, perr, perr < 0.6)
 
-    search.calls, search.found, search.stop_after, search.hook = [], [], None, lambda n: None
+    search.calls, search.found, search.stop_after = [], [], None
     monkeypatch.setattr(optimizer, "cz_search", search)
     return search
 
 
 def optimize(path, *extra, lattice="DBSL", grid=GRID, seed=1):
-    return cli.main(["optimize", "--lattice", lattice, "--db-min", f"{grid[0]:g}",
+    """``cvmbqc optimize`` of the lattices named in ``lattice``, one space apart."""
+    return cli.main(["optimize", "--lattice", *lattice.split(), "--db-min", f"{grid[0]:g}",
                      "--db-max", f"{grid[-1]:g}", "--db-step", "0.5", "--seed", str(seed),
                      "--out", str(path), *extra])
 
@@ -460,36 +489,13 @@ def _row(lattice, db, **extra):
             "residual": 0.0, "perr": 0.3, "accepted": True, **extra}
 
 
-def test_optimize_replaces_only_its_own_rows(tmp_path, fake_search):
-    path = tmp_path / "table.json"
-    kept = [_row("BSL", 14.0), _row("DBSL", 9.0)]
-    stale = _row("DBSL", 14.5, perr=0.99)
-    path.write_text(json.dumps({"version": 1, "entries": kept + [stale]}))
-    written_meanwhile = _row("MBSL", 14.0)
-
-    def another_writer(n):
-        if n == 1:
-            doc = json.loads(path.read_text())
-            doc["entries"].append(written_meanwhile)
-            path.write_text(json.dumps(doc))
-
-    fake_search.hook = another_writer
-    assert optimize(path) == cli.EXIT_OK
-    rows = entries(path)
-    ours = [r for r in rows if r["lattice"] == "DBSL" and r["squeezing_db"] in GRID]
-    assert [r["squeezing_db"] for r in ours] == GRID
-    assert stale not in ours
-    others = [r for r in rows if r not in ours]
-    assert sorted(others, key=str) == sorted(kept + [written_meanwhile], key=str)
-
-
 def test_optimize_saves_the_table_once(tmp_path, fake_search, monkeypatch):
     saves = []
     save = gates.save_basis_table
     monkeypatch.setattr(gates, "save_basis_table", lambda *a: saves.append(a) or save(*a))
     path = tmp_path / "table.json"
-    assert optimize(path) == cli.EXIT_OK
-    assert len(saves) == 1 and len(entries(path)) == len(GRID)
+    assert optimize(path, lattice="DBSL BSL") == cli.EXIT_OK
+    assert len(saves) == 1 and len(entries(path)) == 2 * len(GRID)
 
 
 def test_interrupted_optimize_leaves_the_table_unchanged(tmp_path, fake_search):
@@ -505,44 +511,61 @@ def test_interrupted_optimize_leaves_the_table_unchanged(tmp_path, fake_search):
     assert not (tmp_path / "new.json").exists()
 
 
-def test_optimize_rerun_never_raises_an_accepted_perr(tmp_path, fake_search):
-    # seed 8 accepts no start at 15.5 dB; every rerun keeps each row it had
-    # and never raises its perr, and a later seed may fill the missing point
+def test_optimize_builds_each_lattice_as_its_own_run(tmp_path, fake_search):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"restarts": 7}))
+    apart = []
+    for lattice in ("DBSL", "BSL"):
+        assert optimize(tmp_path / f"{lattice}.json", "--config", str(cfg),
+                        lattice=lattice) == cli.EXIT_OK
+        apart += entries(tmp_path / f"{lattice}.json")
+    del fake_search.calls[:]
+    assert optimize(tmp_path / "both.json", "--config", str(cfg),
+                    lattice="DBSL BSL") == cli.EXIT_OK
+    assert entries(tmp_path / "both.json") == sorted(
+        apart, key=lambda e: (e["lattice"], e["squeezing_db"]))
+    # the second lattice's anchor gets every start too, not the first's last point's one
+    assert [c.restarts for c in fake_search.calls] == [7, 1, 1, 1, 1] * 2
+    del fake_search.calls[:]
+    # a lattice named twice is built once
+    assert optimize(tmp_path / "twice.json", "--config", str(cfg),
+                    lattice="DBSL DBSL") == cli.EXIT_OK
+    assert len(fake_search.calls) == len(GRID)
+    assert (tmp_path / "twice.json").read_bytes() == (tmp_path / "DBSL.json").read_bytes()
+
+
+def test_optimize_rerun_is_a_fixed_point(tmp_path, fake_search):
     path = tmp_path / "table.json"
-    assert optimize(path, seed=8) == cli.EXIT_VERIFY
-    before = {r["squeezing_db"]: r for r in entries(path)}
-    assert sorted(before) == [14.0, 14.5, 15.0, 16.0]
-    for seed in (2, 3, 4, 8):
-        code = optimize(path, seed=seed)
-        after = {r["squeezing_db"]: r for r in entries(path)}
-        assert code == (cli.EXIT_OK if sorted(after) == GRID else cli.EXIT_VERIFY)
-        assert all(r["accepted"] for r in after.values())
-        for db, row in before.items():
-            assert after[db]["perr"] <= row["perr"]
-        before = after
-    assert sorted(before) == GRID
+    assert optimize(path) == cli.EXIT_OK
+    built = path.read_bytes()
+    assert optimize(path) == cli.EXIT_OK
+    assert path.read_bytes() == built
+    # rows at the fake's optimum, perr 0, would win every search they were a
+    # warm start of; the build writes the same bytes over them, so none is read
+    other = tmp_path / "other.json"
+    best = [_row("DBSL", db, angles=[math.pi - 50.0 * lat.db_to_r(db)] * n_free("DBSL"),
+                 perr=0.0) for db in GRID]
+    other.write_text(json.dumps({"version": 1, "entries": best + [_row("BSL", 14.0)]}))
+    assert optimize(other) == cli.EXIT_OK
+    assert other.read_bytes() == built
 
 
 def test_optimize_continues_outward_from_the_anchor(tmp_path, fake_search):
     path = tmp_path / "table.json"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"restarts": 7}))
-    assert optimize(path) == cli.EXIT_OK
-    first = {r["squeezing_db"]: r for r in entries(path)}
-    del first[14.0]  # a point with no row starts only from its neighbour
-    path.write_text(json.dumps({"version": 1, "entries": list(first.values())}))
+    assert optimize(path, seed=2) == cli.EXIT_OK
     del fake_search.calls[:]
-    assert optimize(path, "--config", str(cfg), seed=2) == cli.EXIT_OK
+    assert optimize(path, "--config", str(cfg)) == cli.EXIT_OK
     final = {r["squeezing_db"]: r for r in entries(path)}
     # the anchor from every start, then up from it, then down
     assert [c.db for c in fake_search.calls] == [15.0, 15.5, 16.0, 14.5, 14.0]
     assert [c.restarts for c in fake_search.calls] == [7, 1, 1, 1, 1]
     for db, _, warm in fake_search.calls:
-        # the row this run found toward the anchor, then the point's own row
+        # only the row this run found toward the anchor, never the table's own
         toward = [] if db == cli.ANCHOR_DB else [final[db - 0.5 if db > cli.ANCHOR_DB
                                                          else db + 0.5]]
-        rows = toward + ([first[db]] if db in first else [])
-        assert [list(w) for w in warm] == [r["angles"] for r in rows]
+        assert [list(w) for w in warm] == [r["angles"] for r in toward]
     del fake_search.calls[:]
     assert optimize(path, "--config", str(cfg), grid=[3.0]) == cli.EXIT_OK
     assert [c.restarts for c in fake_search.calls] == [7]  # a one-point grid is its anchor
@@ -551,16 +574,22 @@ def test_optimize_continues_outward_from_the_anchor(tmp_path, fake_search):
 def test_optimize_fails_the_points_it_cannot_accept(tmp_path, capsys, fake_search):
     # seed 8: no start is accepted at 15.5 dB, every other point is
     path = tmp_path / "table.json"
+    assert optimize(path, seed=1) == cli.EXIT_OK
+    before = path.read_bytes()
+    capsys.readouterr()
+    del fake_search.calls[:], fake_search.found[:]
     assert optimize(path, seed=8) == cli.EXIT_VERIFY
-    [line] = [line for line in capsys.readouterr().out.splitlines() if "INFEASIBLE" in line]
-    assert line.startswith("DBSL 15.5 dB: INFEASIBLE, no row ")
-    rows = entries(path)
-    assert [r["squeezing_db"] for r in rows] == [14.0, 14.5, 15.0, 16.0]
-    assert all(r["accepted"] for r in rows)
+    out = capsys.readouterr().out.splitlines()
+    [line] = [line for line in out if " dB: INFEASIBLE" in line]
+    assert line.startswith("DBSL 15.5 dB: INFEASIBLE residual=")
+    assert out[-1] == "wrote nothing: a point is INFEASIBLE"
+    assert path.read_bytes() == before
     # the sweep still continues from the unaccepted point's best angles
     [(i, call)] = [(i, c) for i, c in enumerate(fake_search.calls) if c.db == 16.0]
     assert fake_search.calls[i - 1].db == 15.5
     assert np.array_equal(call.warm[0], fake_search.found[i - 1])
+    assert optimize(tmp_path / "new.json", seed=8) == cli.EXIT_VERIFY
+    assert not (tmp_path / "new.json").exists()
 
 
 ROW_STATE_TABLES = {
@@ -596,34 +625,6 @@ def test_one_accepted_row_per_point_or_a_usage_error(capsys, tmp_path, monkeypat
     assert not fake_search.calls
 
 
-def test_concurrent_sections_share_one_table(tmp_path, fake_search):
-    path = tmp_path / "table.json"
-    lattices = ("DBSL", "BSL", "MBSL")
-    errors = []
-
-    def worker(lattice):
-        try:
-            assert optimize(path, lattice=lattice) == cli.EXIT_OK
-        except BaseException as exc:  # reported by the assertion below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(lat,)) for lat in lattices]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors
-    rows = entries(path)
-    for lattice in lattices:
-        assert [r["squeezing_db"] for r in rows if r["lattice"] == lattice] == GRID
-
-
 def readme_commands():
     """The argv of every ``cvmbqc`` line in the README's code blocks."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -634,7 +635,8 @@ def readme_commands():
 
 def test_readme_commands_parse():
     commands = readme_commands()
-    assert len(commands) >= 10
+    assert {argv[0] for argv in commands} == {"noise-curve", "error-curve", "compare",
+                                              "optimize", "verify", "dump-graph"}
     parser = cli.build_parser()
     for argv in commands:
         try:
@@ -643,16 +645,29 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: cvmbqc {shlex.join(argv)}")
 
 
-@pytest.mark.parametrize("lattice", ["MBSL", "DBSL", "BSL"])
-def test_readme_command_regenerates_the_shipped_section(tmp_path, capsys, lattice):
-    # the section's table command: the one with the base seed
-    [argv] = [a for a in readme_commands() if a[:3] == ["optimize", "--lattice", lattice]
-              and "20200527" in a]
-    path = tmp_path / "section.json"
-    assert cli.main(argv + ["--out", str(path)]) == cli.EXIT_OK
-    capsys.readouterr()
-    shipped = [r for r in gates.load_basis_table()["entries"] if r["lattice"] == lattice]
-    built = entries(path)
+SHIPPED_TABLE = Path(gates.__file__).parent / "data" / "cz_basis_table.json"
+
+
+@pytest.fixture(scope="module")
+def readme_table(tmp_path_factory):
+    """The rows the README's table command (the one with the base seed) writes
+    into a new path; the command runs once for every section test."""
+    [argv] = [a for a in readme_commands() if a[0] == "optimize" and "20200527" in a]
+    out = argv.index("--out") + 1
+    assert Path(argv[out]).parts[-4:] == SHIPPED_TABLE.parts[-4:]
+    path = tmp_path_factory.mktemp("readme") / "table.json"
+    argv[out] = str(path)
+    assert cli.main(argv) == cli.EXIT_OK
+    return entries(path)
+
+
+@pytest.mark.parametrize("lattice", ["BSL", "DBSL", "MBSL"])
+def test_readme_command_regenerates_the_shipped_section(readme_table, lattice):
+    shipped_rows = gates.load_basis_table(SHIPPED_TABLE)["entries"]
+    assert ({r["lattice"] for r in readme_table}
+            == {r["lattice"] for r in shipped_rows} == {"BSL", "DBSL", "MBSL"})
+    shipped = [r for r in shipped_rows if r["lattice"] == lattice]
+    built = [r for r in readme_table if r["lattice"] == lattice]
     assert [r["squeezing_db"] for r in built] == [r["squeezing_db"] for r in shipped]
     for new, old in zip(built, shipped):
         turn = (np.subtract(new["angles"], old["angles"]) + np.pi / 2) % np.pi - np.pi / 2

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -208,9 +210,17 @@ class TestCzCache:
         assert gates.find_row(table, "DBSL", 3.0) is table["entries"][1]
 
     def test_miss_names_the_command_that_fills_it(self):
-        with pytest.raises(CacheMissError, match=r"optimize --lattice DBSL --db-min 12 "
-                           r"--db-max 12`$"):
+        with pytest.raises(CacheMissError, match=r"`cvmbqc optimize --lattice DBSL --db-min 12 "
+                           r"--db-max 12 --out DIR/cz_basis_table.json`, then set "
+                           r"CVMBQC_CACHE_DIR=DIR$"):
             gates.cz_plan("DBSL", 12.0, table=self._table())
+
+    def test_missing_table_names_the_command_that_builds_it(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
+        with pytest.raises(CacheMissError, match=r"`cvmbqc optimize --lattice DBSL BSL MBSL "
+                           r"--db-min <a> --db-max <b> --out DIR/cz_basis_table.json`, then "
+                           r"set CVMBQC_CACHE_DIR=DIR$"):
+            gates.load_basis_table()
 
     def test_qrl_cz_plan_needs_no_cache(self):
         plan = gates.cz_plan("QRL", 14.0, table={"version": 1, "entries": []})
@@ -222,8 +232,6 @@ class TestCzCache:
         path = blocker / "table.json"  # its parent is not a directory
         with pytest.raises(ValueError, match="^" + re.escape(f"cannot save basis table {path}: ")):
             gates.save_basis_table(self._table(), path)
-        with pytest.raises(ValueError, match="^" + re.escape(f"cannot lock basis table {path}: ")):
-            gates.update_basis_table(self._table()["entries"][:1], path)
 
     def test_failed_save_leaves_no_temporary_file(self, tmp_path):
         path = tmp_path / "table.json"
@@ -231,6 +239,43 @@ class TestCzCache:
         with pytest.raises(ValueError, match="^" + re.escape(f"cannot save basis table {path}: ")):
             gates.save_basis_table(self._table(), path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["table.json"]
+
+    def test_concurrent_saves_leave_one_whole_table(self, tmp_path):
+        # two writers save different tables to one path while a reader reads
+        # it: each read is one whole table, and no temporary file is left
+        path = tmp_path / "table.json"
+        tables = [self._table(), {"version": 1, "entries": self._table()["entries"][1:]}]
+        gates.save_basis_table(tables[0], path)
+        done, seen, errors = threading.Event(), [], []
+
+        def writer(table):
+            try:
+                for _ in range(200):
+                    gates.save_basis_table(table, path)
+            except BaseException as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        def reader():
+            while not done.is_set():
+                seen.append(gates.load_basis_table(path))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(t,)) for t in tables]
+            watcher = threading.Thread(target=reader)
+            for t in threads + [watcher]:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            done.set()
+            watcher.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and seen
+        assert all(table in tables for table in seen)
+        assert gates.load_basis_table(path) in tables
+        assert [p.name for p in tmp_path.iterdir()] == ["table.json"]
 
 
 def test_dbsl_cz_angles_are_a_root_at_every_theta_c():

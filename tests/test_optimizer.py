@@ -199,6 +199,21 @@ def test_kernel_matches_reference_reduction():
         assert perr == pytest.approx(ref_perr, abs=1e-12)
 
 
+@pytest.mark.parametrize("lattice", ["DBSL", "BSL", "MBSL"])
+def test_reference_evaluation_reduces_once(monkeypatch, lattice):
+    # the crosscheck scores perr from its one reduction, bit for bit what the
+    # plan's own gate_error_probability gives
+    row = next(r for r in gates.load_basis_table()["entries"] if r["lattice"] == lattice)
+    r = lat.db_to_r(row["squeezing_db"])
+    plan = gates.cz_region_plan(lattice, r, row["angles"])
+    expected = (float(np.abs(gates.realize(plan).G - plan.target).sum()),
+                gkp.gate_error_probability(plan))
+    calls = []
+    monkeypatch.setattr(gates, "reduce", lambda *a: calls.append(a) or reduce_region(*a))
+    assert opt.evaluate_free_angles(lattice, r, row["angles"]) == expected
+    assert len(calls) == 1
+
+
 def test_search_teleport_identity_recovers_closed_form():
     r = 1.0
     t = math.tanh(2 * r)
