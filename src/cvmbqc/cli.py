@@ -29,8 +29,9 @@ LATTICES = ("DBSL", "BSL", "MBSL", "QRL")
 GATES = ("I", "F", "P1", "FFCZ")
 MAX_GRID_POINTS = 10 ** 6
 # The curve commands realize this many grid points at a time as one stacked
-# plan; larger blocks raise the peak memory without running faster.
+# plan.  Larger blocks run faster but raise the peak memory; 25 caps it.
 _BLOCK_POINTS = 25
+VERIFY_TOL, VERIFY_R = 1e-9, (0.25, 0.5, 1.0, 1.5, 2.0)
 
 
 def _db_grid(args):
@@ -49,6 +50,7 @@ def _db_grid(args):
                          f"does not step from {args.db_min:g} to {args.db_max:g}")
     if args.db_min <= 0:
         raise ValueError(f"--db-min must be positive (squeezing in dB), got {args.db_min:g}")
+    lat.effective_epsilon(lat.db_to_r(args.db_max))  # refuses one where cosh(2r) overflows
     grid = [args.db_min + i * args.db_step for i in range(n + 1)]
     if n and np.diff(grid).min() < gates.ROW_DB_TOL:
         raise ValueError(f"--db-step {args.db_step:g} puts grid points closer than "
@@ -214,21 +216,17 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """The fixed suite: the covariance oracle at VERIFY_TOL on the catalog at
+    each r in VERIFY_R and on the CZ plan of every basis-table row, then the
+    nine Wigner-limit checks.  Exit 1 unless every report passes."""
     from . import oracle  # only verify needs it; keeps the curve commands' import lean
 
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValueError(f"--tol must be positive and finite, got {args.tol:g}")
-    if args.cache_stride < 1:
-        raise ValueError(f"--cache-stride must be at least 1, got {args.cache_stride}")
-    for r in args.r:
-        if not (math.isfinite(r) and r > 0):
-            raise ValueError(f"--r must be positive and finite, got {r:g}")
     table = gates.load_basis_table()
-    reports = [oracle.verify_plan(plan, tol=args.tol)
-               for r in args.r for plan in gates.iter_catalog(r)]
-    for row in table["entries"][::args.cache_stride]:
+    reports = [oracle.verify_plan(plan, tol=VERIFY_TOL)
+               for r in VERIFY_R for plan in gates.iter_catalog(r)]
+    for row in table["entries"]:
         plan = gates.cz_plan(row["lattice"], row["squeezing_db"], table=table)
-        reports.append(oracle.verify_plan(plan, tol=args.tol)
+        reports.append(oracle.verify_plan(plan, tol=VERIFY_TOL)
                        | {"plan": f"{row['lattice']}:FFCZ@{row['squeezing_db']:g}dB"})
     for lattice in ("DBSL", "BSL", "MBSL"):
         reports += [oracle.wigner_limit_check(lattice, r) for r in (0.5, 1.5)]
@@ -300,11 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="basis-table path, written whole, only once every point is accepted")
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("verify", help="run the oracle verification suite")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--r", nargs="+", type=float, default=[0.25, 0.5, 1.0, 1.5, 2.0])
-    p.add_argument("--cache-stride", type=int, default=8,
-                   help="verify every Nth cached CZ row (1 = all)")
+    p = sub.add_parser("verify", help="the covariance oracle at 1e-9 on the gate catalog "
+                       "and every basis-table row, and the Wigner limits (JSON)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dump-graph", help="emit a region graph as JSON")

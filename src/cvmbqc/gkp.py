@@ -61,15 +61,15 @@ def _error_terms(delta_prime, delta):
     total = np.asarray(delta_prime, dtype=float) + np.asarray(delta, dtype=float)[..., None]
     perr, erfc = [], []
     for row in total.reshape(-1, total.shape[-1]).tolist():
-        # 1 - prod(erf) as -expm1(sum log1p(-erfc)): small probabilities keep
-        # their digits instead of cancelling against 1 at high squeezing
+        # 1 - prod(erf) as 0 - expm1(sum log1p(-erfc)): small probabilities keep
+        # their digits at high squeezing, and one that underflows is +0.0
         log_ok = 0.0
         for v in row:
             if v <= 0:
                 raise ValueError("spike variances must be positive")
             erfc.append(math.erfc(SQRT_PI / (2.0 * math.sqrt(2.0 * v))))
             log_ok += math.log1p(-erfc[-1])
-        perr.append(-math.expm1(log_ok))
+        perr.append(0.0 - math.expm1(log_ok))
     return (perr[0] if total.ndim == 1 else np.reshape(perr, total.shape[:-1])), erfc
 
 

@@ -78,7 +78,11 @@ def _check_r(r: float) -> None:
 def effective_epsilon(r: float) -> float:
     """Self-loop magnitude sech(2r); cluster momentum variance is sech(2r)/2."""
     _check_r(r)
-    return 1.0 / math.cosh(2.0 * r)
+    try:
+        return 1.0 / math.cosh(2.0 * r)
+    except OverflowError:
+        raise ValueError(f"squeezing {20.0 * r / math.log(10.0):g} dB (r = {r:g}) is too "
+                         "large: cosh(2r) overflows above 3085.56 dB") from None
 
 
 _EDGE_SCALE = {

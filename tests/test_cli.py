@@ -606,7 +606,7 @@ ROW_STATE_TABLES = {
 @pytest.mark.parametrize("command", [
     "error-curve --lattice DBSL --gate FFCZ --db-min 10 --db-max 10",
     "compare --db-min 10 --db-max 10",
-    "verify --r 1.0",
+    "verify",
     "optimize --lattice DBSL --db-min 10 --db-max 10 --out {path}",
 ], ids=["error-curve", "compare", "verify", "optimize"])
 @pytest.mark.parametrize("kind", list(ROW_STATE_TABLES))
@@ -729,7 +729,7 @@ def _write_cache(tmp_path, entries):
 def test_verify_subcommand_smoke(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
     _write_cache(tmp_path, [])
-    code, out, _ = run_cli(["verify", "--r", "1.0"], capsys)
+    code, out, _ = run_cli(["verify"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"]
@@ -743,21 +743,23 @@ def test_verify_subcommand_smoke(capsys, tmp_path, monkeypatch):
 ])
 def test_verify_refuses_bad_limits_before_any_plan(capsys, tmp_path, monkeypatch,
                                                    flag, value):
+    # verify is one fixed suite: it takes no tolerance, stride or squeezing
     from cvmbqc import oracle
     monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
     _write_cache(tmp_path, [])
     monkeypatch.setattr(oracle, "verify_plan",
                         lambda *a, **k: pytest.fail("a plan was verified"))
-    code, out, err = run_cli(["verify", "--r", "1.0", f"{flag}={value}"], capsys)
-    assert code == cli.EXIT_USAGE
-    rule = "at least 1" if flag == "--cache-stride" else "positive and finite"
-    assert err == f"error: {flag} must be {rule}, got {value}\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", f"{flag}={value}"])
+    assert exc.value.code == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert f"error: unrecognized arguments: {flag}={value}" in err
     assert out == ""
 
 
 def test_verify_missing_cache_is_cache_miss(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
-    code, _, err = run_cli(["verify", "--r", "1.0"], capsys)
+    code, _, err = run_cli(["verify"], capsys)
     assert code == cli.EXIT_CACHE
 
 
@@ -768,7 +770,7 @@ def test_verify_corrupted_cache_fails(capsys, tmp_path, monkeypatch):
         "angles": [0.3, -0.2, 0.5, 0.1, -0.7, 0.9, 0.2, -0.4, 0.6, 0.8],
         "residual": 1e-7, "perr": 1e-3, "accepted": True,
     }])
-    code, out, _ = run_cli(["verify", "--r", "1.0", "--cache-stride", "1"], capsys)
+    code, out, _ = run_cli(["verify"], capsys)
     assert code == cli.EXIT_VERIFY
     doc = json.loads(out)
     assert not doc["pass"]
@@ -783,7 +785,7 @@ def test_verify_checks_every_row_a_plan_is_built_from(capsys, tmp_path, monkeypa
         "lattice": "DBSL", "squeezing_db": 12.0,
         "angles": [0.3, -0.2, 0.5, 0.1, -0.7, 0.9, 0.2, -0.4, 0.6, 0.8], **accepted,
     }])
-    code, out, err = run_cli(["verify", "--r", "1.0", "--cache-stride", "1"], capsys)
+    code, out, err = run_cli(["verify"], capsys)
     if accepted.get("accepted", True):
         plans = [rep.get("plan") for rep in json.loads(out)["reports"]]
         assert "DBSL:FFCZ@12dB" in plans
@@ -792,6 +794,45 @@ def test_verify_checks_every_row_a_plan_is_built_from(capsys, tmp_path, monkeypa
         assert code == cli.EXIT_USAGE and out == ""
         assert err.startswith(f"error: malformed basis table {tmp_path / 'cz_basis_table.json'}: "
                               "entry 0 is not a ")
+
+
+def test_verify_checks_every_row_of_the_table(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
+    rows = [r for r in gates.load_basis_table(SHIPPED_TABLE)["entries"]
+            if r["lattice"] == "DBSL"][:9]
+    rows[1]["angles"][0] += 1e-3
+    _write_cache(tmp_path, rows)
+    code, out, _ = run_cli(["verify"], capsys)
+    assert code == cli.EXIT_VERIFY
+    passed = {rep["plan"]: rep["pass"] for rep in json.loads(out)["reports"]
+              if rep.get("plan", "").startswith("DBSL:FFCZ@")}
+    assert passed == {f"DBSL:FFCZ@{r['squeezing_db']:g}dB": r is not rows[1] for r in rows}
+
+
+def test_error_probability_that_underflows_prints_as_positive_zero(capsys):
+    code, out, _ = run_cli(["error-curve", "--lattice", "QRL", "--gate", "I",
+                            "--db-min", "36", "--db-max", "36", "--db-step", "1"], capsys)
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[1:] == ["QRL,I,36,0.000000000e+00",
+                                    "baseline,FFCZ,36,0.000000000e+00"]
+
+
+@pytest.mark.parametrize("command", [
+    "noise-curve --lattice QRL --gate I --db-min 3086 --db-max 3086 --db-step 1",
+    "dump-graph --lattice QRL --db 3086",
+    "optimize --lattice DBSL --db-min 3080 --db-max 3086 --db-step 1 --out {path}",
+], ids=["noise-curve", "dump-graph", "optimize"])
+def test_squeezing_beyond_sech_range_is_one_usage_error(capsys, tmp_path, fake_search, command):
+    path = tmp_path / "table.json"
+    code, out, err = run_cli(command.format(path=path).split(), capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == ("error: squeezing 3086 dB (r = 355.289) is too large: "
+                   "cosh(2r) overflows above 3085.56 dB\n")
+    assert out == ""
+    assert not fake_search.calls and not path.exists()
+    # one dB lower every point is computed (the stand-in search may accept none)
+    code, out, _ = run_cli(command.replace("3086", "3085").format(path=path).split(), capsys)
+    assert code != cli.EXIT_USAGE and out
 
 
 def test_noise_curve_swap_gate(capsys):

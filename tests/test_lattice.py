@@ -47,6 +47,12 @@ def test_squeezing_must_be_finite_and_nonnegative(r):
             lat.edge_weight(name, r)
 
 
+def test_squeezing_is_refused_where_cosh_overflows():
+    assert lat.effective_epsilon(lat.db_to_r(3085.55)) > 0
+    with pytest.raises(ValueError, match=r"3085.57 dB .* cosh\(2r\) overflows above 3085.56 dB"):
+        lat.effective_epsilon(lat.db_to_r(3085.57))
+
+
 def test_effective_epsilon_is_3db_above_resource_at_high_squeezing():
     r = lat.db_to_r(20.0)
     gap_db = 10 * math.log10(lat.effective_epsilon(r) / math.exp(-2 * r))
