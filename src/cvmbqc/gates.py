@@ -360,9 +360,10 @@ def cz_plan(lattice: str, db, table: dict | None = None) -> GatePlan:
         return qrl_cz_plan(lat.db_to_r(db))
     if table is None:
         table = load_basis_table()
+    section = {"entries": [row for row in table["entries"] if row["lattice"] == lattice]}
 
     def basis_at(d):
-        row = find_row(table, lattice, d)
+        row = find_row(section, lattice, d)
         if row is None:
             raise CacheMissError(
                 f"no cached CZ basis for {lattice} at {d:g} dB; build a table that holds "

@@ -8,12 +8,15 @@ and whose outputs are all compared (not the QRL's).  Where the roots form a
 continuum (BSL, MBSL), a modified Newton descent of log perr follows them:
 the gradient and the exact Hessian of the Lagrangian log perr - lam^T F,
 both reduced to the null space of the Jacobian, each step retracted onto
-the roots by rank-truncated Gauss-Newton steps; isolated roots (DBSL,
-closed-form: see :func:`dbsl_theta_c_optimum`) are kept as they are.
-:class:`OptimizerConfig` sets ``restarts`` and ``seed``; ``weight_grid`` is
-still validated but has no effect.  The starts are the caller's warm starts,
-then a jittered copy of each, then uniform random ones up to ``restarts``;
-no start is built in.  Accepted solutions must implement the
+the roots by rank-truncated Gauss-Newton steps, and where that descent
+stops at a saddle it steps off along the most negative curvature; isolated
+roots (DBSL, closed-form: see :func:`dbsl_theta_c_optimum`) are kept as
+they are.  A start that LM leaves accepted but not at a root takes one more
+Gauss-Newton step.  :class:`OptimizerConfig` sets ``restarts`` and ``seed``;
+``weight_grid`` is still validated but has no effect.  The starts are the
+caller's warm starts, each solved once, then uniform random ones up to
+``restarts``, the only ones the seed draws; no start is built in.  Accepted
+solutions must implement the
 target to an entrywise 1-norm below :data:`RESIDUAL_TOL`; among those the
 lowest error probability wins, with residual and then lexicographic order of
 the canonical angles (each free angle mod pi) as tie-breakers.
@@ -73,13 +76,16 @@ _LM_ITERS = 200
 # every point is retracted in at most _RETRACT_ITERS such steps; a
 # Newton step is at most _MAX_STEP long and accepted on a strict Armijo
 # decrease _ARMIJO of log perr; the descent ends when the Newton decrement
-# falls below _DECREMENT_TOL, when no step down to _MIN_STEP of the Newton
-# step decreases log perr, or after _DESCENT_EVALS eliminations.
+# falls below _DECREMENT_TOL and no reduced-Hessian eigenvalue is below
+# -_CURVATURE_TOL times the largest |eigenvalue|, when no step down to
+# _MIN_STEP of the full one decreases log perr, or after _DESCENT_EVALS
+# eliminations.
 _RANK_TOL = 1e-8
 _RETRACT_ITERS = 8
 _MAX_STEP = 0.5
 _ARMIJO = 1e-4
 _DECREMENT_TOL = 1e-14
+_CURVATURE_TOL = 1e-6
 _MIN_STEP = 1e-6
 _DESCENT_EVALS = 4000
 # The search solves its starts in start-order blocks of at most this many,
@@ -131,7 +137,8 @@ class OptResult:
     # what the search spent: eliminations in its per-start solves (a
     # descent evaluates its Levenberg-Marquardt root once more, for perr and
     # its derivatives), the starts solved, and the starts whose
-    # Levenberg-Marquardt solve reached a root (|F|_1 < ROOT_TOL)
+    # Levenberg-Marquardt solve, with its Gauss-Newton step, reached a root
+    # (|F|_1 < ROOT_TOL)
     evals: int = 0
     descents: int = 0
     roots: int = 0
@@ -325,11 +332,23 @@ def _lockstep(frozen: FrozenRegion, solves: list, ranks: list) -> list:
 def _solve_block(frozen: FrozenRegion, starts) -> list:
     """Each start's solve: Levenberg-Marquardt to a root of F, then, where
     J is rank deficient there and the roots form a continuum, a descent of
-    log perr along it.
+    log perr along it.  Where LM ends accepted but not at a root
+    (ROOT_TOL <= |F|_1 < RESIDUAL_TOL, the rounding floor of some roots),
+    one :func:`_gauss_newton` step follows, one elimination, kept only where
+    it lowers |F|_1.
 
-    Returns, per start, the end point, the eliminations spent and whether LM
-    reached a root (|F|_1 < ROOT_TOL)."""
+    Returns, per start, the end point, the eliminations spent and whether
+    the solve reached a root (|F|_1 < ROOT_TOL)."""
     x, ok, f, jac, evals = _lm_stack(frozen, starts)
+    resid = np.abs(f).sum(axis=-1)
+    near = np.flatnonzero(ok & (resid >= ROOT_TOL) & (resid < RESIDUAL_TOL))
+    if near.size:
+        y = np.array([_gauss_newton(*point) for point in zip(
+            x[near], f[near], *np.linalg.svd(jac[near], full_matrices=False))])
+        y_ok, y_f, y_jac = _kernels.reduce_residual(y, frozen)
+        evals[near] += 1
+        lower = y_ok & (np.abs(y_f).sum(axis=-1) < resid[near])
+        x[near[lower]], f[near[lower]], jac[near[lower]] = y[lower], y_f[lower], y_jac[lower]
     root = ok & (np.abs(f).sum(axis=-1) < ROOT_TOL)
     solved = [(x[i], int(evals[i]), bool(root[i])) for i in range(len(x))]
     idx = np.flatnonzero(root)
@@ -344,13 +363,20 @@ def _solve_block(frozen: FrozenRegion, starts) -> list:
     return solved
 
 
-def _retraction(x):
-    """Minimum-norm Gauss-Newton steps -V diag(1/sigma) U^T F from x back to
-    a root, over the singular values of J above _RANK_TOL times the largest,
-    as a solve for :func:`_lockstep`: returns the root and its served jet,
-    or None, and the eliminations spent.  The smaller singular values that J
+def _gauss_newton(x, f, u, sv, vt):
+    """The minimum-norm Gauss-Newton step x - V diag(1/sigma) U^T F, from
+    the SVD ``(U, sigma, V^T)`` of J at x, over the singular values of J
+    above _RANK_TOL times the largest.  The smaller singular values that J
     has off the roots, along the root set's own directions, are not
     inverted: they would carry the step along the roots, not onto them."""
+    keep = sv > _RANK_TOL * sv[0]
+    return x - vt[keep].T @ ((u[:, keep].T @ f) / sv[keep])
+
+
+def _retraction(x):
+    """:func:`_gauss_newton` steps from x back to a root, as a solve for
+    :func:`_lockstep`: returns the root and its served jet, or None, and the
+    eliminations spent."""
     for evals in range(1, _RETRACT_ITERS + 1):
         jet = yield x
         if jet is None:
@@ -358,8 +384,7 @@ def _retraction(x):
         f, _, _, _, u, sv, vt, _ = jet
         if np.abs(f).sum() < ROOT_TOL:
             return x, jet, evals
-        keep = sv > _RANK_TOL * sv[0]
-        x = x - vt[keep].T @ ((u[:, keep].T @ f) / sv[keep])
+        x = _gauss_newton(x, f, u, sv, vt)
     return x, None, evals
 
 
@@ -374,9 +399,17 @@ def _feasible_descent(x, rank):
     with each root: the Riemannian Hessian of log perr on the root set
     (Absil, Mahony & Sepulchre 2008, sec. 5.5).  The step -H^-1 g uses
     |eigenvalues| of the symmetrized H floored at 1e-3 of the largest, so it
-    descends where H is indefinite; it is capped at _MAX_STEP and backtracked
-    from unit length, each trial retracted onto the roots.  Returns the end
-    point and the eliminations spent, the one that serves ``x`` included."""
+    descends where H is indefinite; it is capped at _MAX_STEP.  Where the
+    Newton decrement -g^T step is below _DECREMENT_TOL but the smallest
+    eigenvalue lam_0 is below -_CURVATURE_TOL times the largest |eigenvalue|,
+    a saddle, the step is _MAX_STEP along d = Z^T v_0, its eigenvector, with
+    the sign that gives g^T v_0 <= 0, and where that is 0 a positive entry
+    of largest magnitude in d (Moré & Sorensen, *Math. Programming* 16
+    (1979) 1).  Either step is backtracked from full length t = 1 by
+    halving, each trial retracted onto the roots, and accepted on the
+    decrease _ARMIJO times that of the model: t g^T step for a Newton step,
+    lam_0 (t _MAX_STEP)^2 / 2 along d.  Returns the end point and the
+    eliminations spent, the one that serves ``x`` included."""
     jet = yield x
     evals = 1
     while evals < _DESCENT_EVALS:
@@ -385,18 +418,26 @@ def _feasible_descent(x, rank):
         hess = null @ hess @ null.T
         grad = null @ grad
         eig, vec = np.linalg.eigh((hess + hess.T) / 2)
-        eig = np.maximum(np.abs(eig), 1e-3 * np.abs(eig).max())
-        step = -vec @ ((vec.T @ grad) / eig)
-        slope = grad @ step
-        if not -slope >= _DECREMENT_TOL:
+        top = np.abs(eig).max()
+        step = -vec @ ((vec.T @ grad) / np.maximum(np.abs(eig), 1e-3 * top))
+        slope, curve = grad @ step, 0.0
+        if -slope >= _DECREMENT_TOL:
+            scale = min(1.0, _MAX_STEP / np.linalg.norm(step))
+        elif eig[0] < -_CURVATURE_TOL * top:  # a saddle
+            step, d = vec[:, 0], null.T @ vec[:, 0]
+            down = grad @ step
+            if down > 0 or (down == 0 and d[np.argmax(np.abs(d))] < 0):
+                step = -step
+            scale, slope, curve = _MAX_STEP, 0.0, eig[0] * _MAX_STEP ** 2 / 2
+        else:
             break
-        scale = min(1.0, _MAX_STEP / np.linalg.norm(step))
         step, slope = scale * (null.T @ step), scale * slope
         log_perr, length = math.log(perr), 1.0
         while length >= _MIN_STEP:
             y, trial, n = yield from _retraction(x + length * step)
             evals += n
-            if trial is not None and math.log(trial[2]) < log_perr + _ARMIJO * length * slope:
+            decrease = _ARMIJO * (length * slope + length ** 2 * curve)
+            if trial is not None and math.log(trial[2]) < log_perr + decrease:
                 x, jet = y, trial
                 break
             length /= 2.0
@@ -417,9 +458,10 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
     """Best accepted solution over the exact warm starts and the solves from
     every start.
 
-    Deterministic for a fixed seed; warm starts (exact and jittered) are
-    prepended to the uniform random start sequence.  Each exact warm start is
-    also scored as a candidate in its own right, under the same acceptance
+    Deterministic for a fixed seed; each warm start is solved once, ahead of
+    the uniform random starts that the seed draws up to ``config.restarts``.
+    Each warm start is also scored as a candidate in its own right, under
+    the same acceptance
     rule and tie-break as the solve results, so the result is never worse
     than a feasible warm start.  Candidates are scored, compared and returned
     at their canonical angles (:meth:`FrozenRegion.canonical`), all of them
@@ -433,8 +475,6 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
     starts = [np.asarray(w, dtype=float) for w in warm_starts]
     if any(w.shape != (n_free,) for w in starts):
         raise ValueError(f"every warm start must hold the region's {n_free} free angles")
-    for w in list(starts):
-        starts.append(w + rng.normal(0.0, 0.05, n_free))
     while len(starts) < config.restarts:
         starts.append(rng.uniform(-math.pi, math.pi, n_free))
 

@@ -302,8 +302,9 @@ def test_winners_are_bit_identical_to_per_candidate_scoring():
     # literals that scoring each candidate with its own one-point jet gives
     # (retaken, and checked that way, when the descent's reduced Hessian
     # became the exact one, and when the elimination came to form U^-1 by
-    # one inverse; each moved the MBSL winner by rounding); the stacked
-    # scoring pass must not move a bit
+    # one inverse; each moved the MBSL winner by rounding; the teleport ones
+    # when each warm start came to be solved once); the stacked scoring pass
+    # must not move a bit
     res = opt.cz_search("MBSL", lat.db_to_r(15.0), opt.OptimizerConfig(restarts=8, seed=20200527))
     assert res.angles.tolist() == [
         -0.7853981633974483, 0.7853981633974483, -1.5707963267948966, 3.354462025160308e-17,
@@ -317,15 +318,14 @@ def test_winners_are_bit_identical_to_per_candidate_scoring():
     frozen = opt.freeze_region(lat.teleport_graph(math.tanh(2 * r)), np.eye(2), r)
     res = opt.search(frozen, opt.OptimizerConfig(restarts=6, seed=3),
                      warm_starts=[np.array([0.3, 0.3])])
-    assert res.angles.tolist() == [0.80371175462753, -0.80371175462753]
-    assert (res.perr, res.residual, res.accepted) == (0.17195552770533246, 1.6991062459413624e-16,
+    assert res.angles.tolist() == [0.8037117546275299, -0.8037117546275301]
+    assert (res.perr, res.residual, res.accepted) == (0.17195552770533246, 1.03811073538742e-15,
                                                       True)
-    assert (res.evals, res.roots, res.descents) == (42, 5, 6)
-    # more exact warm starts than restarts / 2: each is solved, and so is its
-    # jittered copy, with no random start
+    assert (res.evals, res.roots, res.descents) == (37, 5, 6)
+    # each warm start is solved once, and uniform starts fill up to restarts
     warm = [np.array(w) for w in ([0.3, 0.3], [0.1, -0.2], [0.7, 0.4], [-1.0, 0.5])]
     res = opt.search(frozen, opt.OptimizerConfig(restarts=6, seed=3), warm_starts=warm)
-    assert res.descents == 2 * len(warm)
+    assert res.descents == 6
 
 
 def test_no_cold_mbsl_retraction_uses_up_its_steps(monkeypatch):
@@ -615,6 +615,43 @@ def test_variable_theta_c_descent_does_not_crawl_at_a_rank_drop():
     assert res.accepted
     assert res.perr == pytest.approx(0.001057384726736686, rel=1e-12)
     assert res.evals <= 2500
+
+
+def _mbsl_closed_form(r):
+    """The MBSL CZ free angles that every shipped MBSL row at 0.25-24 dB is,
+    to 6.3e-8 rad mod pi: read off the table, not derived."""
+    a = math.atan2(1.0, math.sqrt(2.0) * math.tanh(2.0 * r))
+    c = math.atan2(1.0, 2.0 * math.tanh(2.0 * r) ** 2)
+    q = math.pi / 4
+    return np.array([q, -q, 2 * q, 0.0, -a, a, 2 * q, 0.0, c, -c, 2 * q, 2 * q])
+
+
+@pytest.mark.parametrize("db", [24.25, 25.0])
+def test_descent_steps_off_the_closed_form_saddle(db):
+    # above 24.1 dB the closed form is a saddle of perr on the MBSL root set:
+    # the descent ends there on its first-order test, and must step off along
+    # the negative curvature, the same way under every seed
+    r = lat.db_to_r(db)
+    shipped = gates.find_row(gates.load_basis_table(), "MBSL", db)["perr"]
+    a, b = (opt.cz_search("MBSL", r, opt.OptimizerConfig(restarts=1, seed=seed),
+                          warm_starts=[_mbsl_closed_form(r)]) for seed in (0, 20200527))
+    assert np.array_equal(a.angles, b.angles)
+    assert dataclasses.replace(a, angles=None) == dataclasses.replace(b, angles=None)
+    assert a.accepted and a.descents == 1
+    assert a.perr <= shipped * (1 + 1e-9)
+
+
+def test_accepted_lm_end_above_root_tol_takes_a_gauss_newton_step():
+    # at 0.5 dB LM stops where |F|_1 floors above ROOT_TOL; one Gauss-Newton
+    # step from there lands on the closed form, under every seed
+    def closed(db):
+        return np.array(np.broadcast_arrays(*gates.dbsl_cz_angles(lat.db_to_r(db))), dtype=float)
+
+    for seed in (0, 20200527):
+        res = opt.cz_search("DBSL", lat.db_to_r(0.5), opt.OptimizerConfig(restarts=1, seed=seed),
+                            warm_starts=[closed(0.75)])
+        turn = (res.angles - closed(0.5) + math.pi / 2) % math.pi - math.pi / 2
+        assert res.accepted and np.abs(turn).max() <= 1e-11
 
 
 def test_first_search_imports_no_masked_arrays_and_no_scipy():
