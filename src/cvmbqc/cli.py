@@ -164,17 +164,18 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-# Above a few dB each fixed-basis table section has one CZ optimum, so an
-# optimize run searches from every start only at the grid point nearest this.
+# An optimize run's continuation starts at the grid point nearest this.
 ANCHOR_DB = 15.0
 
 
 def cmd_optimize(args) -> int:
     """Build the table of every ``--lattice``, each one continuation, and write
     it to ``--out`` whole; no earlier table is read.  The grid point nearest
-    ANCHOR_DB runs the config's ``restarts``; the sweep goes up from it, then
-    down, each point from the best angles just found next to it alone.  A
-    point printed INFEASIBLE accepts no start: the run writes nothing, exit 1."""
+    ANCHOR_DB starts from the lattice's start in code (:func:`gates.cz_start`);
+    the sweep goes up from it, then down, each point from the best angles just
+    found next to it.  Every point runs the config's ``restarts`` starts, that
+    warm start included; the seed draws only the others.  A point printed
+    INFEASIBLE accepts no start: the run writes nothing, exit 1."""
     from . import optimizer  # only optimize needs it; keeps the curve commands' import lean
 
     grid = _db_grid(args)
@@ -193,15 +194,14 @@ def cmd_optimize(args) -> int:
     except CacheMissError:
         pass
     anchor = min(range(len(grid)), key=lambda i: abs(grid[i] - ANCHOR_DB))
-    one_start, rows = dataclasses.replace(cfg, restarts=1), []
+    rows = []
     for lattice in dict.fromkeys(args.lattice):
         section = {}
         for i in [*range(anchor, len(grid)), *range(anchor - 1, -1, -1)]:
-            db = grid[i]
+            db, r = grid[i], lat.db_to_r(grid[i])
             near = section.get(i - 1 if i > anchor else i + 1)
-            warm = [np.array(near["angles"])] if near else []
-            res = optimizer.cz_search(lattice, lat.db_to_r(db), cfg if i == anchor else one_start,
-                                      warm_starts=warm)
+            warm = np.array(near["angles"]) if near else gates.cz_start(lattice, r)
+            res = optimizer.cz_search(lattice, r, cfg, warm_starts=[warm])
             print(f"{lattice} {db:g} dB: {'accepted' if res.accepted else 'INFEASIBLE'} "
                   f"residual={res.residual:.3e} perr={res.perr:.6e}", flush=True)
             section[i] = res.to_row(lattice, db)
@@ -292,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the table's lattices; the QRL CZ plan is closed-form")
     _add_grid_args(p, db_min=15.0, db_max=15.0, db_step=0.5)
     p.add_argument("--config", help="JSON object with any of the optimizer keys "
-                   "restarts (starts at the anchor) and seed; weight_grid is ignored")
+                   "restarts (starts at every point, the warm start included; default 1) "
+                   "and seed (draws the others); weight_grid is ignored")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True,
                    help="basis-table path, written whole, only once every point is accepted")

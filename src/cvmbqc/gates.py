@@ -41,6 +41,9 @@ __all__ = [
     "qrl_cz_plan",
     "dbsl_cz_angles",
     "dbsl_cz_plan",
+    "mbsl_cz_angles",
+    "BSL_CZ_START",
+    "cz_start",
     "dbsl_swap_plan",
     "cz_plan",
     "iter_catalog",
@@ -227,7 +230,8 @@ def dbsl_cz_angles(r, theta_c=math.pi / 4) -> tuple:
     with t = tan theta_c, y = t tanh(2r)^2, a = atan2(2, y^2) and
     b = atan2(t (y^2 - 4y - 4), y^2 + 4y - 4).  Read off the optimized table and
     checked by the tests; the mirror root (angles 0-3 negated, the pairs (4, 5),
-    (6, 7) and (8, 9) swapped) has the same perr."""
+    (6, 7) and (8, 9) swapped) has the same perr.  At pi/4 it is the table
+    build's DBSL start (:func:`cz_start`)."""
     t = np.tan(theta_c)
     y = t * lat.per_point(lambda x: math.tanh(2.0 * x) ** 2, r)
     a, b = np.arctan2(2.0, y * y), np.arctan2(t * (y * y - 4 * y - 4), y * y + 4 * y - 4)
@@ -238,6 +242,30 @@ def dbsl_cz_plan(r, theta_c=math.pi / 4) -> GatePlan:
     """Closed-form DBSL plan of :func:`dbsl_cz_angles`, stacked for an array
     of squeezings; theta_c is a number or an array of r's shape."""
     return cz_region_plan("DBSL", r, dbsl_cz_angles(r, theta_c), theta_c)
+
+
+def mbsl_cz_angles(r) -> tuple:
+    """Free angles of the MBSL CZ region at squeezing r, arrays broadcast:
+    (pi/4, -pi/4, pi/2, 0, -a, a, pi/2, 0, c, -c, pi/2, pi/2) with
+    a = atan2(1, sqrt(2) tanh 2r) and c = atan2(1, 2 tanh(2r)^2).  Read off
+    the optimized table and checked by the tests; it is the optimum below
+    24.1 dB and a saddle of perr on the root set above it."""
+    th = lat.per_point(lambda x: math.tanh(2.0 * x), r)
+    a, c = np.arctan2(1.0, math.sqrt(2.0) * th), np.arctan2(1.0, 2.0 * th * th)
+    q = math.pi / 4
+    return (q, -q, 2 * q, 0.0, -a, a, 2 * q, 0.0, c, -c, 2 * q, 2 * q)
+
+
+# The table build's BSL start at every squeezing: the 15 dB row rounded to
+# one decimal, from which the continuation reaches every row.
+BSL_CZ_START = (-0.4, 1.1, -0.4, 1.1, 0.4, 1.3, -0.4, 1.1, 1.1, -0.4, 0.8, 0.8)
+
+
+def cz_start(lattice: str, r: float) -> np.ndarray:
+    """The one start in code of the table build's CZ search on ``lattice`` at
+    squeezing r: the DBSL and MBSL closed forms, and BSL_CZ_START."""
+    angles = {"DBSL": dbsl_cz_angles, "BSL": lambda _: BSL_CZ_START, "MBSL": mbsl_cz_angles}
+    return np.array(angles[lattice](r), dtype=float)
 
 
 DBSL_SWAP_FREE_ANGLES = (math.pi / 4, -math.pi / 4, math.pi / 4, -math.pi / 4,
@@ -276,7 +304,7 @@ def _n_free_angles(lattice: str) -> int:
 
 def _is_valid_row(row) -> bool:
     return (isinstance(row, dict) and row.get("lattice") in CACHED_CZ_LATTICES
-            and _is_finite_number(row.get("squeezing_db"))
+            and _is_finite_number(row.get("squeezing_db")) and row["squeezing_db"] > 0
             and isinstance(row.get("angles"), list)
             and len(row["angles"]) == _n_free_angles(row["lattice"])
             and all(_is_finite_number(a) for a in row["angles"])
@@ -314,7 +342,7 @@ def load_basis_table(path: str | Path | None = None) -> dict:
         if not _is_valid_row(row):
             counts = ", ".join(f"{lt} {_n_free_angles(lt)}" for lt in CACHED_CZ_LATTICES)
             raise ValueError(f"malformed basis table {p}: entry {i} is not a "
-                             f"{'/'.join(CACHED_CZ_LATTICES)} row with a finite "
+                             f"{'/'.join(CACHED_CZ_LATTICES)} row with a finite positive "
                              f"'squeezing_db', finite 'angles' ({counts}), 'accepted' "
                              "true if any, and no 'theta_c' or 'variable_theta_c'")
     keys = sorted((e["lattice"], e["squeezing_db"], i) for i, e in enumerate(table["entries"]))

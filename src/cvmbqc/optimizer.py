@@ -12,14 +12,14 @@ the roots by rank-truncated Gauss-Newton steps, and where that descent
 stops at a saddle it steps off along the most negative curvature; isolated
 roots (DBSL, closed-form: see :func:`dbsl_theta_c_optimum`) are kept as
 they are.  A start that LM leaves accepted but not at a root takes one more
-Gauss-Newton step.  :class:`OptimizerConfig` sets ``restarts`` and ``seed``;
-``weight_grid`` is still validated but has no effect.  The starts are the
-caller's warm starts, each solved once, then uniform random ones up to
-``restarts``, the only ones the seed draws; no start is built in.  Accepted
-solutions must implement the
-target to an entrywise 1-norm below :data:`RESIDUAL_TOL`; among those the
-lowest error probability wins, with residual and then lexicographic order of
-the canonical angles (each free angle mod pi) as tie-breakers.
+Gauss-Newton step.  :class:`OptimizerConfig` sets ``restarts`` (default 1)
+and ``seed``; ``weight_grid`` is still validated but has no effect.  The
+starts are the caller's warm starts, each solved once, then uniform random
+ones up to ``restarts``, the only ones the seed draws; no start is built in.
+Accepted solutions must implement the target to an entrywise 1-norm below
+:data:`RESIDUAL_TOL`; among those the lowest error probability wins, with
+residual and then lexicographic order of the canonical angles (each free
+angle mod pi) as tie-breakers.
 
 :func:`search` advances its starts in lockstep in the calling process,
 over start-order blocks of at most _BLOCK starts.  A Levenberg-Marquardt
@@ -100,7 +100,7 @@ def _is_number(v, kind=numbers.Real) -> bool:
 @dataclass(frozen=True)
 class OptimizerConfig:
     weight_grid: tuple = DEFAULT_WEIGHTS
-    restarts: int = 200
+    restarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -470,13 +470,14 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
     residual tolerance the first best rejected candidate, by residual and
     then perr, is returned, flagged.  ``config.weight_grid`` has no effect.
     """
-    rng = np.random.default_rng(config.seed)
     n_free = frozen.n_free
     starts = [np.asarray(w, dtype=float) for w in warm_starts]
     if any(w.shape != (n_free,) for w in starts):
         raise ValueError(f"every warm start must hold the region's {n_free} free angles")
-    while len(starts) < config.restarts:
-        starts.append(rng.uniform(-math.pi, math.pi, n_free))
+    if len(starts) < config.restarts:  # only then is numpy.random imported
+        rng = np.random.default_rng(config.seed)
+        starts += [rng.uniform(-math.pi, math.pi, n_free)
+                   for _ in range(config.restarts - len(starts))]
 
     solved = _solve_all(frozen, starts)
     xs = frozen.canonical(np.array(starts[:len(warm_starts)] + [x for x, _, _ in solved]))

@@ -3,14 +3,14 @@
 Criteria 5 and 6 read the optimized-basis table shipped with the package, and
 criterion 7 minimizes the closed-form DBSL CZ plan over its control basis
 theta_c; everything else is closed-form or oracle-backed and self-contained.
-The table is what this one command writes, with the fixed base seed
-20200527; it reads no earlier table, so it writes the same file every time.
-Each lattice is one search from every start at the grid point nearest
+The table is what this one command writes; it has no seed and reads no
+earlier table, so it writes the same file every time.  Each lattice is one
+search from its start in code (``gates.cz_start``) at the grid point nearest
 ``cli.ANCHOR_DB`` and a continuation outward from it, and the run writes the
 whole table once:
 
     cvmbqc optimize --lattice DBSL BSL MBSL --db-min 0.25 --db-max 25 \
-        --db-step 0.25 --seed 20200527 --out src/cvmbqc/data/cz_basis_table.json
+        --db-step 0.25 --out src/cvmbqc/data/cz_basis_table.json
 """
 
 import math

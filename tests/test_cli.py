@@ -524,8 +524,10 @@ def test_optimize_builds_each_lattice_as_its_own_run(tmp_path, fake_search):
                     lattice="DBSL BSL") == cli.EXIT_OK
     assert entries(tmp_path / "both.json") == sorted(
         apart, key=lambda e: (e["lattice"], e["squeezing_db"]))
-    # the second lattice's anchor gets every start too, not the first's last point's one
-    assert [c.restarts for c in fake_search.calls] == [7, 1, 1, 1, 1] * 2
+    # every point of each lattice runs the config's restarts, and the second
+    # lattice's anchor starts from its own start, not the first's last point
+    assert [c.restarts for c in fake_search.calls] == [7] * 5 * 2
+    assert np.array_equal(fake_search.calls[5].warm[0], gates.cz_start("BSL", lat.db_to_r(15.0)))
     del fake_search.calls[:]
     # a lattice named twice is built once
     assert optimize(tmp_path / "twice.json", "--config", str(cfg),
@@ -558,17 +560,20 @@ def test_optimize_continues_outward_from_the_anchor(tmp_path, fake_search):
     del fake_search.calls[:]
     assert optimize(path, "--config", str(cfg)) == cli.EXIT_OK
     final = {r["squeezing_db"]: r for r in entries(path)}
-    # the anchor from every start, then up from it, then down
+    # the anchor from the lattice's start in code, then up from it, then down,
+    # every point with the config's restarts
     assert [c.db for c in fake_search.calls] == [15.0, 15.5, 16.0, 14.5, 14.0]
-    assert [c.restarts for c in fake_search.calls] == [7, 1, 1, 1, 1]
+    assert [c.restarts for c in fake_search.calls] == [7] * 5
     for db, _, warm in fake_search.calls:
         # only the row this run found toward the anchor, never the table's own
-        toward = [] if db == cli.ANCHOR_DB else [final[db - 0.5 if db > cli.ANCHOR_DB
-                                                         else db + 0.5]]
-        assert [list(w) for w in warm] == [r["angles"] for r in toward]
+        toward = (gates.cz_start("DBSL", lat.db_to_r(db)) if db == cli.ANCHOR_DB
+                  else final[db - 0.5 if db > cli.ANCHOR_DB else db + 0.5]["angles"])
+        assert [list(w) for w in warm] == [list(toward)]
     del fake_search.calls[:]
     assert optimize(path, "--config", str(cfg), grid=[3.0]) == cli.EXIT_OK
-    assert [c.restarts for c in fake_search.calls] == [7]  # a one-point grid is its anchor
+    [call] = fake_search.calls  # a one-point grid is its anchor
+    assert call.restarts == 7
+    assert np.array_equal(call.warm[0], gates.cz_start("DBSL", lat.db_to_r(3.0)))
 
 
 def test_optimize_fails_the_points_it_cannot_accept(tmp_path, capsys, fake_search):
@@ -592,6 +597,24 @@ def test_optimize_fails_the_points_it_cannot_accept(tmp_path, capsys, fake_searc
     assert not (tmp_path / "new.json").exists()
 
 
+def test_optimize_writes_the_same_table_under_every_seed(tmp_path):
+    # the real search: each section starts from its start in code and draws
+    # no uniform start, so two seeds write the same bytes, and the DBSL and
+    # MBSL rows are their closed forms
+    paths = [tmp_path / f"seed-{seed}.json" for seed in (1, 2)]
+    for seed, path in zip((1, 2), paths):
+        assert optimize(path, lattice="DBSL BSL MBSL", grid=[14.5, 15.5],
+                        seed=seed) == cli.EXIT_OK
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    closed_forms = {"DBSL": gates.dbsl_cz_angles, "MBSL": gates.mbsl_cz_angles}
+    rows = [row for row in entries(paths[0]) if row["lattice"] in closed_forms]
+    assert len(rows) == 6
+    for row in rows:
+        closed = closed_forms[row["lattice"]](lat.db_to_r(row["squeezing_db"]))
+        turn = (np.subtract(row["angles"], closed) + np.pi / 2) % np.pi - np.pi / 2
+        assert np.abs(turn).max() <= 1e-9, (row["lattice"], row["squeezing_db"])
+
+
 ROW_STATE_TABLES = {
     # a row that an older `optimize` wrote where no start was accepted
     "unaccepted-row": ([_row("DBSL", 10.0), _row("BSL", 10.0, accepted=False)],
@@ -600,6 +623,10 @@ ROW_STATE_TABLES = {
     "two-rows-at-one-point": ([_row("DBSL", 10.0), _row("BSL", 10.0),
                                _row("DBSL", 10.0 + 1e-10)],
                               "entries 0 and 2 are two DBSL rows at 10 dB"),
+    # rows at a squeezing that is not positive, which verify would otherwise
+    # reach as a degenerate basis or a bad r that names neither file nor row
+    "row-at-zero-db": ([_row("DBSL", 10.0), _row("DBSL", 0.0)], "entry 1 is not a "),
+    "row-at-negative-db": ([_row("DBSL", 10.0), _row("DBSL", -1.0)], "entry 1 is not a "),
 }
 
 
@@ -650,14 +677,27 @@ SHIPPED_TABLE = Path(gates.__file__).parent / "data" / "cz_basis_table.json"
 
 @pytest.fixture(scope="module")
 def readme_table(tmp_path_factory):
-    """The rows the README's table command (the one with the base seed) writes
-    into a new path; the command runs once for every section test."""
-    [argv] = [a for a in readme_commands() if a[0] == "optimize" and "20200527" in a]
-    out = argv.index("--out") + 1
-    assert Path(argv[out]).parts[-4:] == SHIPPED_TABLE.parts[-4:]
+    """The rows the README's table command (the one whose ``--out`` is the
+    shipped table) writes into a new path; the command runs once for every
+    section test, and spends at most 4,000 eliminations."""
+    def writes_the_shipped_table(argv):
+        return (argv[0] == "optimize" and "--out" in argv
+                and Path(argv[argv.index("--out") + 1]).parts[-4:] == SHIPPED_TABLE.parts[-4:])
+
+    [argv] = [a for a in readme_commands() if writes_the_shipped_table(a)]
     path = tmp_path_factory.mktemp("readme") / "table.json"
-    argv[out] = str(path)
-    assert cli.main(argv) == cli.EXIT_OK
+    argv[argv.index("--out") + 1] = str(path)
+    evals, search = [], optimizer.cz_search
+
+    def counted(*args, **kwargs):
+        res = search(*args, **kwargs)
+        evals.append(res.evals)
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "cz_search", counted)
+        assert cli.main(argv) == cli.EXIT_OK
+    assert sum(evals) <= 4000
     return entries(path)
 
 

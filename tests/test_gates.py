@@ -290,21 +290,37 @@ def test_dbsl_cz_angles_are_a_root_at_every_theta_c():
     assert np.median(resid) < 1e-12
 
 
-def test_shipped_dbsl_rows_are_the_closed_form():
-    # every fixed-basis DBSL row is dbsl_cz_angles at pi/4: the angles mod pi
-    # to 1e-8 and perr to 1e-12 relative; and the closed-form plan passes
-    # the oracle at every point of the grid
-    rows = [row for row in gates.load_basis_table()["entries"] if row["lattice"] == "DBSL"]
+# Each closed form, and the highest squeezing up to which the lattice's
+# shipped rows are it: above 24.1 dB the MBSL closed form is a saddle.
+CLOSED_FORMS = {"DBSL": (gates.dbsl_cz_angles, 25.0), "MBSL": (gates.mbsl_cz_angles, 24.0)}
+
+
+@pytest.mark.parametrize("lattice", list(CLOSED_FORMS))
+def test_shipped_rows_are_the_closed_form(lattice):
+    # every fixed-basis row up to the closed form's last squeezing is the
+    # closed form (the DBSL's at pi/4): the angles mod pi to 1e-8 and perr to
+    # 1e-12 relative; and the closed-form plan passes the oracle at each point
+    closed_form, db_max = CLOSED_FORMS[lattice]
+    rows = [row for row in gates.load_basis_table()["entries"]
+            if row["lattice"] == lattice and row["squeezing_db"] <= db_max]
     dbs = np.array([row["squeezing_db"] for row in rows])
-    assert dbs.tolist() == (0.25 * np.arange(1, 101)).tolist()
+    assert dbs.tolist() == (0.25 * np.arange(1, 4 * db_max + 1)).tolist()
     r = lat.db_to_r(dbs)
-    closed = np.stack(np.broadcast_arrays(*gates.dbsl_cz_angles(r)), axis=-1)
+    closed = np.stack(np.broadcast_arrays(*closed_form(r)), axis=-1)
     turn = (np.array([row["angles"] for row in rows]) - closed + np.pi / 2) % np.pi - np.pi / 2
     assert np.abs(turn).max() <= 1e-8
-    perr = gkp.gate_error_probability(gates.dbsl_cz_plan(r))
+    perr = gkp.gate_error_probability(gates.cz_region_plan(lattice, r, closed_form(r)))
     np.testing.assert_allclose(perr, [row["perr"] for row in rows], rtol=1e-12, atol=0)
     for x in r:
-        assert oracle.verify_plan(gates.dbsl_cz_plan(x), tol=1e-9)["pass"], x
+        plan = gates.cz_region_plan(lattice, x, closed_form(x))
+        assert oracle.verify_plan(plan, tol=1e-9)["pass"], x
+
+
+def test_mbsl_cz_angles_are_a_root_off_the_grid():
+    r = lat.db_to_r(np.array([0.05, 7.77, 30.0, 40.0]))
+    plan = gates.cz_region_plan("MBSL", r, gates.mbsl_cz_angles(r))
+    resid = np.abs(gates.realize(plan).G - plan.target).sum(axis=(-2, -1))
+    assert resid.max() <= 1e-11
 
 
 def test_iter_catalog_contents():

@@ -617,15 +617,6 @@ def test_variable_theta_c_descent_does_not_crawl_at_a_rank_drop():
     assert res.evals <= 2500
 
 
-def _mbsl_closed_form(r):
-    """The MBSL CZ free angles that every shipped MBSL row at 0.25-24 dB is,
-    to 6.3e-8 rad mod pi: read off the table, not derived."""
-    a = math.atan2(1.0, math.sqrt(2.0) * math.tanh(2.0 * r))
-    c = math.atan2(1.0, 2.0 * math.tanh(2.0 * r) ** 2)
-    q = math.pi / 4
-    return np.array([q, -q, 2 * q, 0.0, -a, a, 2 * q, 0.0, c, -c, 2 * q, 2 * q])
-
-
 @pytest.mark.parametrize("db", [24.25, 25.0])
 def test_descent_steps_off_the_closed_form_saddle(db):
     # above 24.1 dB the closed form is a saddle of perr on the MBSL root set:
@@ -634,7 +625,7 @@ def test_descent_steps_off_the_closed_form_saddle(db):
     r = lat.db_to_r(db)
     shipped = gates.find_row(gates.load_basis_table(), "MBSL", db)["perr"]
     a, b = (opt.cz_search("MBSL", r, opt.OptimizerConfig(restarts=1, seed=seed),
-                          warm_starts=[_mbsl_closed_form(r)]) for seed in (0, 20200527))
+                          warm_starts=[gates.mbsl_cz_angles(r)]) for seed in (0, 20200527))
     assert np.array_equal(a.angles, b.angles)
     assert dataclasses.replace(a, angles=None) == dataclasses.replace(b, angles=None)
     assert a.accepted and a.descents == 1
@@ -655,21 +646,27 @@ def test_accepted_lm_end_above_root_tol_takes_a_gauss_newton_step():
 
 
 def test_first_search_imports_no_masked_arrays_and_no_scipy():
-    # a fresh interpreter's first search may import numpy.random; a lazily
-    # imported numpy.ma (for example through np.unique) or scipy would add
-    # its import time to every process's first search
+    # a fresh interpreter's first search imports numpy.random only when it
+    # draws a uniform start; a lazily imported numpy.ma (for example through
+    # np.unique) or scipy would add its import time to every process's first
+    # search
     code = (
         "import sys\n"
-        "from cvmbqc import lattice, optimizer\n"
+        "from cvmbqc import gates, lattice, optimizer\n"
+        "r = lattice.db_to_r(15.0)\n"
         "before = set(sys.modules)\n"
-        "config = optimizer.OptimizerConfig(restarts=2)\n"
-        "optimizer.cz_search('MBSL', lattice.db_to_r(15.0), config)\n"
-        "print('\\n'.join(sorted(set(sys.modules) - before)))\n")
+        "optimizer.cz_search('MBSL', r, optimizer.OptimizerConfig(restarts=1),\n"
+        "                    warm_starts=[gates.cz_start('MBSL', r)])\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        "optimizer.cz_search('MBSL', r, optimizer.OptimizerConfig(restarts=2))\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n")
     src = str(Path(opt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
-    assert not [name for name in proc.stdout.split()
+    warm, cold = (line.split() for line in proc.stdout.splitlines())
+    assert "numpy.random" not in warm and "numpy.random" in cold
+    assert not [name for name in cold
                 if name.split(".")[:2] == ["numpy", "ma"] or name.split(".")[0] == "scipy"]
 
 
