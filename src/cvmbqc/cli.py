@@ -2,11 +2,16 @@
 regenerate the optimized-basis cache, and run the verification suites.
 
 Exit codes: 0 success, 1 failed verification or search, 2 usage error, 3 cache miss.
+A numerical failure inside a search or a reduction, numpy's ``LinAlgError``
+(a ``ValueError`` subclass) or a ``FloatingPointError``, is a failed search,
+not a usage error: it prints ``error: <lattice> <db> dB: <message>`` and
+exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -97,11 +102,30 @@ def _plan_for(lattice, gate, db, table):
     return gates.basis_for(lattice, gate, r)
 
 
-def _stacked_plans(lattice, gate, grid, table):
-    """(squeezings, stacked plan) per block of at most _BLOCK_POINTS grid points."""
+class _NumericalFailure(Exception):
+    """A search or a reduction that failed numerically, at a named point."""
+
+
+@contextlib.contextmanager
+def _failing_at(lattice, db: str):
+    """Report a LinAlgError or FloatingPointError within as a failure at
+    ``lattice`` and ``db`` dB, which :func:`main` exits 1 on."""
+    try:
+        yield
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        raise _NumericalFailure(f"{lattice} {db} dB: {exc}") from exc
+
+
+def _realized_blocks(lattice, gate, grid, table):
+    """(squeezings, stacked plan, its realization) per block of at most
+    _BLOCK_POINTS grid points."""
     for i in range(0, len(grid), _BLOCK_POINTS):
         dbs = grid[i:i + _BLOCK_POINTS]
-        yield dbs, _plan_for(lattice, gate, np.array(dbs), table)
+        plan = _plan_for(lattice, gate, np.array(dbs), table)
+        span = _fmt(dbs[0]) if len(dbs) == 1 else f"{_fmt(dbs[0])}-{_fmt(dbs[-1])}"
+        with _failing_at(lattice, span):
+            result = gates.realize(plan)
+        yield dbs, plan, result
 
 
 def cmd_noise_curve(args) -> int:
@@ -115,9 +139,9 @@ def cmd_noise_curve(args) -> int:
         rows.append(["reference", "effective", _fmt(db), "p", _fmt(eff)])
     for lattice in args.lattice:
         for gate in args.gate:
-            for dbs, plan in _stacked_plans(lattice, gate, grid, table):
+            for dbs, plan, result in _realized_blocks(lattice, gate, grid, table):
                 cluster_var = lat.per_point(gkp.resource_variances, plan.r)[:, 1]
-                sigma2 = noise_factors(gates.realize(plan)) * cluster_var[:, None]
+                sigma2 = noise_factors(result) * cluster_var[:, None]
                 names = ["x", "p"] if sigma2.shape[-1] == 2 else ["x1", "x2", "p1", "p2"]
                 for db, point in zip(dbs, sigma2):
                     for name, v in zip(names, point):
@@ -142,9 +166,9 @@ def cmd_error_curve(args) -> int:
         rows.append(["baseline", "FFCZ", _fmt(db), _fmt_perr(baseline)])
     for lattice in args.lattice:
         for gate in args.gate:
-            for dbs, plan in _stacked_plans(lattice, gate, grid, table):
+            for dbs, plan, result in _realized_blocks(lattice, gate, grid, table):
                 rows += [[lattice, gate, _fmt(db), _fmt_perr(p)]
-                         for db, p in zip(dbs, gkp.gate_error_probability(plan))]
+                         for db, p in zip(dbs, gkp.gate_error_probability(plan, result))]
     rows.sort(key=lambda row: (row[0], row[1], float(row[2])))
     _write_csv(args.out, ["lattice", "gate", "squeezing_db", "perr"], rows)
     return EXIT_OK
@@ -154,8 +178,8 @@ def cmd_compare(args) -> int:
     grid = _db_grid(args)
     table = gates.load_basis_table()
     perr = {lattice: np.concatenate([
-        gkp.gate_error_probability(plan)
-        for _, plan in _stacked_plans(lattice, "FFCZ", grid, lambda: table)])
+        gkp.gate_error_probability(plan, result)
+        for _, plan, result in _realized_blocks(lattice, "FFCZ", grid, lambda: table)])
         for lattice in LATTICES}
     rows = [[lattice, _fmt(db), _fmt(p / ref)] for lattice in LATTICES
             for db, p, ref in zip(grid, perr[lattice], perr["DBSL"])]
@@ -201,7 +225,8 @@ def cmd_optimize(args) -> int:
             db, r = grid[i], lat.db_to_r(grid[i])
             near = section.get(i - 1 if i > anchor else i + 1)
             warm = np.array(near["angles"]) if near else gates.cz_start(lattice, r)
-            res = optimizer.cz_search(lattice, r, cfg, warm_starts=[warm])
+            with _failing_at(lattice, f"{db:g}"):
+                res = optimizer.cz_search(lattice, r, cfg, warm_starts=[warm])
             print(f"{lattice} {db:g} dB: {'accepted' if res.accepted else 'INFEASIBLE'} "
                   f"residual={res.residual:.3e} perr={res.perr:.6e}", flush=True)
             section[i] = res.to_row(lattice, db)
@@ -322,6 +347,9 @@ def main(argv=None) -> int:
     except CacheMissError as exc:
         print(f"cache miss: {exc}", file=sys.stderr)
         return EXIT_CACHE
+    except _NumericalFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -107,22 +107,26 @@ def _fourier_byproduct(n: int, m: int) -> np.ndarray:
             @ sp.embed(sp.rotation(m * math.pi / 2), [1], 2))
 
 
+@functools.cache
 def target_symplectic(gate_id: str, signs=(1, 1)) -> np.ndarray:
     """Symplectic matrix of a target gate; ``signs`` are the Fourier exponents
-    (n, m) for the FFCZ family."""
+    (n, m) for the FFCZ family, as a tuple.  One read-only array per
+    ``(gate_id, signs)``, built once."""
     if gate_id == "I":
-        return sp.identity()
-    if gate_id == "F":
-        return sp.rotation(math.pi / 2)
-    if gate_id == "P1":
-        return sp.shear(1.0)
-    if gate_id == "FFCZ":
-        return _fourier_byproduct(*signs) @ sp.cz(1.0)
-    if gate_id == "SWAP":
+        x = sp.identity()
+    elif gate_id == "F":
+        x = sp.rotation(math.pi / 2)
+    elif gate_id == "P1":
+        x = sp.shear(1.0)
+    elif gate_id == "FFCZ":
+        x = _fourier_byproduct(*signs) @ sp.cz(1.0)
+    elif gate_id == "SWAP":
         x = np.zeros((4, 4))
         x[0, 1] = x[1, 0] = x[2, 3] = x[3, 2] = 1.0
-        return x
-    raise ValueError(f"unknown gate id {gate_id!r}")
+    else:
+        raise ValueError(f"unknown gate id {gate_id!r}")
+    x.flags.writeable = False
+    return x
 
 
 def cz_region(lattice: str, r, theta_c=None) -> tuple:

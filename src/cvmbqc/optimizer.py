@@ -16,6 +16,10 @@ Gauss-Newton step.  :class:`OptimizerConfig` sets ``restarts`` (default 1)
 and ``seed``; ``weight_grid`` is still validated but has no effect.  The
 starts are the caller's warm starts, each solved once, then uniform random
 ones up to ``restarts``, the only ones the seed draws; no start is built in.
+The uniform starts are PCG64 draws seeded by numpy's ``SeedSequence``
+(O'Neill 2014), computed in Python integers by :func:`_uniform_starts`: bit
+for bit ``np.random.default_rng(seed).uniform(-pi, pi, ...)``, without
+importing ``numpy.random``.
 Accepted solutions must implement the target to an entrywise 1-norm below
 :data:`RESIDUAL_TOL`; among those the lowest error probability wins, with
 residual and then lexicographic order of the canonical angles (each free
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -224,9 +229,9 @@ def _lm_stack(frozen: FrozenRegion, xs):
     Nielsen & Tingleff (2004).
 
     Each start keeps its own damping, nu and evaluation count, and stops at
-    a root, at a step too small to change it, or after _LM_ITERS
-    eliminations.  An iteration solves the damped normal equations of all
-    running starts in one ``np.linalg.solve`` (start by start if one is
+    a root, at a step too small to change it, where a rejected step's
+    damping update would overflow, or after _LM_ITERS eliminations.  An
+    iteration solves the damped normal equations of all running starts in one ``np.linalg.solve`` (start by start if one is
     singular) and evaluates F and J at their trial points in one stacked
     :func:`_kernels.reduce_residual`.  Returns the end points, the
     elimination's mask and F and J there, and the eliminations spent per
@@ -277,6 +282,9 @@ def _lm_stack(frozen: FrozenRegion, xs):
         damping[up] *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
         nu[up] = 2.0
         down = idx[~better]
+        overflow = damping[down] > np.finfo(float).max / nu[down]
+        running[down[overflow]] = False
+        down = down[~overflow]
         damping[down] *= nu[down]
         nu[down] *= 2.0
 
@@ -446,6 +454,67 @@ def _feasible_descent(x, rank):
     return x, evals
 
 
+# numpy's SeedSequence hash constants and the PCG64 (XSL-RR 128/64) multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hash32(const, mult):
+    """SeedSequence's 32-bit hash: each call xors the value with the running
+    constant, advances the constant by ``mult`` and multiplies by it."""
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _uniform_starts(seed, count: int, n_free: int) -> np.ndarray:
+    """``(count, n_free)`` uniform angles in [-pi, pi), bit for bit
+    ``np.random.default_rng(seed).uniform(-pi, pi, (count, n_free))``,
+    without importing ``numpy.random``.
+
+    ``SeedSequence(seed)`` hashes the seed's 32-bit words into a pool of four
+    and mixes it; ``generate_state(4, uint64)`` gives PCG64 its 128-bit state
+    and increment (O'Neill, *PCG: A Family of Simple Fast Space-Efficient
+    Statistically Good Algorithms for Random Number Generation*, HMC-CS-2014-0905).
+    Each draw steps the 128-bit LCG and takes its XSL-RR output x; the
+    double is (x >> 11) 2^-53, the angle -pi + 2 pi u."""
+    seed = operator.index(seed)
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    hashmix = _hash32(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        x = (_MIX_L * x - _MIX_R * y) & _M32
+        return x ^ x >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hashout = _hash32(_INIT_B, _MULT_B)
+    state = [hashout(pool[i % 4]) for i in range(8)]
+    s0, s1, i0, i1 = (state[2 * k] | state[2 * k + 1] << 32 for k in range(4))
+    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+    x = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128  # srandom: two steps from 0
+    draws = []
+    for _ in range(count * n_free):
+        x = (x * _PCG_MULT + inc) & _M128
+        word, rot = (x >> 64 ^ x) & _M64, x >> 122
+        word = (word >> rot | word << (64 - rot)) & _M64
+        draws.append(-math.pi + 2.0 * math.pi * ((word >> 11) * 2.0 ** -53))
+    return np.array(draws, dtype=float).reshape(count, n_free)
+
+
 def _solve_all(frozen: FrozenRegion, starts: list) -> list:
     """:func:`_solve_block` of every start, in start order, over blocks of
     at most _BLOCK starts; a start's solve does not depend on the others in
@@ -459,7 +528,9 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
     every start.
 
     Deterministic for a fixed seed; each warm start is solved once, ahead of
-    the uniform random starts that the seed draws up to ``config.restarts``.
+    the uniform random starts that the seed draws up to ``config.restarts``:
+    :func:`_uniform_starts`, the PCG64 stream of numpy's
+    ``default_rng(seed)``, so the starts equal numpy's draws.
     Each warm start is also scored as a candidate in its own right, under
     the same acceptance
     rule and tie-break as the solve results, so the result is never worse
@@ -474,10 +545,7 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
     starts = [np.asarray(w, dtype=float) for w in warm_starts]
     if any(w.shape != (n_free,) for w in starts):
         raise ValueError(f"every warm start must hold the region's {n_free} free angles")
-    if len(starts) < config.restarts:  # only then is numpy.random imported
-        rng = np.random.default_rng(config.seed)
-        starts += [rng.uniform(-math.pi, math.pi, n_free)
-                   for _ in range(config.restarts - len(starts))]
+    starts += list(_uniform_starts(config.seed, max(config.restarts - len(starts), 0), n_free))
 
     solved = _solve_all(frozen, starts)
     xs = frozen.canonical(np.array(starts[:len(warm_starts)] + [x for x, _, _ in solved]))

@@ -615,6 +615,37 @@ def test_optimize_writes_the_same_table_under_every_seed(tmp_path):
         assert np.abs(turn).max() <= 1e-9, (row["lattice"], row["squeezing_db"])
 
 
+@pytest.mark.parametrize("db", [0.25, 0.5])
+def test_one_point_dbsl_grid_at_low_squeezing_is_accepted(tmp_path, capsys, db):
+    # the closed-form start sits at the rounding floor above ROOT_TOL, where
+    # no LM trial lowers the cost; LM stops before its damping overflows
+    path = tmp_path / "table.json"
+    assert cli.main(["optimize", "--lattice", "DBSL", "--db-min", str(db), "--db-max", str(db),
+                     "--out", str(path)]) == cli.EXIT_OK
+    [row] = entries(path)
+    assert row["accepted"] and row["residual"] < optimizer.RESIDUAL_TOL
+    assert capsys.readouterr().out.startswith(f"DBSL {db:g} dB: accepted ")
+
+
+@pytest.mark.parametrize("command, patched", [
+    ("optimize --lattice DBSL --db-min 10 --db-max 10 --out {path}", (optimizer, "cz_search")),
+    ("error-curve --lattice BSL --gate F --db-min 10 --db-max 10.5 --db-step 0.5",
+     (gates, "realize")),
+], ids=["optimize", "error-curve"])
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, FloatingPointError])
+def test_numerical_failure_is_a_failed_search_not_a_usage_error(capsys, tmp_path, monkeypatch,
+                                                                command, patched, error):
+    def fail(*args, **kwargs):
+        raise error("SVD did not converge")
+
+    monkeypatch.setattr(*patched, fail)
+    path = tmp_path / "table.json"
+    assert cli.main(shlex.split(command.format(path=path))) == cli.EXIT_VERIFY
+    point = "DBSL 10 dB" if command.startswith("optimize") else "BSL 10-10.5 dB"
+    assert capsys.readouterr().err == f"error: {point}: SVD did not converge\n"
+    assert not path.exists()
+
+
 ROW_STATE_TABLES = {
     # a row that an older `optimize` wrote where no start was accepted
     "unaccepted-row": ([_row("DBSL", 10.0), _row("BSL", 10.0, accepted=False)],

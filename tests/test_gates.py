@@ -37,6 +37,16 @@ def test_target_symplectic_rejects_unknown():
         gates.target_symplectic("CPHASE")
 
 
+@pytest.mark.parametrize("gate_id, signs", [("I", (1, 1)), ("F", (1, 1)), ("P1", (1, 1)),
+                                            ("FFCZ", (1, -1)), ("SWAP", (1, 1))])
+def test_target_symplectic_is_one_read_only_array(gate_id, signs):
+    # built once per (gate_id, signs) and shared, so no caller may write to it
+    x = gates.target_symplectic(gate_id, signs)
+    assert gates.target_symplectic(gate_id, signs) is x
+    with pytest.raises(ValueError, match="read-only"):
+        x[0, 0] = 2.0
+
+
 @pytest.mark.parametrize("lattice", ALL_LATTICES)
 @pytest.mark.parametrize("gate_id", ("I", "F", "P1"))
 def test_single_mode_closed_forms_across_squeezing(lattice, gate_id):

@@ -646,10 +646,10 @@ def test_accepted_lm_end_above_root_tol_takes_a_gauss_newton_step():
 
 
 def test_first_search_imports_no_masked_arrays_and_no_scipy():
-    # a fresh interpreter's first search imports numpy.random only when it
-    # draws a uniform start; a lazily imported numpy.ma (for example through
-    # np.unique) or scipy would add its import time to every process's first
-    # search
+    # a fresh interpreter's first search imports neither numpy.random (nor
+    # its secrets and hashlib), even where it draws uniform starts; a lazily
+    # imported numpy.ma (for example through np.unique) or scipy would add
+    # its import time to every process's first search
     code = (
         "import sys\n"
         "from cvmbqc import gates, lattice, optimizer\n"
@@ -665,9 +665,21 @@ def test_first_search_imports_no_masked_arrays_and_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     warm, cold = (line.split() for line in proc.stdout.splitlines())
-    assert "numpy.random" not in warm and "numpy.random" in cold
+    assert not {"numpy.random", "secrets", "hashlib"} & (set(warm) | set(cold))
     assert not [name for name in cold
                 if name.split(".")[:2] == ["numpy", "ma"] or name.split(".")[0] == "scipy"]
+
+
+def test_uniform_starts_are_numpys_default_rng_draws():
+    # the in-module PCG64 stream, bit for bit, over seeds of one to five
+    # 32-bit words and a numpy integer
+    for seed in [*range(200), 20200527, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 130 + 7,
+                 np.int64(7)]:
+        for count in (0, 1, 259):
+            ours = opt._uniform_starts(seed, count, 12)
+            numpys = np.random.default_rng(seed).uniform(-math.pi, math.pi, (count, 12))
+            assert ours.shape == numpys.shape and ours.dtype == numpys.dtype
+            assert np.array_equal(ours, numpys), (seed, count)
 
 
 # Best perr of 16-start searches (seed 11) with the projected steepest
