@@ -2,6 +2,8 @@
 regenerate the optimized-basis cache, and run the verification suites.
 
 Exit codes: 0 success, 1 failed verification or search, 2 usage error, 3 cache miss.
+A squeezing from a grid bound, ``--db`` or a table row outside ``lattice.MIN_SQUEEZING_DB`` to
+``lattice.MAX_SQUEEZING_DB`` (:func:`lattice.check_squeezing`) is a usage error.
 A numerical failure inside a search or a reduction, numpy's ``LinAlgError``
 (a ``ValueError`` subclass) or a ``FloatingPointError``, is a failed search,
 not a usage error: it prints ``error: <lattice> <db> dB: <message>`` and
@@ -53,9 +55,7 @@ def _db_grid(args):
     if n < 0 or abs(args.db_min + n * args.db_step - args.db_max) > 1e-9:
         raise ValueError(f"empty or inconsistent squeezing grid: --db-step {args.db_step:g} "
                          f"does not step from {args.db_min:g} to {args.db_max:g}")
-    if args.db_min <= 0:
-        raise ValueError(f"--db-min must be positive (squeezing in dB), got {args.db_min:g}")
-    lat.effective_epsilon(lat.db_to_r(args.db_max))  # refuses one where cosh(2r) overflows
+    lat.check_squeezing(lat.db_to_r(np.array([args.db_min, args.db_max])))
     grid = [args.db_min + i * args.db_step for i in range(n + 1)]
     if n and np.diff(grid).min() < gates.ROW_DB_TOL:
         raise ValueError(f"--db-step {args.db_step:g} puts grid points closer than "
@@ -262,11 +262,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dump_graph(args) -> int:
-    if not math.isfinite(args.db):
-        raise ValueError(f"--db must be finite, got {args.db:g}")
+    r = lat.db_to_r(args.db)
+    lat.check_squeezing(r)
     if args.theta_c is not None and not math.isfinite(args.theta_c):
         raise ValueError(f"--theta-c must be finite, got {args.theta_c:g}")
-    r = lat.db_to_r(args.db)
     params = lat.LatticeParams.from_r(args.lattice, r)
     build = lat.cz_region_graph if args.region == "cz" else lat.single_step_graph
     graph = build(params, parity=args.parity, theta_c=args.theta_c)

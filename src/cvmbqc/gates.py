@@ -133,6 +133,7 @@ def cz_region(lattice: str, r, theta_c=None) -> tuple:
     """The even-parity CZ region of ``lattice`` at squeezing r and control
     basis theta_c (default: the lattice's), both stacked for arrays of one
     shape, and the Fourier-CZ target it implements: (graph, target)."""
+    lat.check_squeezing(r)
     graph = lat.cz_region_graph(lat.LatticeParams.from_r(lattice, r), theta_c=theta_c)
     return graph, target_symplectic("FFCZ", FFCZ_EXPONENTS[lattice])
 
@@ -189,8 +190,7 @@ def basis_for(lattice: str, gate_id: str, r, parity: int = 0) -> GatePlan:
     if gate_id not in SINGLE_MODE_GATES:
         raise ValueError(f"unsupported (lattice, gate) = ({lattice!r}, {gate_id!r}); "
                          "CZ plans come from qrl_cz_plan or the optimizer cache")
-    if np.any(np.asarray(r) <= 0):
-        raise ValueError("squeezing parameter must be positive")
+    lat.check_squeezing(r)
     keep = (0,) if lattice == "QRL" else None  # one computation mode of the macronode
     # every step runs on the one graph
     graph = lat.single_step_graph(lat.LatticeParams.from_r(lattice, r), parity=parity)
@@ -225,6 +225,7 @@ def qrl_cz_angles(r) -> tuple:
 def qrl_cz_plan(r) -> GatePlan:
     """Closed-form QRL plan: one coupling macronode, then a squeezing
     compensation on each output path, all in the QRL CZ region."""
+    lat.check_squeezing(r)
     return cz_region_plan("QRL", r, qrl_cz_angles(r))
 
 
@@ -278,7 +279,7 @@ DBSL_SWAP_FREE_ANGLES = (math.pi / 4, -math.pi / 4, math.pi / 4, -math.pi / 4,
 
 def dbsl_swap_plan(r) -> GatePlan:
     """Wire swap on the DBSL; the angles are squeezing-independent."""
-    graph = lat.cz_region_graph(lat.LatticeParams.from_r("DBSL", r))
+    graph, _ = cz_region("DBSL", r)
     angles = graph.full_basis(DBSL_SWAP_FREE_ANGLES)
     return GatePlan("DBSL", "SWAP", r, (PlanTrack(graph, angles),),
                     _fourier_byproduct(1, 1) @ target_symplectic("SWAP"))
@@ -307,9 +308,13 @@ def _n_free_angles(lattice: str) -> int:
 
 
 def _is_valid_row(row) -> bool:
-    return (isinstance(row, dict) and row.get("lattice") in CACHED_CZ_LATTICES
-            and _is_finite_number(row.get("squeezing_db")) and row["squeezing_db"] > 0
-            and isinstance(row.get("angles"), list)
+    if not (isinstance(row, dict) and _is_finite_number(row.get("squeezing_db"))):
+        return False
+    try:
+        lat.check_squeezing(lat.db_to_r(row["squeezing_db"]))
+    except ValueError:
+        return False
+    return (row.get("lattice") in CACHED_CZ_LATTICES and isinstance(row.get("angles"), list)
             and len(row["angles"]) == _n_free_angles(row["lattice"])
             and all(_is_finite_number(a) for a in row["angles"])
             and row.get("accepted", True) is True
@@ -346,9 +351,10 @@ def load_basis_table(path: str | Path | None = None) -> dict:
         if not _is_valid_row(row):
             counts = ", ".join(f"{lt} {_n_free_angles(lt)}" for lt in CACHED_CZ_LATTICES)
             raise ValueError(f"malformed basis table {p}: entry {i} is not a "
-                             f"{'/'.join(CACHED_CZ_LATTICES)} row with a finite positive "
-                             f"'squeezing_db', finite 'angles' ({counts}), 'accepted' "
-                             "true if any, and no 'theta_c' or 'variable_theta_c'")
+                             f"{'/'.join(CACHED_CZ_LATTICES)} row with a 'squeezing_db' "
+                             f"from {lat.MIN_SQUEEZING_DB:g} to {lat.MAX_SQUEEZING_DB:g} dB, "
+                             f"finite 'angles' ({counts}), 'accepted' true if any, and no "
+                             "'theta_c' or 'variable_theta_c'")
     keys = sorted((e["lattice"], e["squeezing_db"], i) for i, e in enumerate(table["entries"]))
     for (lattice, db, i), (_, _, j) in zip(keys, keys[1:]):
         if _is_row(table["entries"][j], lattice, db):

@@ -36,6 +36,7 @@ __all__ = [
     "ComputationGraph",
     "db_to_r",
     "per_point",
+    "check_squeezing",
     "edge_weight",
     "effective_epsilon",
     "teleport_graph",
@@ -70,6 +71,21 @@ def per_point(f, r):
     return values.reshape(r.shape + values.shape[1:])
 
 
+# The usable squeezings in dB: every plan is nondegenerate from the floor up (the last
+# degenerate point is the BSL CZ start's, 0.0045 dB); cosh 2r is finite up to the ceiling.
+MIN_SQUEEZING_DB, MAX_SQUEEZING_DB = 0.01, 3085.55
+
+
+def check_squeezing(r) -> None:
+    """Refuse a squeezing r, a number or an array, with a point outside the
+    usable range: the one range check of every command, plan and table row."""
+    r = np.asarray(r, dtype=float)
+    bad = r[~((db_to_r(MIN_SQUEEZING_DB) <= r) & (r <= db_to_r(MAX_SQUEEZING_DB)))]
+    if bad.size:
+        raise ValueError(f"squeezing {float(bad[0]) / math.log(10.0) * 20.0:g} dB is outside "
+                         f"the usable range {MIN_SQUEEZING_DB:g} to {MAX_SQUEEZING_DB:g} dB")
+
+
 def _check_r(r: float) -> None:
     if not 0 <= r < math.inf:  # also refuses NaN
         raise ValueError(f"squeezing parameter r must be finite and nonnegative, got {r!r}")
@@ -78,11 +94,7 @@ def _check_r(r: float) -> None:
 def effective_epsilon(r: float) -> float:
     """Self-loop magnitude sech(2r); cluster momentum variance is sech(2r)/2."""
     _check_r(r)
-    try:
-        return 1.0 / math.cosh(2.0 * r)
-    except OverflowError:
-        raise ValueError(f"squeezing {20.0 * r / math.log(10.0):g} dB (r = {r:g}) is too "
-                         "large: cosh(2r) overflows above 3085.56 dB") from None
+    return 1.0 / math.cosh(2.0 * r)
 
 
 _EDGE_SCALE = {

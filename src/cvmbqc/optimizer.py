@@ -231,8 +231,9 @@ def _lm_stack(frozen: FrozenRegion, xs):
     Each start keeps its own damping, nu and evaluation count, and stops at
     a root, at a step too small to change it, where a rejected step's
     damping update would overflow, or after _LM_ITERS eliminations.  An
-    iteration solves the damped normal equations of all running starts in one ``np.linalg.solve`` (start by start if one is
-    singular) and evaluates F and J at their trial points in one stacked
+    iteration solves the damped normal equations of all running starts in
+    one ``np.linalg.solve`` (start by start if one is singular) and
+    evaluates F and J at their trial points in one stacked
     :func:`_kernels.reduce_residual`.  Returns the end points, the
     elimination's mask and F and J there, and the eliminations spent per
     start."""
@@ -527,19 +528,18 @@ def search(frozen: FrozenRegion, config: OptimizerConfig, warm_starts=()) -> Opt
     """Best accepted solution over the exact warm starts and the solves from
     every start.
 
-    Deterministic for a fixed seed; each warm start is solved once, ahead of
-    the uniform random starts that the seed draws up to ``config.restarts``:
-    :func:`_uniform_starts`, the PCG64 stream of numpy's
-    ``default_rng(seed)``, so the starts equal numpy's draws.
-    Each warm start is also scored as a candidate in its own right, under
-    the same acceptance
-    rule and tie-break as the solve results, so the result is never worse
-    than a feasible warm start.  Candidates are scored, compared and returned
-    at their canonical angles (:meth:`FrozenRegion.canonical`), all of them
-    in one stacked jet per _BLOCK candidates; a degenerate candidate scores
-    residual ``_kernels.BAD_VALUE`` and perr 1.  When nothing meets the
-    residual tolerance the first best rejected candidate, by residual and
-    then perr, is returned, flagged.  ``config.weight_grid`` has no effect.
+    Deterministic for a fixed seed; each warm start is solved once, ahead of the
+    uniform random starts that the seed draws up to ``config.restarts``:
+    :func:`_uniform_starts`, the PCG64 stream of numpy's ``default_rng(seed)``,
+    so the starts equal numpy's draws.  Each warm start is also scored as a
+    candidate in its own right, under the same acceptance rule and tie-break as
+    the solve results, so the result is never worse than a feasible warm start.
+    Candidates are scored, compared and returned at their canonical angles
+    (:meth:`FrozenRegion.canonical`), all of them in one stacked jet per _BLOCK
+    candidates; a degenerate candidate scores residual ``_kernels.BAD_VALUE``
+    and perr 1.  When nothing meets the residual tolerance the first best
+    rejected candidate, by residual and then perr, is returned, flagged.
+    ``config.weight_grid`` has no effect.
     """
     n_free = frozen.n_free
     starts = [np.asarray(w, dtype=float) for w in warm_starts]

@@ -23,6 +23,12 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def refusal(db):
+    """The one line every command prints for a squeezing outside the usable range."""
+    return (f"error: squeezing {db} dB is outside the usable range "
+            f"{lat.MIN_SQUEEZING_DB:g} to {lat.MAX_SQUEEZING_DB:g} dB\n")
+
+
 def rows_of(text):
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
@@ -144,18 +150,25 @@ def test_unusable_path_is_one_usage_error(capsys, tmp_path, monkeypatch, fake_se
 
 
 @pytest.mark.parametrize("command", [
-    ["noise-curve"], ["error-curve", "--lattice", "QRL", "--gate", "FFCZ"], ["compare"],
-    ["optimize", "--lattice", "DBSL", "--out", "{dir}/cz_basis_table.json"],
-], ids=["noise-curve", "error-curve-qrl", "compare", "optimize"])
-@pytest.mark.parametrize("db_min", ["0", "-1"])
+    "noise-curve {grid}", "error-curve --lattice QRL --gate FFCZ {grid}",
+    "error-curve --lattice DBSL --gate I {grid}", "compare {grid}",
+    "optimize --lattice DBSL --out {dir}/cz_basis_table.json {grid}",
+    "dump-graph --lattice DBSL --db {bad} --out {dir}/graph.json",
+], ids=["noise-curve", "error-curve-qrl", "error-curve-dbsl-i", "compare", "optimize",
+        "dump-graph"])
+@pytest.mark.parametrize("db_min, db_max, bad", [
+    ("0", "1", "0"), ("-1", "1", "-1"), ("1e-300", "1", "1e-300"),
+    ("0.005", "1.005", "0.005"), ("3085", "3086", "3086"),
+], ids=["0", "-1", "1e-300", "0.005", "3086"])
 def test_nonpositive_squeezing_is_one_usage_error(capsys, tmp_path, monkeypatch, fake_search,
-                                                  command, db_min):
+                                                  command, db_min, db_max, bad):
+    # every path refuses a squeezing outside the usable range alike, before
+    # any point is computed: no plan, no search, no file
     monkeypatch.setenv("CVMBQC_CACHE_DIR", str(tmp_path))
-    command = [arg.format(dir=tmp_path) for arg in command]
-    code, out, err = run_cli(command + [f"--db-min={db_min}", "--db-max=1", "--db-step=0.5"],
-                             capsys)
+    grid = f"--db-min={db_min} --db-max={db_max} --db-step=0.5"
+    code, out, err = run_cli(command.format(grid=grid, dir=tmp_path, bad=bad).split(), capsys)
     assert code == cli.EXIT_USAGE
-    assert err == f"error: --db-min must be positive (squeezing in dB), got {db_min}\n"
+    assert err == refusal(bad)
     assert out == "" and list(tmp_path.iterdir()) == []
     assert not fake_search.calls
 
@@ -274,7 +287,7 @@ def test_dump_graph_to_file(tmp_path, capsys):
     assert doc["lattice"] == "QRL"
 
 
-@pytest.mark.parametrize("db", ["0", "3", "15"])
+@pytest.mark.parametrize("db", ["0.01", "3", "15"])
 def test_dump_graph_teleport_is_the_basis_for_graph(capsys, db):
     code, out, _ = run_cli(["dump-graph", "--lattice", "TELEPORT", "--db", db], capsys)
     assert code == 0
@@ -286,9 +299,8 @@ def test_dump_graph_teleport_is_the_basis_for_graph(capsys, db):
     r = lat.db_to_r(float(db))
     assert (doc["lattice"], doc["r"], doc["t"]) == ("TELEPORT", r, math.tanh(2.0 * r))
     assert doc["epsilon"] == lat.effective_epsilon(r)
-    if r > 0:
-        graph = gates.basis_for("TELEPORT", "I", r).steps[0].graph
-        assert doc == json.loads(lat.graph_to_json(graph))
+    graph = gates.basis_for("TELEPORT", "I", r).steps[0].graph
+    assert doc == json.loads(lat.graph_to_json(graph))
     code, out, err = run_cli(["dump-graph", "--lattice", "TELEPORT", "--db", db,
                               "--region", "cz"], capsys)
     assert code == cli.EXIT_USAGE and out == ""
@@ -317,7 +329,9 @@ def test_curve_block_builds_each_step_graph_once(capsys, monkeypatch):
 def test_dump_graph_refuses_nonfinite_values(capsys, flag, value):
     code, out, err = run_cli(["dump-graph", "--lattice", "DBSL", f"{flag}={value}"], capsys)
     assert code == cli.EXIT_USAGE
-    assert err == f"error: {flag} must be finite, got {value}\n"
+    # --db is a squeezing, which one range refuses
+    expected = refusal(value) if flag == "--db" else f"error: {flag} must be finite, got {value}\n"
+    assert err == expected
     assert out == ""
 
 
@@ -646,6 +660,8 @@ def test_numerical_failure_is_a_failed_search_not_a_usage_error(capsys, tmp_path
     assert not path.exists()
 
 
+OUT_OF_RANGE_ROW = ("entry 1 is not a DBSL/BSL/MBSL row with a 'squeezing_db' from "
+                    f"{lat.MIN_SQUEEZING_DB:g} to {lat.MAX_SQUEEZING_DB:g} dB, ")
 ROW_STATE_TABLES = {
     # a row that an older `optimize` wrote where no start was accepted
     "unaccepted-row": ([_row("DBSL", 10.0), _row("BSL", 10.0, accepted=False)],
@@ -654,10 +670,13 @@ ROW_STATE_TABLES = {
     "two-rows-at-one-point": ([_row("DBSL", 10.0), _row("BSL", 10.0),
                                _row("DBSL", 10.0 + 1e-10)],
                               "entries 0 and 2 are two DBSL rows at 10 dB"),
-    # rows at a squeezing that is not positive, which verify would otherwise
-    # reach as a degenerate basis or a bad r that names neither file nor row
+    # rows at a squeezing outside the usable range, which verify would
+    # otherwise reach as a degenerate basis or a bad r that names neither
+    # file nor row
     "row-at-zero-db": ([_row("DBSL", 10.0), _row("DBSL", 0.0)], "entry 1 is not a "),
     "row-at-negative-db": ([_row("DBSL", 10.0), _row("DBSL", -1.0)], "entry 1 is not a "),
+    "row-at-1e-300-db": ([_row("DBSL", 10.0), _row("DBSL", 1e-300)], OUT_OF_RANGE_ROW),
+    "row-at-3086-db": ([_row("DBSL", 10.0), _row("DBSL", 3086.0)], OUT_OF_RANGE_ROW),
 }
 
 
@@ -897,8 +916,7 @@ def test_squeezing_beyond_sech_range_is_one_usage_error(capsys, tmp_path, fake_s
     path = tmp_path / "table.json"
     code, out, err = run_cli(command.format(path=path).split(), capsys)
     assert code == cli.EXIT_USAGE
-    assert err == ("error: squeezing 3086 dB (r = 355.289) is too large: "
-                   "cosh(2r) overflows above 3085.56 dB\n")
+    assert err == refusal("3086")
     assert out == ""
     assert not fake_search.calls and not path.exists()
     # one dB lower every point is computed (the stand-in search may accept none)

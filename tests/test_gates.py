@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from cvmbqc import gates, gkp, oracle
+from cvmbqc import gates, gkp, optimizer, oracle
 from cvmbqc import lattice as lat
 from cvmbqc import reduction as red
 from cvmbqc import symplectic as sp
@@ -73,8 +73,30 @@ def test_basis_for_validates():
         gates.basis_for("DBSL", "FFCZ", 1.0)
     with pytest.raises(ValueError):
         gates.basis_for("DBSL", "I", 0.0)
-    with pytest.raises(ValueError, match="must be positive"):
+    with pytest.raises(ValueError, match="squeezing 0 dB is outside the usable range"):
         gates.basis_for("DBSL", "I", np.array([0.5, 0.0, 1.0]))
+
+
+def test_every_plan_realizes_at_the_squeezing_floor():
+    # the floor sits more than twice above the last degenerate point of any
+    # plan: the DBSL and BSL F at 0.0040 dB, the BSL CZ start at 0.0045 dB
+    r = lat.db_to_r(lat.MIN_SQUEEZING_DB)
+    plans = [*gates.iter_catalog(r), *(gates.cz_region_plan(lt, r, gates.cz_start(lt, r))
+                                       for lt in gates.CACHED_CZ_LATTICES)]
+    for plan in plans:
+        assert math.isfinite(gkp.gate_error_probability(plan)), (plan.lattice, plan.gate_id)
+
+
+@pytest.mark.parametrize("db", [1e-300, 0.005, 3086.0])
+@pytest.mark.parametrize("build", [
+    lambda r: gates.basis_for("DBSL", "I", r),
+    gates.qrl_cz_plan,
+    gates.dbsl_swap_plan,
+    lambda r: optimizer.cz_search("DBSL", r, optimizer.OptimizerConfig()),
+], ids=["basis_for", "qrl_cz_plan", "dbsl_swap_plan", "cz_search"])
+def test_plans_refuse_a_squeezing_outside_the_usable_range(build, db):
+    with pytest.raises(ValueError, match=f"squeezing {db:g} dB is outside the usable range"):
+        build(lat.db_to_r(db))
 
 
 class TestNoiseBook:

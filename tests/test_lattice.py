@@ -48,9 +48,15 @@ def test_squeezing_must_be_finite_and_nonnegative(r):
 
 
 def test_squeezing_is_refused_where_cosh_overflows():
-    assert lat.effective_epsilon(lat.db_to_r(3085.55)) > 0
-    with pytest.raises(ValueError, match=r"3085.57 dB .* cosh\(2r\) overflows above 3085.56 dB"):
-        lat.effective_epsilon(lat.db_to_r(3085.57))
+    # the ceiling is the last two-decimal squeezing at which cosh 2r is finite
+    top = lat.db_to_r(lat.MAX_SQUEEZING_DB)
+    lat.check_squeezing(top)
+    assert lat.effective_epsilon(top) > 0
+    with pytest.raises(OverflowError):
+        math.cosh(2.0 * lat.db_to_r(lat.MAX_SQUEEZING_DB + 0.01))
+    with pytest.raises(ValueError, match="squeezing 3085.56 dB is outside the usable range "
+                                         "0.01 to 3085.55 dB"):
+        lat.check_squeezing(lat.db_to_r(3085.56))
 
 
 def test_effective_epsilon_is_3db_above_resource_at_high_squeezing():
